@@ -130,13 +130,6 @@ _MULTI_INDEX_DATA = {
 }
 
 
-def _kpow_form(k: int, coeffs_by_kexp: dict, extras: dict) -> dict:
-    """Build {exponent: coeff} from {j: c} meaning c*x^{jk} plus literal extras."""
-    out = {j * k: c for j, c in coeffs_by_kexp.items()}
-    out.update(extras)
-    return out
-
-
 _JK_UNIT_DATA = {
     4: ({0: 1, 1: -7, 2: -2}, {0: 1, 1: -7, 2: -2}, {1: -2}, {(2, 1): 2}),
     5: ({0: 1, 1: -11, 2: -20}, {0: 1, 1: -11, 2: -20}, {1: -2}, {(1, 1): -8, (2, 1): 10}),

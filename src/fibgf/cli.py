@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .checks import SCAN_CHECKS, VERIFY_CHECKS, run_check
@@ -79,6 +78,8 @@ def cmd_vsum(args) -> int:
 
 
 def cmd_congruence(args) -> int:
+    if not 0 <= args.a < args.m:
+        raise ValueError(f"need 0 <= a < m, got a = {args.a}, m = {args.m}")
     spec = _resolve_spec(args)
     counts = residue_series(spec, args.m, args.nmax)
     print(json.dumps([str(row[args.a]) for row in counts]))
@@ -140,14 +141,11 @@ def _check_params(args) -> dict:
 
 def cmd_verify(args) -> int:
     if args.name == "all":
-        names = sorted(VERIFY_CHECKS)
         failed = False
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {name: pool.submit(run_check, "verify", name) for name in names}
-            for name in names:
-                rep = futures[name].result()
-                _emit_report(rep, args.json)
-                failed = failed or rep.status == "fail"
+        for name in sorted(VERIFY_CHECKS):
+            rep = run_check("verify", name)
+            _emit_report(rep, args.json)
+            failed = failed or rep.status == "fail"
         return EXIT_CHECK_FAILED if failed else EXIT_OK
     if args.name not in VERIFY_CHECKS:
         raise KeyError(f"unknown check {args.name!r}; known: {', '.join(sorted(VERIFY_CHECKS))}")
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named cross-verification (or 'all')")
     p_verify.add_argument("name")
     p_verify.add_argument("--nmax", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=4)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

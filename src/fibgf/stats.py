@@ -80,9 +80,9 @@ def corr_series(spec: ProductSpec, alpha: CorrSpec, n_max: int, engine: str = "a
         big = full.degree_bound() + 1 > FAST_ENGINE_THRESHOLD
         engine = "pure" if (symbolic or not big) else "fast"
     if engine == "fast":
-        from .stream import corr_series_fast
+        from .stream import multi_corr_series_fast
 
-        return corr_series_fast(full, alpha, n_max)
+        return multi_corr_series_fast(full, [alpha], n_max)[0]
     if engine != "pure":
         raise ValueError(f"unknown engine {engine!r}")
     out: list = []

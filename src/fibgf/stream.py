@@ -45,6 +45,36 @@ def _initial_array(spec: ProductSpec) -> np.ndarray:
     return np.array(dense, dtype=np.int64)
 
 
+def _shift_add(arr: np.ndarray, terms: list[tuple[int, int]], i: int) -> np.ndarray:
+    """arr * (1 + sum_j a_j x^{e_j}) as a new array of arr's dtype.
+
+    The array grows by the largest exponent of ``terms`` even where that
+    term's coefficient is 0, so the zero coefficients it pads stay counted.
+    """
+    shift = max((e for _, e in terms), default=0)
+    old_len = arr.shape[0]
+    new_len = old_len + shift
+    if (new_len + old_len) * arr.itemsize > max_mem_bytes():
+        raise ResourceLimitError(
+            f"streaming product needs {new_len} coefficients at factor {i}, "
+            f"over the RGF_MAX_MEM_MB cap",
+            limit_n=i,
+        )
+    new = np.zeros(new_len, dtype=arr.dtype)
+    new[:old_len] = arr
+    for aj, e in terms:
+        if aj == 0:
+            continue
+        view = new[e : e + old_len]
+        if aj == 1:
+            np.add(view, arr, out=view)
+        elif aj == -1:
+            np.subtract(view, arr, out=view)
+        else:
+            np.add(view, arr * aj, out=view)
+    return new
+
+
 def stream_product(spec: ProductSpec, n_max: int):
     """Yield (i, array, abs_max) for i = 0..n_max along the growing product.
 
@@ -61,26 +91,7 @@ def stream_product(spec: ProductSpec, n_max: int):
             raise ResourceLimitError(
                 f"coefficients would overflow int64 at factor {i}", limit_n=i
             )
-        shift = max((e for _, e in terms), default=0)
-        old_len = arr.shape[0]
-        new_len = old_len + shift
-        if (new_len + old_len) * 8 > max_mem_bytes():
-            raise ResourceLimitError(
-                f"streaming product needs {new_len} coefficients at factor {i}, "
-                f"over the RGF_MAX_MEM_MB cap",
-                limit_n=i,
-            )
-        new = np.zeros(new_len, dtype=np.int64)
-        new[:old_len] = arr
-        for aj, e in terms:
-            view = new[e : e + old_len]
-            if aj == 1:
-                np.add(view, arr, out=view)
-            elif aj == -1:
-                np.subtract(view, arr, out=view)
-            else:
-                np.add(view, arr * aj, out=view)
-        arr = new
+        arr = _shift_add(arr, terms, i)
         abs_max = max(int(arr.max()), -int(arr.min()))
         yield i, arr, abs_max
 
@@ -180,8 +191,9 @@ def _corr_value_crt(arr: np.ndarray, alpha: tuple[int, ...], abs_max: int) -> in
     return _crt_combine(primes, residues)
 
 
-def _corr_value_hist(arr: np.ndarray, r: int, lo: int, hi: int) -> int:
-    """Exact sum of r-th powers via a value histogram (span must be small)."""
+def _value_histogram(arr: np.ndarray) -> list[tuple[int, int]]:
+    """(value, count) for each nonzero value in arr (its span must be small)."""
+    lo, hi = int(arr.min()), int(arr.max())
     span = hi - lo + 1
     counts = np.zeros(span, dtype=np.int64)
     n = arr.shape[0]
@@ -190,39 +202,24 @@ def _corr_value_hist(arr: np.ndarray, r: int, lo: int, hi: int) -> int:
         if lo:
             chunk = chunk - lo
         counts += np.bincount(chunk, minlength=span)
-    total = 0
-    for idx in np.nonzero(counts)[0]:
-        v = int(idx) + lo
-        if v:
-            total += int(counts[idx]) * v**r
-    return total
-
-
-def corr_series_fast(spec: ProductSpec, alpha: CorrSpec, n_max: int) -> list[int]:
-    """Integer corr_series on the numpy stream; exact."""
-    single = len(alpha.active) == 1 and alpha.alpha[alpha.active[0]] >= 1 and len(alpha.alpha) == 1
-    out: list[int] = []
-    for _, arr, abs_max in stream_product(spec, n_max):
-        if single and 2 * abs_max + 1 <= HIST_SPAN_CAP:
-            lo, hi = int(arr.min()), int(arr.max())
-            out.append(_corr_value_hist(arr, alpha.alpha[0], lo, hi))
-        else:
-            out.append(_corr_value_crt(arr, alpha.alpha, abs_max))
-    return out
+    return [(int(idx) + lo, int(counts[idx])) for idx in np.nonzero(counts)[0] if idx + lo]
 
 
 def multi_corr_series_fast(spec: ProductSpec, alphas: list[CorrSpec], n_max: int) -> list[list[int]]:
-    """Several correlation series from a single streamed product build.
+    """Several correlation series from a single streamed product build; exact.
 
-    Returns one list per alpha, aligned with 0..n_max.
+    Returns one list per alpha, aligned with 0..n_max.  While the values
+    span at most HIST_SPAN_CAP, the single-index alphas share one value
+    histogram per step; every other sum is reconstructed by CRT.
     """
     outs: list[list[int]] = [[] for _ in alphas]
     for _, arr, abs_max in stream_product(spec, n_max):
-        lo, hi = int(arr.min()), int(arr.max())
-        hist_ok = 2 * abs_max + 1 <= HIST_SPAN_CAP
+        hist = None
         for slot, a in zip(outs, alphas):
-            if len(a.alpha) == 1 and hist_ok:
-                slot.append(_corr_value_hist(arr, a.alpha[0], lo, hi))
+            if len(a.alpha) == 1 and 2 * abs_max + 1 <= HIST_SPAN_CAP:
+                if hist is None:
+                    hist = _value_histogram(arr)
+                slot.append(sum(count * v ** a.alpha[0] for v, count in hist))
             else:
                 slot.append(_corr_value_crt(arr, a.alpha, abs_max))
     return outs
@@ -230,35 +227,13 @@ def multi_corr_series_fast(spec: ProductSpec, alphas: list[CorrSpec], n_max: int
 
 def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
     """Counts of coefficients in each residue class mod m, per factor count."""
-    arr0 = _initial_array(spec) % m
-    bound_terms = []
-    for i in range(1, n_max + 1):
-        bound_terms.append(sum(aj % m for aj, _ in _int_terms(spec, i)))
-    if bound_terms and (m - 1) * (1 + max(bound_terms)) > 255:
+    terms = [[(aj % m, e) for aj, e in _int_terms(spec, i)] for i in range(1, n_max + 1)]
+    if terms and (m - 1) * (1 + max(sum(aj for aj, _ in t) for t in terms)) > 255:
         raise ValueError("modulus too large for the byte-wide residue pipeline")
-    arr = arr0.astype(np.uint8)
-    out = [list(int(v) for v in np.bincount(arr, minlength=m))]
-    for i in range(1, n_max + 1):
-        terms = _int_terms(spec, i)
-        shift = max((e for _, e in terms), default=0)
-        old_len = arr.shape[0]
-        new_len = old_len + shift
-        if (new_len + old_len) * 1 > max_mem_bytes():
-            raise ResourceLimitError(
-                f"residue pipeline needs {new_len} bytes at factor {i}", limit_n=i
-            )
-        new = np.zeros(new_len, dtype=np.uint8)
-        new[:old_len] = arr
-        for aj, e in terms:
-            ajm = aj % m
-            if ajm == 0:
-                continue
-            view = new[e : e + old_len]
-            if ajm == 1:
-                np.add(view, arr, out=view)
-            else:
-                np.add(view, (arr * np.uint8(ajm)).astype(np.uint8), out=view)
-        new %= m
-        arr = new
+    arr = (_initial_array(spec) % m).astype(np.uint8)
+    out = [[int(v) for v in np.bincount(arr, minlength=m)]]
+    for i, factor in enumerate(terms, 1):
+        arr = _shift_add(arr, factor, i)
+        arr %= m
         out.append([int(v) for v in np.bincount(arr, minlength=m)])
     return out

@@ -61,9 +61,6 @@ class GroupedRow:
             raise InvariantError("groups do not tile the row", detail=self.index)
         return out
 
-    def visible_length(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class Production:
@@ -134,10 +131,6 @@ def triangle_rows(n_max: int, t=1):
     for _ in range(n_max - 1):
         row = next_row(row, t)
         yield row
-
-
-def row_polynomial(row: GroupedRow) -> CoeffPoly:
-    return CoeffPoly(list(row.entries))
 
 
 def verify_rows_match_product(n_max: int, t=1) -> None:

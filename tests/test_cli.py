@@ -1,5 +1,7 @@
 import json
 
+import fibgf.checks
+import fibgf.cli
 from fibgf.cli import main
 from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec
 from fibgf.stats import CorrSpec, corr_series
@@ -31,6 +33,13 @@ def test_congruence(capsys):
     code, out, _ = run_cli(capsys, "congruence", "--m", "2", "--a", "1", "--nmax", "2")
     assert code == 0
     assert json.loads(out) == ["1", "2", "4"]
+
+
+def test_congruence_rejects_class_outside_modulus(capsys):
+    for argv in (("--m", "2", "--a", "5"), ("--m", "3", "--a", "-4")):
+        code, out, err = run_cli(capsys, "congruence", *argv, "--nmax", "2")
+        assert code == 2, argv
+        assert out == "" and err.startswith("error:"), argv
 
 
 def test_product_dump_roundtrip(capsys):
@@ -77,12 +86,23 @@ def test_guess_reads_stdin(monkeypatch, capsys):
 
 
 def test_verify_all_json_lines(capsys):
-    # restrict to a cheap subset by running two named checks; the all-mode
-    # concurrency is exercised in the acceptance environment
     for name in ("q2", "upho"):
         code, out, _ = run_cli(capsys, "verify", name, "--json")
         assert code == 0
         assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
+    registry = {
+        "zz-fails": lambda: ("fail", {"why": "by design"}),
+        "aa-passes": lambda: ("pass", {}),
+    }
+    monkeypatch.setattr(fibgf.checks, "VERIFY_CHECKS", registry)
+    monkeypatch.setattr(fibgf.cli, "VERIFY_CHECKS", registry)
+    code, out, _ = run_cli(capsys, "verify", "all", "--json")
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["check"], r["status"]) for r in reports] == [("aa-passes", "pass"), ("zz-fails", "fail")]
 
 
 def test_guess_no_fit_exit_code(tmp_path, capsys):

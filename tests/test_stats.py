@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fibgf.stream
 from fibgf.errors import ResourceLimitError
 from fibgf.polynomials import (
     CoeffPoly,
@@ -21,6 +22,7 @@ from fibgf.stats import (
     residue_count,
     residue_series,
 )
+from fibgf.stream import multi_corr_series_fast
 
 
 def test_corr_spec_validation():
@@ -80,12 +82,29 @@ def test_engines_agree():
         ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=3, a=(0, 1, 1)),
         ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=1, a=(1,), offset=1,
                     prefactor=CoeffPoly([1, 1])),
+        # |a_j| > 1 and a negative a_j: the scale-add step
+        ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(2, -3)),
     ]
     alphas = [(2,), (3,), (7,), (1, 1), (2, 1), (1, 0, 1), (2, 2)]
     for spec in specs:
         for alpha in alphas:
             a = CorrSpec(alpha)
             assert corr_series(spec, a, 9, engine="pure") == corr_series(spec, a, 9, engine="fast")
+
+
+def test_multi_corr_histogram_and_crt_paths_agree(monkeypatch):
+    alphas = [(2,), (1, 1), (3,), (1, 0, 2), (5,)]
+    specs = [
+        fibonacci_product_spec(0),
+        ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(2, -3)),
+    ]
+    for spec in specs:
+        pure = [corr_series(spec, CorrSpec(a), 10, engine="pure") for a in alphas]
+        assert multi_corr_series_fast(spec, [CorrSpec(a) for a in alphas], 10) == pure
+        # a span cap of 4 sends every step with |c| > 1 down the CRT path
+        with monkeypatch.context() as patch:
+            patch.setattr(fibgf.stream, "HIST_SPAN_CAP", 4)
+            assert multi_corr_series_fast(spec, [CorrSpec(a) for a in alphas], 10) == pure
 
 
 def test_fast_engine_crt_path_with_large_values():
@@ -135,6 +154,9 @@ def test_residue_engines_agree():
     assert residue_series(fibonacci_product_spec(0, t=-1), 3, 12, engine="pure") == residue_series(
         fibonacci_product_spec(0, t=-1), 3, 12, engine="fast"
     )
+    # a_2 = 2 vanishes mod 2 on the largest exponent, which still pads the length
+    spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(1, 2))
+    assert residue_series(spec, 2, 12, engine="pure") == residue_series(spec, 2, 12, engine="fast")
 
 
 def test_value_predicate():
