@@ -59,7 +59,7 @@ from .triangle import (
 class CheckReport:
     check: str
     params: dict
-    status: str  # pass | fail | inconclusive
+    status: str  # pass | fail | inconclusive | error (a raise in `verify all`)
     details: dict = field(default_factory=dict)
     elapsed_ms: int = 0
 

@@ -2,7 +2,7 @@
 
 Every subcommand is a thin adapter over the library; outputs are JSON (and
 plain triangle/DOT text where noted).  Exit codes: 0 ok/pass, 1 check
-failed, 2 usage error, 3 no rational fit found.
+failed, 2 usage error, 3 no rational fit found, 4 resource cap hit.
 """
 
 from __future__ import annotations
@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import replace
 
-from .checks import SCAN_CHECKS, VERIFY_CHECKS, run_check
+from .checks import SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
+from .errors import ResourceLimitError
 from .guess import guess_rational
 from .polynomials import (
     ProductSpec,
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_FIT = 3
+EXIT_RESOURCE = 4
 
 
 def _parse_t(raw: str):
@@ -139,13 +142,24 @@ def _check_params(args) -> dict:
     return params
 
 
+def _run_or_error(name: str) -> CheckReport:
+    """One check of ``verify all``; a check that raises reports ``error``."""
+    start = time.monotonic()
+    try:
+        return run_check("verify", name)
+    except Exception as err:
+        elapsed = int((time.monotonic() - start) * 1000)
+        details = {"error": f"{type(err).__name__}: {err}"}
+        return CheckReport(check=name, params={}, status="error", details=details, elapsed_ms=elapsed)
+
+
 def cmd_verify(args) -> int:
     if args.name == "all":
         failed = False
         for name in sorted(VERIFY_CHECKS):
-            rep = run_check("verify", name)
+            rep = _run_or_error(name)
             _emit_report(rep, args.json)
-            failed = failed or rep.status == "fail"
+            failed = failed or rep.status in ("fail", "error")
         return EXIT_CHECK_FAILED if failed else EXIT_OK
     if args.name not in VERIFY_CHECKS:
         raise KeyError(f"unknown check {args.name!r}; known: {', '.join(sorted(VERIFY_CHECKS))}")
@@ -240,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ResourceLimitError as err:
+        print(f"error: {err} (limit_n = {err.limit_n})", file=sys.stderr)
+        return EXIT_RESOURCE
     except (ValueError, KeyError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,8 +1,8 @@
 """Exact rational generating-function fitting and expansion.
 
 ``guess_rational`` finds the smallest-denominator rational function whose
-power series matches an integer (or rational) sequence, by exact linear
-solving on a prefix and verification on withheld trailing terms.  No
+power series matches an integer (or rational) sequence, by one exact
+Berlekamp-Massey pass and verification on withheld trailing terms.  No
 floating point anywhere.
 """
 
@@ -207,78 +207,49 @@ def _poly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return q
 
 
-def _solve_affine(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """One exact solution of rows*x = rhs with free variables set to 0.
+def _berlekamp_massey(u: list[Fraction], l_max: int):
+    """Shortest linear recurrence of ``u`` over Q (Massey 1969), or None.
 
-    Returns (solution, n_free) or None when inconsistent.
+    Returns ``(c, L)``: ``c[0] = 1``, ``deg c <= L`` and
+    ``sum_j c[j] * u[i - j] == 0`` for every ``L <= i < len(u)``, with L as
+    small as possible.  Stops with None as soon as L exceeds ``l_max``.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for i, v in enumerate(u):
+        delta = v + sum(c[j] * u[i - j] for j in range(1, len(c)))
+        if delta == 0:
+            shift += 1
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][n]
-    return x, n - len(pivots)
-
-
-def _candidate(seq: list[Fraction], d: int, num_extra: int, fit_len: int):
-    """Fit a denominator of degree d on seq[:fit_len]; None if impossible."""
-    e_max = d + num_extra
-    rows, rhs = [], []
-    for n in range(e_max + 1, fit_len):
-        rows.append([seq[n - j] if n - j >= 0 else Fraction(0) for j in range(1, d + 1)])
-        rhs.append(-seq[n])
-    if d == 0:
-        q = []
-        free = 0
-        if any(v != 0 for v in rhs):
-            return None
-    else:
-        if not rows:
-            return None
-        solved = _solve_affine(rows, rhs)
-        if solved is None:
-            return None
-        q, free = solved
-    den = [Fraction(1)] + list(q)
-    num = []
-    for n in range(0, e_max + 1):
-        if n >= len(seq):
-            break
-        acc = seq[n]
-        for j in range(1, min(n, d) + 1):
-            acc += den[j] * seq[n - j]
-        num.append(acc)
-    return RationalFunc(num, den), free
+        prev = c
+        c = c + [Fraction(0)] * max(0, shift + len(b) - len(c))
+        f = delta / last
+        for j, bj in enumerate(b):
+            c[shift + j] -= f * bj
+        while c[-1] == 0:
+            c.pop()
+        if 2 * length <= i:
+            length = i + 1 - length
+            if length > l_max:
+                return None
+            b, last, shift = prev, delta, 1
+        else:
+            shift += 1
+    return c, length
 
 
 def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
     """Smallest-denominator rational fit of ``seq``, or None.
 
-    Searches denominator degrees d = 0..den_max (capped by data supply: a
-    degree is only attempted when the prefix determines it), fits the linear
-    system exactly on all but the final ``holdout`` terms, and accepts only
-    if the expansion reproduces every provided term including the holdout.
+    A denominator of degree <= d with a numerator of degree <= d + num_extra
+    reproduces every term exactly when it is a linear recurrence of length d
+    on ``seq[num_extra + 1:]``, so one Berlekamp-Massey pass over that tail
+    finds the smallest one.  The fit is accepted only when its degree is at
+    most ``den_max`` and the terms before the final ``holdout`` determine it
+    (2d <= M and d <= M - 2, where M = len(seq) - num_extra - holdout); the
+    held-out terms then verify it.  With ``holdout >= 1`` the fit is unique.
+    With ``holdout = 0`` and 2d + num_extra = len(seq) it is not: another
+    fit of the same degrees may reproduce every term too.
     """
     if den_max < 0 or holdout < 0 or num_extra < 0:
         raise ValueError("den_max, num_extra, holdout must be nonnegative")
@@ -288,23 +259,16 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
         raise ValueError(
             f"need at least {2 + num_extra + holdout} terms, got {n_terms}"
         )
-    effective_max = min(den_max, (n_terms - num_extra - holdout) // 2)
-    fit_len = n_terms - holdout
-    for d in range(0, effective_max + 1):
-        got = _candidate(values, d, num_extra, fit_len)
-        if got is None:
-            continue
-        rf, free = got
-        if [Fraction(v) for v in rf.series(n_terms)] == values:
-            return rf.reduced()
-        if free > 0:
-            # underdetermined prefix: retry with the holdout terms included
-            got = _candidate(values, d, num_extra, n_terms)
-            if got is not None:
-                rf, _ = got
-                if [Fraction(v) for v in rf.series(n_terms)] == values:
-                    return rf.reduced()
-    return None
+    m = n_terms - num_extra - holdout
+    found = _berlekamp_massey(values[num_extra + 1:], min(den_max, m // 2, m - 2))
+    if found is None:
+        return None
+    den, length = found
+    num_len = length + num_extra + 1
+    rf = RationalFunc(_pmul(den, values[:num_len])[:num_len], den)
+    if rf.series(n_terms) != values:
+        return None
+    return rf.reduced()
 
 
 def series_expand(rf: RationalFunc, n_terms: int) -> list:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantError, ResourceLimitError
+from .guess import RationalFunc
 from .polynomials import TPoly
 from .sequences import kbonacci, phi_power, phi_power_reduce
 
@@ -292,19 +293,8 @@ def transfer_series(k: int, t, n_max: int) -> list:
     """
     census = generator_census_series(k, n_max, symbolic=True)
     if isinstance(t, int):
-        g = [c.evaluate(t) if isinstance(c, TPoly) else c for c in census]
-    else:
-        g = census
-    out = [1]
-    for n in range(1, n_max + 1):
-        acc = 0
-        for m in range(1, n + 1):
-            gm = g[m - 1]
-            if gm == 0:
-                continue
-            acc = acc + gm * out[n - m]
-        out.append(acc)
-    return out
+        census = [c.evaluate(t) if isinstance(c, TPoly) else c for c in census]
+    return RationalFunc([1], [1] + [-g for g in census]).series(n_max + 1)
 
 
 # -- letter-word rewriting -----------------------------------------------------

@@ -11,8 +11,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .guess import _solve_affine
-
 
 def partitions_of(n: int, max_part: int | None = None):
     """All partitions of n as weakly decreasing tuples."""
@@ -114,18 +112,20 @@ def monomial_to_powersum(exp: SymExpansion) -> SymExpansion:
         raise ValueError("expected a monomial expansion")
     out: dict = {}
     for n in range(exp.cap + 1):
+        # p_lam has m_mu terms only for mu = lam or coarser, which come first
+        # in partitions_of order: back-substitute from the finest partition
         lams = list(partitions_of(n))
-        if not lams:
-            continue
         table = power_to_monomial(n)
-        rows = [[Fraction(table[lam].get(mu, 0)) for lam in lams] for mu in lams]
-        rhs = [exp.coeff(mu) for mu in lams]
-        solved = _solve_affine(rows, rhs)
-        if solved is None:
-            raise ArithmeticError("power-sum transition matrix is singular")
-        for lam, c in zip(lams, solved[0]):
-            if c:
-                out[lam] = c
+        rest = {mu: exp.coeff(mu) for mu in lams}
+        solved = {}
+        for lam in reversed(lams):
+            c = rest[lam] / table[lam][lam]
+            solved[lam] = c
+            for mu, t in table[lam].items():
+                rest[mu] -= c * t
+        if any(rest.values()):
+            raise ArithmeticError("power-sum transition matrix is not triangular")
+        out.update((lam, solved[lam]) for lam in lams if solved[lam])
     return SymExpansion("powersum", exp.cap, out)
 
 

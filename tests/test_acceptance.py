@@ -260,7 +260,7 @@ def test_criterion_16_word_classes():
     assert rep.status == "pass", rep.details
 
 
-@criterion(17, "negative controls return no fit")
+@criterion(17, "negative controls: no fit up to den_max 20")
 def test_criterion_17_negative_controls():
     for coeffs in ((1, 0, 1), (0, 1, 1)):
         seq = RecurrentSeq(coeffs=coeffs, init=(1, 1, 1))

@@ -3,6 +3,7 @@ import json
 import fibgf.checks
 import fibgf.cli
 from fibgf.cli import main
+from fibgf.errors import ResourceLimitError
 from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec
 from fibgf.stats import CorrSpec, corr_series
 from fibgf.triangle import format_row, triangle_rows
@@ -93,8 +94,12 @@ def test_verify_all_json_lines(capsys):
 
 
 def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
+    def raises():
+        raise ResourceLimitError("over the cap", limit_n=7)
+
     registry = {
         "zz-fails": lambda: ("fail", {"why": "by design"}),
+        "mm-raises": raises,
         "aa-passes": lambda: ("pass", {}),
     }
     monkeypatch.setattr(fibgf.checks, "VERIFY_CHECKS", registry)
@@ -102,7 +107,20 @@ def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--json")
     assert code == 1
     reports = [json.loads(line) for line in out.splitlines()]
-    assert [(r["check"], r["status"]) for r in reports] == [("aa-passes", "pass"), ("zz-fails", "fail")]
+    assert [(r["check"], r["status"]) for r in reports] == [
+        ("aa-passes", "pass"),
+        ("mm-raises", "error"),
+        ("zz-fails", "fail"),
+    ]
+    assert reports[1]["details"] == {"error": "ResourceLimitError: over the cap"}
+
+
+def test_resource_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    code, out, err = run_cli(capsys, "vsum", "--alpha", "2", "--nmax", "40")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "limit_n = " in err
 
 
 def test_guess_no_fit_exit_code(tmp_path, capsys):

@@ -71,19 +71,38 @@ def test_guess_caps_denominator_search_by_data():
 
 
 def test_guess_roundtrip_random_rationals():
-    rng = random.Random(9)
-    for _ in range(25):
-        d = rng.randint(0, 4)
-        e = rng.randint(0, d)
-        den = [1] + [rng.randint(-3, 3) for _ in range(d)]
-        num = [rng.randint(-3, 3) for _ in range(e + 1)]
-        if not any(num):
-            num = [1]
-        rf = RationalFunc(num, den)
-        seq = series_expand(rf, 2 * (d + 1) + 8)
-        got = guess_rational(seq, den_max=d + 1, holdout=6)
-        assert got is not None
-        assert got.same_function(rf)
+    for num_extra in (0, 1, 2):
+        rng = random.Random(9)
+        for _ in range(25):
+            d = rng.randint(0, 4)
+            e = rng.randint(0, d + num_extra)
+            den = [1] + [rng.randint(-3, 3) for _ in range(d)]
+            num = [rng.randint(-3, 3) for _ in range(e + 1)]
+            if not any(num):
+                num = [1]
+            rf = RationalFunc(num, den)
+            seq = series_expand(rf, 2 * (d + 1) + 8 + num_extra)
+            got = guess_rational(seq, den_max=d + 1, num_extra=num_extra, holdout=6)
+            assert got is not None, (num_extra, rf)
+            assert got.same_function(rf), (num_extra, rf)
+
+
+def test_guess_recovers_degree_40_denominator():
+    rng = random.Random(40)
+    den = [1] + [rng.randint(-3, 3) for _ in range(39)] + [rng.choice((-2, -1, 1, 2))]
+    num = [rng.randint(-3, 3) for _ in range(40)]
+    rf = RationalFunc(num, den)
+    got = guess_rational(series_expand(rf, 100), 45)
+    assert got is not None and got.same_function(rf)
+
+
+def test_guess_needs_one_prefix_equation_per_degree():
+    # 1/(1 - 2x) with num_extra 2: degree 1 leaves its first recurrence
+    # equation (n = 4) in the prefix only when the holdout is at most 5
+    seq = [2**n for n in range(10)]
+    assert guess_rational(seq, den_max=2, num_extra=2, holdout=6) is None
+    got = guess_rational(seq, den_max=2, num_extra=2, holdout=5)
+    assert got.integer_pair() == ((1,), (1, -2))
 
 
 def test_guess_scale_equivariance():

@@ -82,6 +82,22 @@ def test_basis_roundtrip_and_involution():
     assert omega_powersum(omega_powersum(p)).coeffs == p.coeffs
 
 
+def test_powersum_coefficients_at_degree_8():
+    # the degree-8 p-coefficients of E_P for (i, b) = (2, 3), pinned
+    want = {
+        (8,): "6", (7, 1): "60/7", (6, 2): "19/3", (6, 1, 1): "19/3", (5, 3): "4",
+        (5, 2, 1): "48/5", (5, 1, 1, 1): "16/5", (4, 4): "2", (4, 3, 1): "20/3",
+        (4, 2, 2): "4", (4, 2, 1, 1): "8", (4, 1, 1, 1, 1): "4/3", (3, 3, 2): "25/9",
+        (3, 3, 1, 1): "25/9", (3, 2, 2, 1): "20/3", (3, 2, 1, 1, 1): "40/9",
+        (3, 1, 1, 1, 1, 1): "4/9", (2, 2, 2, 2): "2/3", (2, 2, 2, 1, 1): "8/3",
+        (2, 2, 1, 1, 1, 1): "4/3", (2, 1, 1, 1, 1, 1, 1): "8/45", (1,) * 8: "2/315",
+    }
+    m = ep_monomial(2, 3, 8)
+    p = monomial_to_powersum(m)
+    assert p.degree_slice(8) == {lam: Fraction(c) for lam, c in want.items()}
+    assert powersum_to_monomial(p).coeffs == m.coeffs
+
+
 def test_degree_one_powersum_coefficient_is_cover_count():
     for i, b in ((2, 3), (3, 2), (4, 3)):
         p = monomial_to_powersum(ep_monomial(i, b, 3))
