@@ -8,6 +8,7 @@ not exist) and fail only on an actual counterexample.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -73,14 +74,6 @@ class CheckReport:
         }
 
 
-def _tnorm(v):
-    return v if isinstance(v, TPoly) else TPoly((v,))
-
-
-def _tseq_equal(a, b) -> bool:
-    return [_tnorm(v) for v in a] == [_tnorm(v) for v in b]
-
-
 def _first_mismatch(a, b):
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -142,7 +135,7 @@ def check_thm1t(nmax: int = 14):
     t = TPoly.t()
     data = corr_series(fibonacci_product_spec(0, t=t), CorrSpec((2,)), nmax, engine="pure")
     expected = series_expand(closed_form("thm1t", t="sym"), nmax + 1)
-    if not _tseq_equal(data, expected):
+    if data != expected:
         return "fail", {"mismatch": _first_mismatch(data, expected)}
     return "pass", {"terms": nmax + 1, "symbolic": True}
 
@@ -152,7 +145,7 @@ def check_vk2n(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
     for k in ks:
         data = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax, engine="pure")
         expected = series_expand(closed_form("vk2n", k=k, t="sym"), nmax + 1)
-        if not _tseq_equal(data, expected):
+        if data != expected:
             return "fail", {"k": k, "mismatch": _first_mismatch(data, expected)}
     if not closed_form("vk2n", k=2, t=1).reduced().same_function(closed_form("thm1")):
         return "fail", {"reduction": "k=2, t=1 does not reduce to the cubic form"}
@@ -165,7 +158,7 @@ def check_transfer(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
         census = transfer_series(k, t, nmax)
         product = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax, engine="pure")
         closed = series_expand(closed_form("vk2n", k=k, t="sym"), nmax + 1)
-        if not (_tseq_equal(census, product) and _tseq_equal(census, closed)):
+        if census != product or census != closed:
             return "fail", {
                 "k": k,
                 "census_vs_product": _first_mismatch(census, product),
@@ -177,10 +170,7 @@ def check_transfer(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
 
 
 def check_hnfn(nmax: int = 20, symbolic: bool = True):
-    try:
-        verify_rows_match_product(nmax, t=TPoly.t() if symbolic else 1)
-    except InvariantError as err:
-        return "fail", {"error": str(err), "detail": err.detail}
+    verify_rows_match_product(nmax, t=TPoly.t() if symbolic else 1)
     return "pass", {"rows": nmax, "symbolic": symbolic}
 
 
@@ -426,8 +416,8 @@ def scan_conj_v3k(ks: tuple[int, ...] = (2, 3, 4), terms: int = 28, sym_depth: i
         sym = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((3,)), sd, engine="pure")
         printed = series_expand(closed_form("conj-v3k", k=k, t="sym"), sd + 1)
         fitted = series_expand(closed_form("conj-v3k-fitted", k=k, t="sym"), sd + 1)
-        printed_miss = None if _tseq_equal(sym, printed) else _first_mismatch(sym, printed)
-        if not _tseq_equal(sym, fitted):
+        printed_miss = None if sym == printed else _first_mismatch(sym, printed)
+        if sym != fitted:
             return "fail", {"k": k, "t": "sym", "mismatch": _first_mismatch(sym, fitted)}
         evidence[k] = {
             "t1_depth": terms,
@@ -591,10 +581,15 @@ SCAN_CHECKS = {
 
 
 def run_check(kind: str, name: str, **params) -> CheckReport:
+    """Run one check; a broken invariant is a ``fail`` carrying its detail."""
     registry = VERIFY_CHECKS if kind == "verify" else SCAN_CHECKS
     if name not in registry:
         raise KeyError(f"unknown {kind} check {name!r}")
     start = time.monotonic()
-    status, details = registry[name](**params)
+    try:
+        status, details = registry[name](**params)
+    except InvariantError as err:
+        # the detail may be any datum (a GoldenInt exponent, rows, ...): keep it JSON-safe
+        status, details = "fail", {"error": str(err), "detail": json.loads(json.dumps(err.detail, default=str))}
     elapsed = int((time.monotonic() - start) * 1000)
     return CheckReport(check=name, params=params, status=status, details=details, elapsed_ms=elapsed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import InvariantError, ResourceLimitError
 from .guess import RationalFunc
@@ -67,8 +68,9 @@ class MonoidWord:
 def enumerate_elements(k: int, r: int, n: int, cap: int | None = None) -> list[MonoidWord]:
     """All r-tuples of length-n rows with equal weighted sums, by pruned DFS.
 
-    The DFS state is the vector of weight differences against row 0; branches
-    whose difference cannot be closed by the remaining suffix weight are cut.
+    The DFS fills positions from the largest weight (position n - 1) down and
+    carries the vector of weight differences against row 0; a branch is cut
+    as soon as a difference exceeds the total weight of the positions below.
     """
     if r < 2:
         raise ValueError("need r >= 2")
@@ -77,76 +79,34 @@ def enumerate_elements(k: int, r: int, n: int, cap: int | None = None) -> list[M
     limit = cap if cap is not None else DEFAULT_CAPS.get(r, 8)
     if n > limit:
         raise ResourceLimitError(f"enumeration capped at n = {limit} for r = {r}", limit_n=n)
-    if r == 2:
-        return _enumerate_pairs(k, n)
     w = _weights(k, n)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + w[i]
+    below = [0] * (n + 1)
+    for i in range(n):
+        below[i + 1] = below[i] + w[i]
     columns = [tuple((c >> j) & 1 for j in range(r)) for c in range(1 << r)]
     out: list[MonoidWord] = []
     rows = [[0] * n for _ in range(r)]
 
     def walk(pos: int, diffs: tuple[int, ...]):
-        if pos == n:
-            if all(d == 0 for d in diffs):
-                out.append(MonoidWord(tuple(tuple(row) for row in rows), k))
+        # positions 0..pos-1 are still free; the pruning leaves diffs all 0 at pos 0
+        if pos == 0:
+            out.append(MonoidWord(tuple(tuple(row) for row in rows), k))
             return
-        rest = suffix[pos + 1]
+        pos -= 1
+        rest = below[pos]
         wi = w[pos]
         for col in columns:
             nd = tuple(d + (col[0] - col[j + 1]) * wi for j, d in enumerate(diffs))
             if all(abs(d) <= rest for d in nd):
                 for j in range(r):
                     rows[j][pos] = col[j]
-                walk(pos + 1, nd)
-        for j in range(r):
-            rows[j][pos] = 0
+                walk(pos, nd)
 
-    walk(0, (0,) * (r - 1))
+    walk(n, (0,) * (r - 1))
     return out
 
 
-def _enumerate_pairs(k: int, n: int) -> list[MonoidWord]:
-    """r = 2 specialization of the enumeration (single scalar difference)."""
-    w = _weights(k, n)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + w[i]
-    out: list[MonoidWord] = []
-    top = [0] * n
-    bot = [0] * n
-
-    def walk(pos: int, d: int):
-        if pos == n:
-            if d == 0:
-                out.append(MonoidWord((tuple(top), tuple(bot)), k))
-            return
-        rest = suffix[pos + 1]
-        wi = w[pos]
-        if -rest <= d <= rest:
-            top[pos] = bot[pos] = 0
-            walk(pos + 1, d)
-            top[pos] = bot[pos] = 1
-            walk(pos + 1, d)
-            top[pos] = bot[pos] = 0
-        up = d + wi
-        if -rest <= up <= rest:
-            top[pos] = 1
-            bot[pos] = 0
-            walk(pos + 1, up)
-            top[pos] = 0
-        down = d - wi
-        if -rest <= down <= rest:
-            bot[pos] = 1
-            walk(pos + 1, down)
-            bot[pos] = 0
-
-    walk(0, 0)
-    return out
-
-
-def _generator_rows(k: int, j: int, stars: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _generator_rows(k: int, stars: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     top: list[int] = [1] * k
     bottom: list[int] = [0] * k
     for s in stars:
@@ -176,39 +136,36 @@ def generators(k: int, max_len: int) -> list[MonoidWord]:
     while (j + 1) * k + 1 <= max_len:
         for mask in range(1 << j):
             stars = tuple((mask >> m) & 1 for m in range(j))
-            top, bottom = _generator_rows(k, j, stars)
+            top, bottom = _generator_rows(k, stars)
             out.append(MonoidWord((top, bottom), k))
             out.append(MonoidWord((bottom, top), k))
         j += 1
     return out
 
 
+# A generator is keyed by (length, top bitmask, bottom bitmask), bit p = row[p].
+
+def _row_masks(rows) -> list[int]:
+    return [sum(bit << p for p, bit in enumerate(row)) for row in rows]
+
+
+def _pair_key(top: int, bottom: int, start: int, stop: int) -> tuple[int, int, int]:
+    """The key of columns start..stop-1 of the pair with the given row masks."""
+    span = (1 << (stop - start)) - 1
+    return stop - start, (top >> start) & span, (bottom >> start) & span
+
+
+@lru_cache(maxsize=None)
+def _generator_keys(k: int, max_len: int) -> frozenset:
+    """Keys of ``generators(k, max_len)``; about 2^(max_len / k) of them."""
+    return frozenset(_pair_key(*_row_masks(g.rows), 0, g.length) for g in generators(k, max_len))
+
+
 def is_generator(word: MonoidWord) -> bool:
-    """Structural membership test against the generator family."""
+    """Membership in the generator family."""
     if len(word.rows) != 2:
         return False
-    n, k = word.length, word.k
-    if n == 1:
-        return word.rows[0] == word.rows[1]
-    if (n - 1) % k != 0:
-        return False
-    j = (n - 1) // k - 1
-    if j < 0:
-        return False
-    star_positions = {k + m * k for m in range(j)}
-    for top, bottom in (word.rows, word.rows[::-1]):
-        ok = True
-        for p in range(n - 1):
-            if p in star_positions:
-                if top[p] != bottom[p]:
-                    ok = False
-                    break
-            elif top[p] != 1 or bottom[p] != 0:
-                ok = False
-                break
-        if ok and top[n - 1] == 0 and bottom[n - 1] == 1:
-            return True
-    return False
+    return _pair_key(*_row_masks(word.rows), 0, word.length) in _generator_keys(word.k, word.length)
 
 
 def generator_census_series(k: int, max_len: int, symbolic: bool = True) -> list:
@@ -235,17 +192,17 @@ def closed_form_census_series(k: int, max_len: int) -> list:
     return out[1:]
 
 
+def _cut_pass(word: MonoidWord) -> tuple[list[int], list[int]]:
+    """The balanced cut positions of the word, and its row bitmasks."""
+    w = _weights(word.k, word.length)
+    prefix_sums = [accumulate(bit * wp for bit, wp in zip(row, w)) for row in word.rows]
+    cuts = [p for p, sums in enumerate(zip(*prefix_sums), 1) if len(set(sums)) == 1]
+    return cuts, _row_masks(word.rows)
+
+
 def balanced_cut_positions(word: MonoidWord) -> list[int]:
     """Positions p (1 <= p <= n) where the length-p prefix has equal row weights."""
-    w = _weights(word.k, word.length)
-    diffs = [0] * (len(word.rows) - 1)
-    cuts = []
-    for p in range(word.length):
-        for j in range(1, len(word.rows)):
-            diffs[j - 1] += (word.rows[0][p] - word.rows[j][p]) * w[p]
-        if all(d == 0 for d in diffs):
-            cuts.append(p + 1)
-    return cuts
+    return _cut_pass(word)[0]
 
 
 def free_factorize(word: MonoidWord) -> list[MonoidWord]:
@@ -256,17 +213,16 @@ def free_factorize(word: MonoidWord) -> list[MonoidWord]:
     """
     if word.length == 0:
         return []
-    cuts = balanced_cut_positions(word)
+    cuts, masks = _cut_pass(word)
     if not cuts or cuts[-1] != word.length:
         raise InvariantError("word is not weight-balanced", detail=word.rows)
+    keys = _generator_keys(word.k, word.length)
     pieces = []
-    prev = 0
-    for c in cuts:
-        piece = MonoidWord(tuple(row[prev:c] for row in word.rows), word.k)
-        if not is_generator(piece):
+    for start, stop in zip([0] + cuts, cuts):
+        piece = MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
+        if len(masks) != 2 or _pair_key(*masks, start, stop) not in keys:
             raise InvariantError("segment between balanced cuts is not a generator", detail=piece.rows)
         pieces.append(piece)
-        prev = c
     return pieces
 
 
@@ -274,16 +230,17 @@ def factorization_count(word: MonoidWord) -> int:
     """Number of ways to factor into generators (should be exactly 1)."""
     if word.length == 0:
         return 1
-    cuts = [0] + balanced_cut_positions(word)
-    ways = {0: 1}
-    for ci in range(1, len(cuts)):
-        total = 0
-        for cj in range(ci):
-            piece = MonoidWord(tuple(row[cuts[cj]:cuts[ci]] for row in word.rows), word.k)
-            if is_generator(piece):
-                total += ways.get(cuts[cj], 0)
-        ways[cuts[ci]] = total
-    return ways.get(word.length, 0)
+    cuts, masks = _cut_pass(word)
+    # every generator is a balanced pair, so nothing else factors
+    if len(masks) != 2 or not cuts or cuts[-1] != word.length:
+        return 0
+    top, bottom = masks
+    keys = _generator_keys(word.k, word.length)
+    starts = [0] + cuts
+    ways = [1]  # ways[i]: factorizations of the length-starts[i] prefix
+    for c in cuts:
+        ways.append(sum(m for s, m in zip(starts, ways) if _pair_key(top, bottom, s, c) in keys))
+    return ways[-1]
 
 
 def transfer_series(k: int, t, n_max: int) -> list:

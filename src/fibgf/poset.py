@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InvariantError, ResourceLimitError
+from .polynomials import _multiply_dense
 from .sequences import fibonacci, prec_compare
 from .triangle import first_row, next_row, production_plan
 
@@ -398,13 +399,7 @@ def frontier_grow(i: int, b: int, n_max: int, guard_elements: int = 20_000_000) 
     counts = poset.chain_counts()
     dense = [1]
     for n in range(1, n_max + 1):
-        shift = (i - 1) * r[n - 1]
-        new = dense + [0] * shift
-        for s in range(1, i):
-            e = s * r[n - 1]
-            for idx, c in enumerate(dense):
-                new[e + idx] += c
-        dense = new
+        dense = _multiply_dense(dense, [(1, s * r[n - 1]) for s in range(1, i)])
         if dense != counts[n]:
             raise InvariantError("chain-count row differs from the product identity", detail=n)
     return {"q": q, "r": r, "chain_counts": counts, "poset": poset}

@@ -157,15 +157,20 @@ def forgotten_coefficients(exp_monomial: SymExpansion) -> dict:
 
 # -- the planar-poset instances -------------------------------------------------
 
-def rank_sizes(i: int, b: int, n_max: int) -> list[int]:
-    """q_n for the i-cover 2b-gon poset: q_n = i q_{n-1} - (i-1) q_{n-b}."""
-    q = [1]
+def _q_sequence(i: int, b: int, n_max: int, seed0: int) -> list[int]:
+    """u_0 = seed0, u_n = i^n for 0 < n < b, then u_n = i u_{n-1} - (i-1) u_{n-b}."""
+    u = [seed0]
     for n in range(1, n_max + 1):
         if n < b:
-            q.append(i**n)
+            u.append(i**n)
         else:
-            q.append(i * q[n - 1] - (i - 1) * q[n - b])
-    return q
+            u.append(i * u[n - 1] - (i - 1) * u[n - b])
+    return u
+
+
+def rank_sizes(i: int, b: int, n_max: int) -> list[int]:
+    """q_n for the i-cover 2b-gon poset: q_n = i q_{n-1} - (i-1) q_{n-b}."""
+    return _q_sequence(i, b, n_max, 1)
 
 
 def tilde_q(i: int, b: int, n: int, convention: str = "powersum") -> int:
@@ -177,13 +182,7 @@ def tilde_q(i: int, b: int, n: int, convention: str = "powersum") -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     seed0 = {"powersum": b, "unit-seed": 1}[convention]
-    vals = [seed0]
-    for m in range(1, n + 1):
-        if m < b:
-            vals.append(i**m)
-        else:
-            vals.append(i * vals[m - 1] - (i - 1) * vals[m - b])
-    return vals[n]
+    return _q_sequence(i, b, n, seed0)[n]
 
 
 def newton_power_sums(i: int, b: int, n_max: int) -> list[int]:

@@ -3,8 +3,9 @@ import json
 import fibgf.checks
 import fibgf.cli
 from fibgf.cli import main
-from fibgf.errors import ResourceLimitError
+from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec
+from fibgf.sequences import GoldenInt
 from fibgf.stats import CorrSpec, corr_series
 from fibgf.triangle import format_row, triangle_rows
 
@@ -113,6 +114,20 @@ def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
         ("zz-fails", "fail"),
     ]
     assert reports[1]["details"] == {"error": "ResourceLimitError: over the cap"}
+
+
+def test_invariant_error_is_a_fail_report(monkeypatch, capsys):
+    def broken():
+        raise InvariantError("run of length 4", detail=GoldenInt(1, 2))
+
+    monkeypatch.setitem(fibgf.checks.VERIFY_CHECKS, "runs", broken)
+    code, out, _ = run_cli(capsys, "verify", "runs", "--json")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert rep["status"] == "fail"
+    assert rep["details"] == {"error": "run of length 4", "detail": str(GoldenInt(1, 2))}
 
 
 def test_resource_cap_exit_code(monkeypatch, capsys):

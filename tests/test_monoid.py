@@ -29,17 +29,16 @@ def test_enumeration_counts_match_squared_sums():
 
 
 def test_enumeration_matches_brute_force():
-    for k in (2, 3):
-        for n in range(0, 7):
-            got = sorted(w.rows for w in enumerate_elements(k, 2, n))
-            w = _weights(k, n)
-            brute = []
-            for top in iproduct((0, 1), repeat=n):
-                s = sum(a * b for a, b in zip(top, w))
-                for bot in iproduct((0, 1), repeat=n):
-                    if sum(a * b for a, b in zip(bot, w)) == s:
-                        brute.append((top, bot))
-            assert got == sorted(brute), (k, n)
+    cases = [(k, 2, n) for k in (2, 3) for n in range(0, 7)] + [(2, 3, n) for n in range(0, 6)]
+    for k, r, n in cases:
+        got = sorted(w.rows for w in enumerate_elements(k, r, n))
+        w = _weights(k, n)
+        brute = [
+            rows
+            for rows in iproduct(iproduct((0, 1), repeat=n), repeat=r)
+            if len({sum(a * b for a, b in zip(row, w)) for row in rows}) == 1
+        ]
+        assert got == sorted(brute), (k, r, n)
 
 
 def test_enumeration_triples():
@@ -74,7 +73,15 @@ def test_generators_all_balanced_and_recognized():
     for k in (2, 3, 4):
         for w in generators(k, 11):
             w.weight()  # raises if rows unbalanced
-            assert is_generator(w)
+            assert balanced_cut_positions(w) == [w.length]  # an atom: no proper balanced prefix
+    # and every atom of the monoid is a generator
+    for k in (2, 3):
+        for n in range(1, 10):
+            atoms = {w.rows for w in enumerate_elements(k, 2, n) if balanced_cut_positions(w) == [n]}
+            assert atoms == {g.rows for g in generators(k, n) if g.length == n}, (k, n)
+            assert all(is_generator(MonoidWord(rows, k)) for rows in atoms)
+    assert not is_generator(MonoidWord(((1, 1, 0), (0, 0, 1), (1, 1, 0)), 2))
+    assert not is_generator(MonoidWord(((), ()), 2))
 
 
 def test_census_matches_closed_form():
@@ -105,7 +112,7 @@ def test_unique_factorization_small():
 
 def test_left_cancellation():
     # prefix in the monoid and whole in the monoid imply the suffix is too
-    for w in enumerate_elements(2, 2, 8)[:300]:
+    for w in enumerate_elements(2, 2, 8):
         for cut in balanced_cut_positions(w)[:-1]:
             suffix = MonoidWord(tuple(row[cut:] for row in w.rows), 2)
             suffix.weight()  # balanced, raises otherwise
