@@ -90,19 +90,12 @@ _POWERSUM_LOCK = threading.Lock()
 
 
 def kbonacci_power_sums(k: int, rs: tuple[int, ...], n_max: int) -> dict[int, list[int]]:
-    """v_r^{(k)}(n, 1) for n = 0..n_max, one streamed build per (k, n_max)."""
-    key = (k, n_max)
+    """v_r^{(k)}(n, 1) for n = 0..n_max, one difference walk per (k, r, n_max)."""
     with _POWERSUM_LOCK:
-        have = _POWERSUM_CACHE.get(key)
-        if have is None or any(r not in have for r in rs):
-            want = tuple(sorted(set(rs) | set(have or ()) | {2, 3, 4, 5, 6, 7}))
-            from .stream import multi_corr_series_fast
-
-            series = multi_corr_series_fast(
-                kbonacci_product_spec(k, 0, t=1), [CorrSpec((r,)) for r in want], n_max
-            )
-            have = dict(zip(want, series))
-            _POWERSUM_CACHE[key] = have
+        have = _POWERSUM_CACHE.setdefault((k, n_max), {})
+        for r in rs:
+            if r not in have:
+                have[r] = corr_series(kbonacci_product_spec(k, 0, t=1), CorrSpec((r,)), n_max)
         return {r: have[r] for r in rs}
 
 
@@ -133,7 +126,7 @@ def check_stern_u2(nmax: int = 18, den_max: int = 5, holdout: int = 6):
 
 def check_thm1t(nmax: int = 14):
     t = TPoly.t()
-    data = corr_series(fibonacci_product_spec(0, t=t), CorrSpec((2,)), nmax, engine="pure")
+    data = corr_series(fibonacci_product_spec(0, t=t), CorrSpec((2,)), nmax)
     expected = series_expand(closed_form("thm1t", t="sym"), nmax + 1)
     if data != expected:
         return "fail", {"mismatch": _first_mismatch(data, expected)}
@@ -143,7 +136,7 @@ def check_thm1t(nmax: int = 14):
 def check_vk2n(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
     t = TPoly.t()
     for k in ks:
-        data = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax, engine="pure")
+        data = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax)
         expected = series_expand(closed_form("vk2n", k=k, t="sym"), nmax + 1)
         if data != expected:
             return "fail", {"k": k, "mismatch": _first_mismatch(data, expected)}
@@ -156,7 +149,7 @@ def check_transfer(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
     t = TPoly.t()
     for k in ks:
         census = transfer_series(k, t, nmax)
-        product = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax, engine="pure")
+        product = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax)
         closed = series_expand(closed_form("vk2n", k=k, t="sym"), nmax + 1)
         if census != product or census != closed:
             return "fail", {
@@ -413,7 +406,7 @@ def scan_conj_v3k(ks: tuple[int, ...] = (2, 3, 4), terms: int = 28, sym_depth: i
         if data != expected:
             return "fail", {"k": k, "t": 1, "mismatch": _first_mismatch(data, expected)}
         sd = min(sym_depth, 12 if k <= 3 else 10)
-        sym = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((3,)), sd, engine="pure")
+        sym = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((3,)), sd)
         printed = series_expand(closed_form("conj-v3k", k=k, t="sym"), sd + 1)
         fitted = series_expand(closed_form("conj-v3k-fitted", k=k, t="sym"), sd + 1)
         printed_miss = None if sym == printed else _first_mismatch(sym, printed)

@@ -1,8 +1,9 @@
-"""Resource caps for the polynomial engine.
+"""Resource caps for the polynomial engines.
 
 ``RGF_MAX_MEM_MB`` caps the estimated footprint of any single coefficient
-array built by the engine (pure-Python or numpy).  The default is generous
-for desk-scale work but stops runaway expansions with a clean error.
+array built by the engines (pure-Python or numpy), and of the states the
+difference walk stores.  The default is generous for desk-scale work but
+stops runaway expansions with a clean error.
 """
 
 from __future__ import annotations

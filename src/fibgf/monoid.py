@@ -143,29 +143,52 @@ def generators(k: int, max_len: int) -> list[MonoidWord]:
     return out
 
 
-# A generator is keyed by (length, top bitmask, bottom bitmask), bit p = row[p].
+# Row bitmasks: bit p of a row's mask is row[p].
 
 def _row_masks(rows) -> list[int]:
     return [sum(bit << p for p, bit in enumerate(row)) for row in rows]
 
 
-def _pair_key(top: int, bottom: int, start: int, stop: int) -> tuple[int, int, int]:
-    """The key of columns start..stop-1 of the pair with the given row masks."""
-    span = (1 << (stop - start)) - 1
-    return stop - start, (top >> start) & span, (bottom >> start) & span
-
-
 @lru_cache(maxsize=None)
-def _generator_keys(k: int, max_len: int) -> frozenset:
-    """Keys of ``generators(k, max_len)``; about 2^(max_len / k) of them."""
-    return frozenset(_pair_key(*_row_masks(g.rows), 0, g.length) for g in generators(k, max_len))
+def _generator_masks(k: int, length: int) -> tuple[int, int, int] | None:
+    """(star bits, top-row bits off the stars, last bit) of the generators of
+    this length, or None if no generator has it.
+
+    The stars sit at positions k, 2k, ..., jk of a length (j+1)k+1 generator;
+    off the stars, the top row (of ``_generator_rows``) is 1 everywhere but at
+    the last position and the bottom row only there.
+    """
+    if k < 2:
+        raise ValueError("need k >= 2")
+    blocks, rem = divmod(length - 1, k)
+    if rem or blocks < 1:
+        return None
+    stars = ((1 << (blocks * k)) - 1) // ((1 << k) - 1) - 1
+    last = 1 << (length - 1)
+    return stars, (last - 1) & ~stars, last
+
+
+def _is_generator_piece(k: int, top: int, bottom: int, start: int, stop: int) -> bool:
+    """Whether columns start..stop-1 of the pair with these row bitmasks form
+    a generator, by mask arithmetic."""
+    length = stop - start
+    if length == 1:
+        return not (top ^ bottom) >> start & 1
+    masks = _generator_masks(k, length)
+    if masks is None:
+        return False
+    stars, fill, last = masks
+    span = (1 << length) - 1
+    top, bottom = (top >> start) & span, (bottom >> start) & span
+    # the rows agree on the stars and differ everywhere else, in either order
+    return top ^ bottom == fill | last and top & ~stars in (fill, last)
 
 
 def is_generator(word: MonoidWord) -> bool:
     """Membership in the generator family."""
     if len(word.rows) != 2:
         return False
-    return _pair_key(*_row_masks(word.rows), 0, word.length) in _generator_keys(word.k, word.length)
+    return _is_generator_piece(word.k, *_row_masks(word.rows), 0, word.length)
 
 
 def generator_census_series(k: int, max_len: int, symbolic: bool = True) -> list:
@@ -216,11 +239,10 @@ def free_factorize(word: MonoidWord) -> list[MonoidWord]:
     cuts, masks = _cut_pass(word)
     if not cuts or cuts[-1] != word.length:
         raise InvariantError("word is not weight-balanced", detail=word.rows)
-    keys = _generator_keys(word.k, word.length)
     pieces = []
     for start, stop in zip([0] + cuts, cuts):
         piece = MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
-        if len(masks) != 2 or _pair_key(*masks, start, stop) not in keys:
+        if len(masks) != 2 or not _is_generator_piece(word.k, *masks, start, stop):
             raise InvariantError("segment between balanced cuts is not a generator", detail=piece.rows)
         pieces.append(piece)
     return pieces
@@ -235,12 +257,14 @@ def factorization_count(word: MonoidWord) -> int:
     if len(masks) != 2 or not cuts or cuts[-1] != word.length:
         return 0
     top, bottom = masks
-    keys = _generator_keys(word.k, word.length)
-    starts = [0] + cuts
-    ways = [1]  # ways[i]: factorizations of the length-starts[i] prefix
+    k = word.k
+    ways = {0: 1}  # ways[p]: factorizations of the length-p prefix, p a cut
     for c in cuts:
-        ways.append(sum(m for s, m in zip(starts, ways) if _pair_key(top, bottom, s, c) in keys))
-    return ways[-1]
+        # a generator has length 1 + jk, so only those starts can end at c
+        ways[c] = sum(
+            ways[c - g] for g in range(1, c + 1, k) if c - g in ways and _is_generator_piece(k, top, bottom, c - g, c)
+        )
+    return ways[word.length]
 
 
 def transfer_series(k: int, t, n_max: int) -> list:

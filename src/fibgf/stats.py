@@ -2,9 +2,11 @@
 
 ``corr_sum`` computes sum_k prod_j c(k+j)^alpha_j exactly over Z or Z[t];
 window cells beyond the degree are exact zeros and annihilate the product.
-``corr_series`` streams those sums along a growing product, one value per
-factor count.  Large integer pipelines are delegated to the numpy engine in
-``stream`` (cross-checked against the pure path in the tests).
+``corr_series`` gives those sums along a growing product, one value per
+factor count, from the difference walk in ``walk``; expanding the product
+here stays as its small-depth oracle.  Large residue pipelines are delegated
+to the numpy engine in ``stream`` (cross-checked against the pure path in the
+tests).
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .polynomials import CoeffPoly, ProductSpec, build_product, scalar_is_zero
+from .walk import corr_walk_series
 
-# Above this predicted dense size, integer corr/residue pipelines use numpy.
+# Above this predicted dense size, residue pipelines use numpy.
 FAST_ENGINE_THRESHOLD = 200_000
 
 
@@ -68,25 +71,15 @@ def corr_sum(p: CoeffPoly, spec: CorrSpec):
 def corr_series(spec: ProductSpec, alpha: CorrSpec, n_max: int, engine: str = "auto") -> list:
     """[v(0), ..., v(n_max)] where v(n) uses the n-factor partial product.
 
-    ``engine``: "pure" runs entirely on Python ints/TPoly; "fast" uses the
-    numpy streaming engine (integer coefficients only); "auto" picks "fast"
-    for large integer pipelines.
+    ``engine``: "auto" runs the difference walk (ints and Z[t] alike);
+    "pure" expands every partial product, the small-depth oracle.
     """
-    full = replace(spec, n=n_max)
     if engine == "auto":
-        symbolic = any(not isinstance(aj, int) for aj in spec.a) or (
-            spec.prefactor is not None and spec.prefactor.has_symbolic_coeffs()
-        )
-        big = full.degree_bound() + 1 > FAST_ENGINE_THRESHOLD
-        engine = "pure" if (symbolic or not big) else "fast"
-    if engine == "fast":
-        from .stream import multi_corr_series_fast
-
-        return multi_corr_series_fast(full, [alpha], n_max)[0]
+        return corr_walk_series(spec, alpha.alpha, n_max)
     if engine != "pure":
         raise ValueError(f"unknown engine {engine!r}")
     out: list = []
-    build_product(full, callback=lambda i, poly: out.append(corr_sum(poly, alpha)))
+    build_product(replace(spec, n=n_max), callback=lambda i, poly: out.append(corr_sum(poly, alpha)))
     return out
 
 

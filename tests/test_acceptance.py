@@ -30,7 +30,6 @@ from fibgf.poset import (
 )
 from fibgf.sequences import RecurrentSeq, fibonacci
 from fibgf.stats import CorrSpec, corr_series, residue_series
-from fibgf.stream import multi_corr_series_fast
 from fibgf.symfun import verify_forgotten_expansion, verify_powersum_expansion
 from fibgf.triangle import (
     a_vector,
@@ -125,9 +124,8 @@ def test_criterion_07_empirical_tables():
         assert fitted is not None and fitted.integer_pair() == cf.integer_pair(), r
         assert check_even_part(fitted), r
         fitted_forms[r] = fitted
-    alphas = [CorrSpec(a) for a in MULTI_INDEX_ALPHAS]
-    multi = multi_corr_series_fast(fibonacci_product_spec(0), alphas, 22)
-    for alpha, data in zip(MULTI_INDEX_ALPHAS, multi):
+    for alpha in MULTI_INDEX_ALPHAS:
+        data = corr_series(fibonacci_product_spec(0), CorrSpec(alpha), 22)
         cf = closed_form("Jalpha", alpha=alpha)
         assert data == series_expand(cf, 23), alpha
         fitted = guess_rational(data, den_max=8, holdout=6)

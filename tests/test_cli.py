@@ -130,9 +130,20 @@ def test_invariant_error_is_a_fail_report(monkeypatch, capsys):
     assert rep["details"] == {"error": "run of length 4", "detail": str(GoldenInt(1, 2))}
 
 
-def test_resource_cap_exit_code(monkeypatch, capsys):
+def test_resource_cap_exit_code(monkeypatch, capsys, tmp_path):
+    # exponents 1, 1, 1, ...: the difference walk's states grow without bound
+    seq = tmp_path / "ones.json"
+    seq.write_text('{"coeffs": [1], "init": [1]}')
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
-    code, out, err = run_cli(capsys, "vsum", "--alpha", "2", "--nmax", "40")
+    code, out, err = run_cli(capsys, "vsum", "--seq", f"custom:{seq}", "--alpha", "3", "--nmax", "80")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "limit_n = " in err
+
+
+def test_residue_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    code, out, err = run_cli(capsys, "congruence", "--seq", "kbonacci:4", "--m", "2", "--a", "1", "--nmax", "40")
     assert code == 4
     assert out == ""
     assert err.startswith("error:") and "limit_n = " in err

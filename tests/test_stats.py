@@ -22,7 +22,6 @@ from fibgf.stats import (
     residue_count,
     residue_series,
 )
-from fibgf.stream import multi_corr_series_fast
 
 
 def test_corr_spec_validation():
@@ -82,37 +81,32 @@ def test_engines_agree():
         ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=3, a=(0, 1, 1)),
         ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=1, a=(1,), offset=1,
                     prefactor=CoeffPoly([1, 1])),
-        # |a_j| > 1 and a negative a_j: the scale-add step
+        # |a_j| > 1 and a negative a_j: multinomial weights beyond +-1
         ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(2, -3)),
     ]
     alphas = [(2,), (3,), (7,), (1, 1), (2, 1), (1, 0, 1), (2, 2)]
     for spec in specs:
         for alpha in alphas:
             a = CorrSpec(alpha)
-            assert corr_series(spec, a, 9, engine="pure") == corr_series(spec, a, 9, engine="fast")
+            assert corr_series(spec, a, 9, engine="pure") == corr_series(spec, a, 9)
 
 
-def test_multi_corr_histogram_and_crt_paths_agree(monkeypatch):
+def test_walk_agrees_on_mixed_alphas():
     alphas = [(2,), (1, 1), (3,), (1, 0, 2), (5,)]
     specs = [
         fibonacci_product_spec(0),
         ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(2, -3)),
     ]
     for spec in specs:
-        pure = [corr_series(spec, CorrSpec(a), 10, engine="pure") for a in alphas]
-        assert multi_corr_series_fast(spec, [CorrSpec(a) for a in alphas], 10) == pure
-        # a span cap of 4 sends every step with |c| > 1 down the CRT path
-        with monkeypatch.context() as patch:
-            patch.setattr(fibgf.stream, "HIST_SPAN_CAP", 4)
-            assert multi_corr_series_fast(spec, [CorrSpec(a) for a in alphas], 10) == pure
+        for alpha in alphas:
+            assert corr_series(spec, CorrSpec(alpha), 10) == corr_series(spec, CorrSpec(alpha), 10, engine="pure")
 
 
-def test_fast_engine_crt_path_with_large_values():
-    # the three-term window product grows fast; force the windowed CRT path
+def test_walk_agrees_with_large_values():
+    # the three-term window product's coefficients grow fast
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=3, a=(0, 1, 1))
     pure = corr_series(spec, CorrSpec((1, 1)), 12, engine="pure")
-    fast = corr_series(spec, CorrSpec((1, 1)), 12, engine="fast")
-    assert pure == fast
+    assert corr_series(spec, CorrSpec((1, 1)), 12) == pure
 
 
 def test_residue_count_examples():
@@ -165,17 +159,31 @@ def test_value_predicate():
     assert coefficient_value_predicate(build_product(fibonacci_product_spec(0)), {1})
 
 
+def test_residue_counts_span_chunks(monkeypatch):
+    spec = kbonacci_product_spec(3, 0)
+    pure = residue_series(spec, 3, 12, engine="pure")
+    monkeypatch.setattr(fibgf.stream, "CHUNK", 7)
+    assert residue_series(spec, 3, 12, engine="fast") == pure
+
+
 def test_memory_guard_names_limiting_n(monkeypatch):
+    # exponents 1, 1, 1, ...: the product is (1 + x)^n and the walk's states
+    # grow without bound
+    spec = ProductSpec(exponent_seq=RecurrentSeq((1,), (1,)), n=0)
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     with pytest.raises(ResourceLimitError) as err:
-        corr_series(fibonacci_product_spec(0), CorrSpec((2,)), 28, engine="fast")
+        corr_series(spec, CorrSpec((3,)), 80)
     assert err.value.limit_n is not None
+    reach = err.value.limit_n - 1
+    assert 0 < reach < 80
+    assert corr_series(spec, CorrSpec((3,)), reach) == corr_series(spec, CorrSpec((3,)), reach, engine="pure")
 
 
-def test_symbolic_series_pure_only():
+def test_symbolic_series_walk_matches_pure():
     t = TPoly.t()
     spec = fibonacci_product_spec(0, t=t)
     vals = corr_series(spec, CorrSpec((2,)), 4)
     assert vals[2] == TPoly((1, 0, 2, 0, 1))  # 1 + 2t^2 + t^4
+    assert vals == corr_series(spec, CorrSpec((2,)), 4, engine="pure")
     with pytest.raises(ValueError):
         corr_series(spec, CorrSpec((2,)), 4, engine="fast")
