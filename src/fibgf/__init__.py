@@ -27,7 +27,7 @@ from .polynomials import (
     run_decomposition,
     stern_product_spec,
 )
-from .poset import PosetSlice, build_poset, flag_vectors, frontier_grow, sigma_labels, upho_check
+from .poset import PosetSlice, build_poset, flag_vectors, frontier_grow, frontier_poset, sigma_labels, upho_check
 from .sequences import (
     GoldenInt,
     RecurrentSeq,
@@ -81,6 +81,7 @@ __all__ = [
     "flag_vectors",
     "free_factorize",
     "frontier_grow",
+    "frontier_poset",
     "generators",
     "golden_series",
     "golden_sign",

@@ -1,9 +1,10 @@
 """Resource caps for the polynomial engines.
 
 ``RGF_MAX_MEM_MB`` caps the estimated footprint of any single coefficient
-array built by the engines (pure-Python or numpy), and of the states the
-difference walk stores.  The default is generous for desk-scale work but
-stops runaway expansions with a clean error.
+array built by the engines (pure-Python or numpy), of the states the
+difference walk stores, and of the rows and elements the P_ib frontier
+keeps.  The default is generous for desk-scale work but stops runaway
+expansions with a clean error.
 """
 
 from __future__ import annotations

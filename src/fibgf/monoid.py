@@ -228,31 +228,20 @@ def balanced_cut_positions(word: MonoidWord) -> list[int]:
     return _cut_pass(word)[0]
 
 
-def free_factorize(word: MonoidWord) -> list[MonoidWord]:
-    """The unique factorization into generators, by greedy shortest prefixes.
-
-    Raises InvariantError if a segment between balanced cuts is not a
-    generator (this would contradict free generation).
-    """
-    if word.length == 0:
-        return []
-    cuts, masks = _cut_pass(word)
+def _factor_spans(word: MonoidWord, cuts: list[int], masks: list[int]) -> list[tuple[int, int]]:
+    """The (start, stop) column spans between consecutive cuts; raises
+    InvariantError unless they cover the word and each is a generator."""
     if not cuts or cuts[-1] != word.length:
         raise InvariantError("word is not weight-balanced", detail=word.rows)
-    pieces = []
-    for start, stop in zip([0] + cuts, cuts):
-        piece = MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
+    spans = list(zip([0] + cuts, cuts))
+    for start, stop in spans:
         if len(masks) != 2 or not _is_generator_piece(word.k, *masks, start, stop):
-            raise InvariantError("segment between balanced cuts is not a generator", detail=piece.rows)
-        pieces.append(piece)
-    return pieces
+            piece = tuple(row[start:stop] for row in word.rows)
+            raise InvariantError("segment between balanced cuts is not a generator", detail=piece)
+    return spans
 
 
-def factorization_count(word: MonoidWord) -> int:
-    """Number of ways to factor into generators (should be exactly 1)."""
-    if word.length == 0:
-        return 1
-    cuts, masks = _cut_pass(word)
+def _count_factorizations(word: MonoidWord, cuts: list[int], masks: list[int]) -> int:
     # every generator is a balanced pair, so nothing else factors
     if len(masks) != 2 or not cuts or cuts[-1] != word.length:
         return 0
@@ -265,6 +254,39 @@ def factorization_count(word: MonoidWord) -> int:
             ways[c - g] for g in range(1, c + 1, k) if c - g in ways and _is_generator_piece(k, top, bottom, c - g, c)
         )
     return ways[word.length]
+
+
+def free_factorize(word: MonoidWord) -> list[MonoidWord]:
+    """The unique factorization into generators, by greedy shortest prefixes.
+
+    Raises InvariantError if a segment between balanced cuts is not a
+    generator (this would contradict free generation).
+    """
+    if word.length == 0:
+        return []
+    return [
+        MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
+        for start, stop in _factor_spans(word, *_cut_pass(word))
+    ]
+
+
+def factorization_count(word: MonoidWord) -> int:
+    """Number of ways to factor into generators (should be exactly 1)."""
+    if word.length == 0:
+        return 1
+    return _count_factorizations(word, *_cut_pass(word))
+
+
+def factorization_spans(word: MonoidWord) -> tuple[list[tuple[int, int]], int]:
+    """From one cut pass: the (start, stop) column spans of the pieces that
+    ``free_factorize`` returns, and ``factorization_count``.
+
+    Raises InvariantError as ``free_factorize`` does.
+    """
+    if word.length == 0:
+        return [], 1
+    cuts, masks = _cut_pass(word)
+    return _factor_spans(word, cuts, masks), _count_factorizations(word, cuts, masks)
 
 
 def transfer_series(k: int, t, n_max: int) -> list:

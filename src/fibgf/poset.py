@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
-from .polynomials import _multiply_dense
 from .sequences import fibonacci, prec_compare
 from .triangle import first_row, next_row, production_plan
 
@@ -316,76 +316,101 @@ def flag_vectors(poset: PosetSlice, ranks) -> dict:
 
 
 # -- planar i-cover frontier automaton ----------------------------------------
+# numpy is imported on first use, so that ``import fibgf`` stays numpy-free.
 
-@dataclass
+# Footprint of one PosetSlice element: its parent tuple and child-order slot
+# (tracemalloc peak: 176-191 bytes per element on P_ib with 8k-250k elements).
+POSET_ELEMENT_BYTES = 200
+
+
+def _check_frontier_cap(n: int, nbytes: int):
+    if nbytes > max_mem_bytes():
+        raise ResourceLimitError(
+            f"frontier needs about {nbytes} bytes at rank {n}, over the RGF_MAX_MEM_MB cap", limit_n=n
+        )
+
+
 class FrontierAutomaton:
     """Grows the planar poset where every element has ``i`` covers and
     consecutive covers of an element extend to a 2b-gon.
 
-    The frontier is the current top rank: elements separated by gap
-    countdowns in [1, b-1].  Siblings are created with countdown b-1; a
-    countdown of 1 means the two adjacent elements share one child at the
-    next step; larger countdowns carry over decremented by one.
+    The state is the frontier, the current top rank, as two arrays:
+    ``counts[u]``, the number of saturated chains from the bottom to element
+    u, and ``gaps[u - 1]``, the countdown in [1, b-1] between elements u - 1
+    and u.  A step gives every element i children, siblings separated by
+    countdown b-1; the first child of u >= 1 takes countdown gaps[u-1] - 1
+    from its left.  A countdown of 0 means the last child of u - 1 and the
+    first child of u are one shared child, which closes the 2b-gon.
+
+    ``counts`` has the given numpy dtype: int64, or ``object`` for exact
+    Python ints where a chain count may reach 2^63.
     """
 
-    i: int
-    b: int
-    gaps: list[int] = field(default_factory=list)
-    rank: int = 0
-    size: int = 1
-
-    def __post_init__(self):
-        if self.i < 2 or self.b < 2:
+    def __init__(self, i: int, b: int, dtype=None):
+        if i < 2 or b < 2:
             raise ValueError("need i >= 2 and b >= 2")
+        import numpy as np
 
-    def step(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Advance one rank; return (parents of new elements, child order)."""
+        self.i, self.b, self.rank = i, b, 0
+        self.counts = np.ones(1, dtype=np.int64 if dtype is None else dtype)
+        self.gaps = np.zeros(0, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return self.counts.shape[0]
+
+    def step(self):
+        """Advance one rank; return the bool mask of new elements that cover
+        two elements (their first parent and the next one)."""
+        import numpy as np
+
         i, b = self.i, self.b
-        parents: list[tuple[int, ...]] = []
-        order: list[list[int]] = [[] for _ in range(self.size)]
-        new_gaps: list[int] = []
-        for u in range(self.size):
-            for s in range(i):
-                if s == 0 and u > 0 and self.gaps[u - 1] == 1:
-                    parents[-1] = parents[-1] + (u,)  # shared child closes the 2b-gon
-                    order[u].append(len(parents) - 1)
-                    continue
-                if s == 0 and u > 0:
-                    new_gaps.append(self.gaps[u - 1] - 1)
-                elif s > 0:
-                    new_gaps.append(b - 1)
-                parents.append((u,))
-                order[u].append(len(parents) - 1)
-        if any(g < 1 or g > b - 1 for g in new_gaps):
+        children = np.repeat(self.counts, i)
+        # gaps[c - 1] sits before candidate child c = u i + s
+        gaps = np.full(children.shape[0] - 1, b - 1, dtype=np.int64)
+        gaps[i - 1 :: i] = self.gaps - 1
+        shared = np.flatnonzero(gaps == 0)
+        # candidate u i merges into u i - 1, the last child of u - 1
+        children[shared] += children[shared + 1]
+        self.counts = np.delete(children, shared + 1)
+        self.gaps = np.delete(gaps, shared)
+        if self.gaps.size and (self.gaps.min() < 1 or self.gaps.max() > b - 1):
             raise InvariantError("gap countdown out of range", detail=self.rank + 1)
-        self.gaps = new_gaps
-        self.size = len(parents)
         self.rank += 1
-        return parents, [tuple(o) for o in order]
+        two_parents = np.zeros(self.size, dtype=bool)
+        # shared candidates are >= i apart, so j deletions precede the j-th
+        two_parents[shared - np.arange(shared.shape[0])] = True
+        return two_parents
 
 
-def frontier_grow(i: int, b: int, n_max: int, guard_elements: int = 20_000_000) -> dict:
+def frontier_grow(i: int, b: int, n_max: int) -> dict:
     """Grow P_{ib} to rank n_max; verify its counting identities.
 
-    Returns rank sizes q, the chain-count rows, the derived r_n sequence, and
-    a PosetSlice.  Raises InvariantError if q_n - q_{n-1} is not divisible by
-    i - 1, if q_n != i q_{n-1} - (i-1) q_{n-b}, or if a chain-count row
-    differs from the product prod_j (1 + x^{r_j} + ... + x^{(i-1) r_j}).
+    Returns rank sizes q, the chain-count rows (one numpy array per rank:
+    int64, or exact Python ints when i**n_max, which bounds every count,
+    reaches 2**63) and the derived r_n sequence; no element of the poset is
+    kept.  Raises InvariantError if q_n - q_{n-1} is not divisible by i - 1,
+    if q_n != i q_{n-1} - (i-1) q_{n-b}, or if a chain-count row differs from
+    the product prod_j (1 + x^{r_j} + ... + x^{(i-1) r_j}); and
+    ResourceLimitError(limit_n=n) when the rows and the step to rank n would
+    pass the RGF_MAX_MEM_MB cap.
     """
-    automaton = FrontierAutomaton(i=i, b=b)
-    parents_all: list[list[tuple[int, ...]]] = [[()]]
-    child_order_all: list[list[tuple[int, ...]]] = []
-    q = [1]
-    total = 1
+    import numpy as np
+
+    from .stream import _shift_add
+
+    dtype = np.int64 if i**n_max < 2**63 else object
+    automaton = FrontierAutomaton(i, b, dtype)
+    count_bytes = 8 if dtype is np.int64 else PYOBJ_BYTES_PER_COEFF
+    rows = [automaton.counts]
+    kept = 1
     for n in range(1, n_max + 1):
-        parents, order = automaton.step()
-        total += len(parents)
-        if total > guard_elements:
-            raise ResourceLimitError(f"frontier would exceed {guard_elements} elements", limit_n=n)
-        parents_all.append(parents)
-        child_order_all.append(order)
-        q.append(len(parents))
-    poset = PosetSlice(parents=parents_all, child_order=child_order_all)
+        candidates = automaton.size * i
+        _check_frontier_cap(n, (kept + candidates) * count_bytes + candidates * automaton.gaps.itemsize)
+        automaton.step()
+        rows.append(automaton.counts)
+        kept += automaton.size
+    q = [row.shape[0] for row in rows]
     recurrence_ok = all(q[n] == i * q[n - 1] - (i - 1) * q[n - b] for n in range(b, n_max + 1))
     seeds_ok = all(q[n] == i**n for n in range(0, min(b, n_max + 1)))
     if not (recurrence_ok and seeds_ok):
@@ -396,13 +421,44 @@ def frontier_grow(i: int, b: int, n_max: int, guard_elements: int = 20_000_000) 
         if diff % (i - 1) != 0:
             raise InvariantError(f"q_{n} - q_{n - 1} not divisible by {i - 1}", detail=n)
         r.append(diff // (i - 1))
-    counts = poset.chain_counts()
-    dense = [1]
+    product = np.ones(1, dtype=dtype)
     for n in range(1, n_max + 1):
-        dense = _multiply_dense(dense, [(1, s * r[n - 1]) for s in range(1, i)])
-        if dense != counts[n]:
+        product = _shift_add(product, [(1, s * r[n - 1]) for s in range(1, i)], n)
+        if not np.array_equal(product, rows[n]):
             raise InvariantError("chain-count row differs from the product identity", detail=n)
-    return {"q": q, "r": r, "chain_counts": counts, "poset": poset}
+    return {"q": q, "r": r, "chain_counts": rows}
+
+
+def frontier_poset(i: int, b: int, n_max: int) -> PosetSlice:
+    """P_{ib} on ranks 0..n_max as a PosetSlice, from the frontier automaton.
+
+    New element k sits at candidate position c = k + (two-parent elements
+    before k), so its first parent is c // i; a two-parent element also
+    covers the next one.  Raises ResourceLimitError(limit_n=n) when the
+    elements up to rank n would pass the RGF_MAX_MEM_MB cap.
+    """
+    import numpy as np
+
+    automaton = FrontierAutomaton(i, b)
+    parents: list[list[tuple[int, ...]]] = [[()]]
+    child_order: list[list[tuple[int, ...]]] = []
+    kept = 1
+    for n in range(1, n_max + 1):
+        size = automaton.size
+        _check_frontier_cap(n, (kept + size * i) * POSET_ELEMENT_BYTES)
+        two = automaton.step()
+        first = (np.arange(two.shape[0]) + np.cumsum(two) - two) // i
+        rank_parents: list[tuple[int, ...]] = []
+        order: list[list[int]] = [[] for _ in range(size)]
+        for k, (p, shared) in enumerate(zip(first.tolist(), two.tolist())):
+            rank_parents.append((p, p + 1) if shared else (p,))
+            order[p].append(k)
+            if shared:
+                order[p + 1].append(k)
+        parents.append(rank_parents)
+        child_order.append([tuple(o) for o in order])
+        kept += len(rank_parents)
+    return PosetSlice(parents=parents, child_order=child_order)
 
 
 # -- upho self-similarity ------------------------------------------------------

@@ -1,7 +1,9 @@
+from itertools import accumulate
 from itertools import product as iproduct
 
 import pytest
 
+import fibgf.monoid
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.monoid import (
     MonoidWord,
@@ -11,6 +13,7 @@ from fibgf.monoid import (
     closed_form_census_series,
     enumerate_elements,
     factorization_count,
+    factorization_spans,
     free_factorize,
     generator_census_series,
     generators,
@@ -95,7 +98,22 @@ def test_factorization_examples():
     assert [p.length for p in pieces] == [1, 1]
     w = MonoidWord(((1, 1, 0), (0, 0, 1)), 2)
     assert free_factorize(w) == [w]
+    # balanced, but no triple is a generator
+    triple = MonoidWord(((0,), (0,), (0,)), 2)
+    assert factorization_count(triple) == 0
+    with pytest.raises(InvariantError):
+        free_factorize(triple)
+    with pytest.raises(InvariantError):
+        factorization_spans(triple)
 
+
+
+def test_factorization_spans_counts_every_factorization(monkeypatch):
+    # were every segment a generator, 000/000 would factor as 1+1+1 and as one piece
+    monkeypatch.setattr(fibgf.monoid, "_is_generator_piece", lambda *args: True)
+    w = MonoidWord(((0, 0, 0), (0, 0, 0)), 2)
+    assert factorization_count(w) == 2
+    assert factorization_spans(w) == ([(0, 1), (1, 2), (2, 3)], 2)
 
 def test_unique_factorization_small():
     for k in (2, 3):
@@ -103,6 +121,8 @@ def test_unique_factorization_small():
             for w in enumerate_elements(k, 2, n):
                 assert factorization_count(w) == 1, (k, n, w.rows)
                 pieces = free_factorize(w)
+                stops = list(accumulate(p.length for p in pieces))
+                assert factorization_spans(w) == (list(zip([0] + stops, stops)), 1)
                 if pieces:
                     acc = pieces[0]
                     for p in pieces[1:]:
@@ -124,6 +144,8 @@ def test_unbalanced_word_rejected():
         w.weight()
     with pytest.raises(InvariantError):
         free_factorize(w)
+    with pytest.raises(InvariantError):
+        factorization_spans(w)
 
 
 def test_transfer_series():

@@ -1,13 +1,18 @@
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
     FrontierAutomaton,
     build_poset,
     flag_vectors,
     frontier_grow,
+    frontier_poset,
     label_sequence_checks,
     sigma_labels,
     upho_check,
@@ -112,10 +117,10 @@ def test_frontier_examples():
 def test_frontier_chain_counts_match_products():
     g23 = frontier_grow(2, 3, 16)
     for n in range(1, 17):
-        assert g23["chain_counts"][n] == build_product(fibonacci_product_spec(n)).dense_coefficients()
+        assert g23["chain_counts"][n].tolist() == build_product(fibonacci_product_spec(n)).dense_coefficients()
     g32 = frontier_grow(3, 2, 9)
     for n in range(1, 10):
-        assert g32["chain_counts"][n] == build_product(stern_product_spec(n)).dense_coefficients()
+        assert g32["chain_counts"][n].tolist() == build_product(stern_product_spec(n)).dense_coefficients()
 
 
 def test_frontier_gap_bounds():
@@ -128,18 +133,69 @@ def test_frontier_gap_bounds():
 
 
 def test_pascal_chain_counts_are_binomials():
-    from math import comb
+    # C(66, 33) > 2^63: the rows must switch to exact Python ints
+    g22 = frontier_grow(2, 2, 70)
+    for n in range(0, 71):
+        assert g22["chain_counts"][n].tolist() == [comb(n, k) for k in range(n + 1)]
 
-    g22 = frontier_grow(2, 2, 8)
-    for n in range(0, 9):
-        assert g22["chain_counts"][n] == [comb(n, k) for k in range(n + 1)]
 
+def _reference_frontier(i, b, n_max):
+    """The per-element frontier automaton: per rank, (parents, child order, gaps)."""
+    gaps, size, ranks = [], 1, []
+    for rank in range(n_max):
+        parents: list[tuple[int, ...]] = []
+        order: list[list[int]] = [[] for _ in range(size)]
+        new_gaps: list[int] = []
+        for u in range(size):
+            for s in range(i):
+                if s == 0 and u > 0 and gaps[u - 1] == 1:
+                    parents[-1] = parents[-1] + (u,)  # shared child closes the 2b-gon
+                    order[u].append(len(parents) - 1)
+                    continue
+                if s == 0 and u > 0:
+                    new_gaps.append(gaps[u - 1] - 1)
+                elif s > 0:
+                    new_gaps.append(b - 1)
+                parents.append((u,))
+                order[u].append(len(parents) - 1)
+        if any(g < 1 or g > b - 1 for g in new_gaps):
+            raise InvariantError("gap countdown out of range", detail=rank + 1)
+        ranks.append((parents, [tuple(o) for o in order], new_gaps))
+        gaps, size = new_gaps, len(parents)
+    return ranks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(2, 4), b=st.integers(2, 5), n_max=st.integers(0, 7))
+def test_array_automaton_matches_per_element_reference(i, b, n_max):
+    ref = _reference_frontier(i, b, n_max)
+    poset = frontier_poset(i, b, n_max)
+    grown = frontier_grow(i, b, n_max)
+    counts = poset.chain_counts()
+    assert grown["q"] == poset.rank_sizes() == [1] + [len(parents) for parents, _, _ in ref]
+    assert grown["chain_counts"][0].tolist() == counts[0] == [1]
+    auto = FrontierAutomaton(i=i, b=b)
+    for n, (parents, order, gaps) in enumerate(ref, 1):
+        auto.step()
+        assert auto.gaps.tolist() == gaps, n
+        assert poset.parents[n] == parents, n
+        assert poset.child_order[n - 1] == order, n
+        assert grown["chain_counts"][n].tolist() == counts[n], n
+
+
+def test_frontier_cap_names_limiting_rank(monkeypatch):
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    for build in (frontier_grow, frontier_poset):
+        with pytest.raises(ResourceLimitError) as err:
+            build(3, 3, 14)
+        limit = err.value.limit_n
+        assert limit is not None and 1 <= limit <= 14
+        build(3, 3, limit - 1)  # the ranks before it fit under the cap
 
 def test_upho_all_posets(poset13):
     assert upho_check(poset13, depth=4, max_rank=2)["status"] == "pass"
     for i, b in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        grown = frontier_grow(i, b, 6)
-        assert upho_check(grown["poset"], depth=4, max_rank=2)["status"] == "pass", (i, b)
+        assert upho_check(frontier_poset(i, b, 6), depth=4, max_rank=2)["status"] == "pass", (i, b)
 
 
 def test_upho_bottom_is_identity(poset13):

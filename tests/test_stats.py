@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibgf.stream
 from fibgf.errors import ResourceLimitError
@@ -152,6 +154,37 @@ def test_residue_engines_agree():
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(1, 2))
     assert residue_series(spec, 2, 12, engine="pure") == residue_series(spec, 2, 12, engine="fast")
 
+
+
+@st.composite
+def residue_specs(draw):
+    """An integer spec and a modulus m whose coefficient on the largest
+    exponent is a nonzero multiple of m."""
+    m = draw(st.integers(2, 5))
+    order = draw(st.integers(1, 2))
+    # c_1 >= 1, the other c_j >= 0 and a sorted init: a nondecreasing sequence,
+    # so the last of the terms f_i..f_{i+h-1} is the largest
+    seq = RecurrentSeq(
+        coeffs=(draw(st.integers(1, 2)),)
+        + tuple(draw(st.lists(st.integers(0, 2), min_size=order - 1, max_size=order - 1))),
+        init=tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=order, max_size=order)))),
+    )
+    h = draw(st.integers(1, 3))
+    a = tuple(draw(st.lists(st.integers(-3, 3), min_size=h - 1, max_size=h - 1)))
+    a += (m * draw(st.sampled_from((-2, -1, 1, 2))),)
+    prefactor = None
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4).filter(any))
+        prefactor = CoeffPoly(coeffs, base=draw(st.integers(0, 2)))
+    spec = ProductSpec(exponent_seq=seq, n=0, h=h, a=a, offset=draw(st.integers(0, 2)), prefactor=prefactor)
+    return spec, m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=residue_specs(), n_max=st.integers(0, 7))
+def test_residue_engines_agree_with_vanishing_top_coefficient(case, n_max):
+    spec, m = case
+    assert residue_series(spec, m, n_max, engine="fast") == residue_series(spec, m, n_max, engine="pure")
 
 def test_value_predicate():
     assert coefficient_value_predicate(build_product(fibonacci_product_spec(3, t=-1)), {-1, 1})
