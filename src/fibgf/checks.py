@@ -9,7 +9,6 @@ not exist) and fail only on an actual counterexample.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -83,20 +82,12 @@ def _first_mismatch(a, b):
     return None
 
 
-# -- power-sum data cache (shared by the scans and fit suites) ----------------
-
-_POWERSUM_CACHE: dict[tuple[int, int], dict[int, list[int]]] = {}
-_POWERSUM_LOCK = threading.Lock()
-
+# -- power-sum data (shared by the scans and fit suites) ------------------------
 
 def kbonacci_power_sums(k: int, rs: tuple[int, ...], n_max: int) -> dict[int, list[int]]:
-    """v_r^{(k)}(n, 1) for n = 0..n_max, one difference walk per (k, r, n_max)."""
-    with _POWERSUM_LOCK:
-        have = _POWERSUM_CACHE.setdefault((k, n_max), {})
-        for r in rs:
-            if r not in have:
-                have[r] = corr_series(kbonacci_product_spec(k, 0, t=1), CorrSpec((r,)), n_max)
-        return {r: have[r] for r in rs}
+    """v_r^{(k)}(n, 1) for n = 0..n_max, one difference walk per r."""
+    spec = kbonacci_product_spec(k, 0, t=1)
+    return {r: corr_series(spec, CorrSpec((r,)), n_max) for r in rs}
 
 
 # -- verify checks -------------------------------------------------------------

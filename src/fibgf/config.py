@@ -2,9 +2,9 @@
 
 ``RGF_MAX_MEM_MB`` caps the estimated footprint of any single coefficient
 array built by the engines (pure-Python or numpy), of the states the
-difference walk stores, and of the rows and elements the P_ib frontier
-keeps.  The default is generous for desk-scale work but stops runaway
-expansions with a clean error.
+difference walk stores, of the rows and elements the P_ib frontier keeps,
+and of the triangle poset's elements.  The default is generous for
+desk-scale work but stops runaway expansions with a clean error.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from itertools import combinations
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
 from .sequences import fibonacci, prec_compare
-from .triangle import first_row, next_row, production_plan
+from .triangle import CHILDREN, first_row, next_row, production_plan
 
 
 @dataclass
@@ -74,44 +74,46 @@ class PosetSlice:
         return "\n".join(lines)
 
 
-def build_poset(n_max: int, guard_elements: int = 5_000_000) -> PosetSlice:
-    """The triangle poset on ranks 0..n_max, with planar child order."""
+# Footprint of one PosetSlice element, its parent tuple and child-order slot
+# (tracemalloc peak per element: 176-191 bytes on P_ib with 8k-250k elements;
+# 250-258 bytes on the triangle poset with 29k-514k elements, which also holds
+# the current row and its production plan).
+POSET_ELEMENT_BYTES = 200
+TRIANGLE_ELEMENT_BYTES = 260
+
+
+def _check_frontier_cap(n: int, nbytes: int):
+    if nbytes > max_mem_bytes():
+        raise ResourceLimitError(
+            f"ranks up to {n} need about {nbytes} bytes, over the RGF_MAX_MEM_MB cap", limit_n=n
+        )
+
+
+def build_poset(n_max: int) -> PosetSlice:
+    """The triangle poset on ranks 0..n_max, with planar child order.
+
+    Raises ResourceLimitError(limit_n=n) when the elements up to rank n would
+    pass the RGF_MAX_MEM_MB cap.
+    """
     parents: list[list[tuple[int, ...]]] = [[()]]
     child_order: list[list[tuple[int, ...]]] = []
     # rank 1: the two entries of row 1 cover the bottom
     parents.append([(0,), (0,)])
     child_order.append([(0, 1)])
     row = first_row(1)
-    total = 3
+    kept = 3
     for n in range(1, n_max):
         plan = production_plan(row)
+        kept += sum(len(CHILDREN[prod.kind]) for prod in plan)
+        _check_frontier_cap(n + 1, kept * TRIANGLE_ELEMENT_BYTES)
         rank_parents: list[tuple[int, ...]] = []
         order: list[list[int]] = [[] for _ in row.entries]
         for prod in plan:
-            if prod.kind == "middle":
-                (a,) = prod.parents
-                f = len(rank_parents)
-                rank_parents.extend([(a,), (a,)])
-                order[a].extend([f, f + 1])
-            elif prod.kind == "pair":
-                e, b = prod.parents
-                f = len(rank_parents)
-                rank_parents.extend([(e,), (e, b), (b,)])
-                order[e].extend([f, f + 1])
-                order[b].extend([f + 1, f + 2])
-            elif prod.kind == "lead":
-                (b,) = prod.parents
-                f = len(rank_parents)
-                rank_parents.extend([(b,), (b,)])
-                order[b].extend([f, f + 1])
-            else:  # trail
-                (e,) = prod.parents
-                f = len(rank_parents)
-                rank_parents.extend([(e,), (e,)])
-                order[e].extend([f, f + 1])
-        total += len(rank_parents)
-        if total > guard_elements:
-            raise ResourceLimitError(f"poset would exceed {guard_elements} elements", limit_n=n + 1)
+            for terms in CHILDREN[prod.kind]:
+                covers = tuple(prod.parents[slot] for slot, _ in terms)
+                for p in covers:
+                    order[p].append(len(rank_parents))
+                rank_parents.append(covers)
         parents.append(rank_parents)
         child_order.append([tuple(o) for o in order])
         row = next_row(row, 1)
@@ -317,18 +319,6 @@ def flag_vectors(poset: PosetSlice, ranks) -> dict:
 
 # -- planar i-cover frontier automaton ----------------------------------------
 # numpy is imported on first use, so that ``import fibgf`` stays numpy-free.
-
-# Footprint of one PosetSlice element: its parent tuple and child-order slot
-# (tracemalloc peak: 176-191 bytes per element on P_ib with 8k-250k elements).
-POSET_ELEMENT_BYTES = 200
-
-
-def _check_frontier_cap(n: int, nbytes: int):
-    if nbytes > max_mem_bytes():
-        raise ResourceLimitError(
-            f"frontier needs about {nbytes} bytes at rank {n}, over the RGF_MAX_MEM_MB cap", limit_n=n
-        )
-
 
 class FrontierAutomaton:
     """Grows the planar poset where every element has ``i`` covers and

@@ -3,10 +3,9 @@
 ``corr_sum`` computes sum_k prod_j c(k+j)^alpha_j exactly over Z or Z[t];
 window cells beyond the degree are exact zeros and annihilate the product.
 ``corr_series`` gives those sums along a growing product, one value per
-factor count, from the difference walk in ``walk``; expanding the product
-here stays as its small-depth oracle.  Large residue pipelines are delegated
-to the numpy engine in ``stream`` (cross-checked against the pure path in the
-tests).
+factor count, from the difference walk in ``walk``; ``residue_series``
+counts residue classes on the numpy stream in ``stream``.  Expanding the
+product here stays as the small-depth oracle of both.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from dataclasses import dataclass, replace
 from .polynomials import CoeffPoly, ProductSpec, build_product, scalar_is_zero
 from .walk import corr_walk_series
 
-# Above this predicted dense size, residue pipelines use numpy.
-FAST_ENGINE_THRESHOLD = 200_000
+_INTEGER_ONLY = "residue counts need integer coefficients; specialize t first"
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ def residue_count(p: CoeffPoly, m: int, a: int) -> int:
     if m < 2 or not 0 <= a < m:
         raise ValueError("need m >= 2 and 0 <= a < m")
     if p.has_symbolic_coeffs():
-        raise ValueError("residue counts need integer coefficients; specialize t first")
+        raise ValueError(_INTEGER_ONLY)
     if p.is_zero():
         return 0
     deg = p.degree
@@ -103,15 +101,18 @@ def residue_count(p: CoeffPoly, m: int, a: int) -> int:
 def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") -> list[list[int]]:
     """Per n in 0..n_max, the counts [h(n, a) for a in 0..m-1] for the product.
 
-    Uses the byte-wide mod-m numpy pipeline for large products.
+    ``engine``: "auto" counts on the mod-m numpy stream; "pure" expands every
+    partial product, the small-depth oracle.  Both need integer coefficients.
     """
+    if engine not in ("auto", "pure"):
+        raise ValueError(f"unknown engine {engine!r}")
     if m < 2:
         raise ValueError("need m >= 2")
+    symbolic_prefactor = spec.prefactor is not None and spec.prefactor.has_symbolic_coeffs()
+    if symbolic_prefactor or not all(isinstance(aj, int) for aj in spec.a):
+        raise ValueError(_INTEGER_ONLY)
     full = replace(spec, n=n_max)
     if engine == "auto":
-        big = full.degree_bound() + 1 > FAST_ENGINE_THRESHOLD
-        engine = "fast" if big else "pure"
-    if engine == "fast":
         from .stream import residue_series_fast
 
         return residue_series_fast(full, m, n_max)

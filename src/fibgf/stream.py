@@ -1,9 +1,10 @@
-"""numpy-backed residue pipeline for large integer products.
+"""numpy residue counts mod m for every integer product.
 
-The pure-Python engine in ``polynomials``/``stats`` is the reference; this
-module counts coefficients by residue class mod m along the growing product,
-reducing mod m inside the stream on byte arrays so that depth-30 pipelines
-stay fast.  Correlation sums do not come here: ``walk`` computes them without
+The pure-Python engine in ``polynomials``/``stats`` is the small-depth
+oracle; this module counts coefficients by residue class mod m along the
+growing product, reducing mod m inside the stream on the narrowest unsigned
+arrays that hold one factor's sums, so depth-30 pipelines mod 2 and 3 stay
+on bytes.  Correlation sums do not come here: ``walk`` computes them without
 expanding the product.
 """
 
@@ -18,27 +19,8 @@ from .polynomials import ProductSpec
 CHUNK = 1 << 22
 
 
-def _int_terms(spec: ProductSpec, i: int) -> list[tuple[int, int]]:
-    terms = spec.factor_terms(i)
-    for aj, _ in terms:
-        if not isinstance(aj, int):
-            raise ValueError("fast engine requires integer factor coefficients")
-    return terms
-
-
-def _initial_array(spec: ProductSpec) -> np.ndarray:
-    if spec.prefactor is None:
-        return np.ones(1, dtype=np.int64)
-    if spec.prefactor.has_symbolic_coeffs():
-        raise ValueError("fast engine requires an integer prefactor")
-    dense = spec.prefactor.dense_coefficients()
-    if not dense:
-        raise ValueError("zero prefactor is not supported by the streaming engine")
-    return np.array(dense, dtype=np.int64)
-
-
 def _shift_add(arr: np.ndarray, terms: list[tuple[int, int]], i: int) -> np.ndarray:
-    """arr * (1 + sum_j a_j x^{e_j}) as a new array of arr's dtype.
+    """arr * (1 + sum_j a_j x^{e_j}) as a new array of arr's dtype, a_j >= 0.
 
     The array grows by the largest exponent of ``terms`` even where that
     term's coefficient is 0, so the zero coefficients it pads stay counted.
@@ -58,33 +40,38 @@ def _shift_add(arr: np.ndarray, terms: list[tuple[int, int]], i: int) -> np.ndar
         if aj == 0:
             continue
         view = new[e : e + old_len]
-        if aj == 1:
-            np.add(view, arr, out=view)
-        elif aj == -1:
-            np.subtract(view, arr, out=view)
-        else:
-            np.add(view, arr * aj, out=view)
+        np.add(view, arr if aj == 1 else arr * aj, out=view)
     return new
 
 
 def _class_counts(arr: np.ndarray, m: int) -> list[int]:
-    """Counts of each value 0..m-1 in arr; ``bincount`` widens its input to
-    int64, so it sees one CHUNK at a time."""
+    """Counts of each value 0..m-1 in arr.  ``bincount`` takes intp input
+    (numpy 1.x refuses to cast uint64), so it sees one CHUNK at a time."""
     counts = np.zeros(m, dtype=np.int64)
     for start in range(0, arr.shape[0], CHUNK):
-        counts += np.bincount(arr[start : start + CHUNK], minlength=m)
+        counts += np.bincount(arr[start : start + CHUNK].astype(np.intp), minlength=m)
     return [int(v) for v in counts]
 
 
 def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
-    """Counts of coefficients in each residue class mod m, per factor count."""
-    terms = [[(aj % m, e) for aj, e in _int_terms(spec, i)] for i in range(1, n_max + 1)]
-    if terms and (m - 1) * (1 + max(sum(aj for aj, _ in t) for t in terms)) > 255:
-        raise ValueError("modulus too large for the byte-wide residue pipeline")
-    arr = (_initial_array(spec) % m).astype(np.uint8)
+    """Counts of coefficients in each residue class mod m, per factor count.
+
+    ``spec`` has integer coefficients.  Entries are below m after each
+    reduction, and a factor adds at most (m - 1) * sum_j (a_j mod m) to one,
+    so the arrays take the smallest unsigned dtype that holds
+    (m - 1) * (1 + sum_j (a_j mod m)).
+    """
+    bound = (m - 1) * (1 + sum(aj % m for aj in spec.a))
+    dtype = np.min_scalar_type(bound)
+    if dtype.kind != "u":
+        raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
+    first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
+    if not first:
+        return [[0] * m for _ in range(n_max + 1)]
+    arr = np.array([c % m for c in first], dtype=dtype)
     out = [_class_counts(arr, m)]
-    for i, factor in enumerate(terms, 1):
-        arr = _shift_add(arr, factor, i)
+    for i in range(1, n_max + 1):
+        arr = _shift_add(arr, [(aj % m, e) for aj, e in spec.factor_terms(i)], i)
         arr %= m
         out.append(_class_counts(arr, m))
     return out

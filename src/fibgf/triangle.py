@@ -73,6 +73,17 @@ class Production:
     parents: tuple[int, ...]
 
 
+# The production rule: per kind, the visible children of the new group, left
+# to right, each a sum of (parent slot, power of t) terms.  ``next_row``
+# evaluates it; ``poset.build_poset`` reads each child's covers from it.
+CHILDREN = {
+    "lead": (((0, 0),), ((0, 1),)),
+    "pair": (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)),
+    "middle": (((0, 0),), ((0, 1),)),
+    "trail": (((0, 0),), ((0, 1),)),
+}
+
+
 def production_plan(row: GroupedRow) -> list[Production]:
     """The left-to-right production schedule for the next row."""
     plan: list[Production] = []
@@ -105,22 +116,12 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
     vals = row.entries
     for prod in production_plan(row):
         start = len(entries)
-        if prod.kind == "middle":
-            a = vals[prod.parents[0]]
-            entries.extend((a, t * a))
-            groups.append(Group(start, 2))
-        elif prod.kind == "pair":
-            e, b = vals[prod.parents[0]], vals[prod.parents[1]]
-            entries.extend((e, b + t * e, t * b))
-            groups.append(Group(start, 3))
-        elif prod.kind == "lead":
-            b = vals[prod.parents[0]]
-            entries.extend((b, t * b))
-            groups.append(Group(start, 3, leading_virtual=True))
-        else:  # trail
-            e = vals[prod.parents[0]]
-            entries.extend((e, t * e))
-            groups.append(Group(start, 3, trailing_virtual=True))
+        src = [vals[p] for p in prod.parents]
+        for terms in CHILDREN[prod.kind]:
+            parts = [t * src[slot] if power else src[slot] for slot, power in terms]
+            entries.append(sum(parts[1:], parts[0]))
+        lead, trail = prod.kind == "lead", prod.kind == "trail"
+        groups.append(Group(start, len(entries) - start + lead + trail, leading_virtual=lead, trailing_virtual=trail))
     return GroupedRow(entries=tuple(entries), groups=tuple(groups), index=row.index + 1)
 
 

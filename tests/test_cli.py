@@ -4,9 +4,9 @@ import fibgf.checks
 import fibgf.cli
 from fibgf.cli import main
 from fibgf.errors import InvariantError, ResourceLimitError
-from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec
+from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.sequences import GoldenInt
-from fibgf.stats import CorrSpec, corr_series
+from fibgf.stats import CorrSpec, corr_series, residue_count
 from fibgf.triangle import format_row, triangle_rows
 
 
@@ -35,6 +35,14 @@ def test_congruence(capsys):
     code, out, _ = run_cli(capsys, "congruence", "--m", "2", "--a", "1", "--nmax", "2")
     assert code == 0
     assert json.loads(out) == ["1", "2", "4"]
+    # a modulus past the byte range, at a depth whose product has 344,731 coefficients
+    code, out, _ = run_cli(capsys, "congruence", "--seq", "kbonacci:3", "--m", "200", "--a", "1", "--nmax", "20")
+    assert code == 0
+    counts = [int(v) for v in json.loads(out)]
+    assert len(counts) == 21
+    pure: list[int] = []
+    build_product(kbonacci_product_spec(3, 12), callback=lambda i, p: pure.append(residue_count(p, 200, 1)))
+    assert counts[:13] == pure
 
 
 def test_congruence_rejects_class_outside_modulus(capsys):

@@ -1,3 +1,4 @@
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -185,12 +186,12 @@ def test_array_automaton_matches_per_element_reference(i, b, n_max):
 
 def test_frontier_cap_names_limiting_rank(monkeypatch):
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
-    for build in (frontier_grow, frontier_poset):
+    for build in (partial(frontier_grow, 3, 3), partial(frontier_poset, 3, 3), build_poset):
         with pytest.raises(ResourceLimitError) as err:
-            build(3, 3, 14)
+            build(14)
         limit = err.value.limit_n
         assert limit is not None and 1 <= limit <= 14
-        build(3, 3, limit - 1)  # the ranks before it fit under the cap
+        build(limit - 1)  # the ranks before it fit under the cap
 
 def test_upho_all_posets(poset13):
     assert upho_check(poset13, depth=4, max_rank=2)["status"] == "pass"

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,14 @@ from fibgf.stats import (
     residue_count,
     residue_series,
 )
+
+
+def test_import_leaves_numpy_unloaded():
+    # stats and poset import the numpy stream on first use, so set-up stays light
+    src = str(Path(fibgf.stream.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, fibgf; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_corr_spec_validation():
@@ -142,18 +154,30 @@ def test_odd_counts_equal_alternating_nonzero_counts():
 
 
 def test_residue_engines_agree():
-    for m in (2, 3, 4):
-        assert residue_series(fibonacci_product_spec(0), m, 14, engine="pure") == residue_series(
-            fibonacci_product_spec(0), m, 14, engine="fast"
-        )
+    spec = fibonacci_product_spec(0)
+    for m in (2, 3, 4, 129, 256, 1000):
+        n_max = 14 if m < 5 else 10  # the oracle takes time proportional to m
+        assert residue_series(spec, m, n_max, engine="pure") == residue_series(spec, m, n_max), m
     # negative coefficients reduce correctly mod m
-    assert residue_series(fibonacci_product_spec(0, t=-1), 3, 12, engine="pure") == residue_series(
-        fibonacci_product_spec(0, t=-1), 3, 12, engine="fast"
-    )
+    spec = fibonacci_product_spec(0, t=-1)
+    assert residue_series(spec, 3, 12, engine="pure") == residue_series(spec, 3, 12)
     # a_2 = 2 vanishes mod 2 on the largest exponent, which still pads the length
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(1, 2))
-    assert residue_series(spec, 2, 12, engine="pure") == residue_series(spec, 2, 12, engine="fast")
-
+    assert residue_series(spec, 2, 12, engine="pure") == residue_series(spec, 2, 12)
+    # a_1 = -1 is 65536 mod 65537, so the sums need uint64 arrays; past m = 2^32 they overflow it
+    spec = fibonacci_product_spec(0, t=-1)
+    assert residue_series(spec, 65537, 3, engine="pure") == residue_series(spec, 65537, 3)
+    with pytest.raises(ValueError, match="past uint64"):
+        residue_series(spec, 2**32 + 1, 0)
+    # a zero prefactor gives all-zero rows
+    spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, prefactor=CoeffPoly([0]))
+    assert residue_series(spec, 3, 6) == residue_series(spec, 3, 6, engine="pure") == [[0, 0, 0]] * 7
+    # a symbolic weight is rejected with one message by both engines
+    for engine in ("auto", "pure"):
+        with pytest.raises(ValueError, match="^residue counts need integer coefficients; specialize t first$"):
+            residue_series(fibonacci_product_spec(0, t=TPoly.t()), 2, 4, engine=engine)
+    with pytest.raises(ValueError, match="unknown engine"):
+        residue_series(fibonacci_product_spec(0), 2, 3, engine="fast")
 
 
 @st.composite
@@ -184,7 +208,8 @@ def residue_specs(draw):
 @given(case=residue_specs(), n_max=st.integers(0, 7))
 def test_residue_engines_agree_with_vanishing_top_coefficient(case, n_max):
     spec, m = case
-    assert residue_series(spec, m, n_max, engine="fast") == residue_series(spec, m, n_max, engine="pure")
+    assert residue_series(spec, m, n_max) == residue_series(spec, m, n_max, engine="pure")
+
 
 def test_value_predicate():
     assert coefficient_value_predicate(build_product(fibonacci_product_spec(3, t=-1)), {-1, 1})
@@ -196,7 +221,7 @@ def test_residue_counts_span_chunks(monkeypatch):
     spec = kbonacci_product_spec(3, 0)
     pure = residue_series(spec, 3, 12, engine="pure")
     monkeypatch.setattr(fibgf.stream, "CHUNK", 7)
-    assert residue_series(spec, 3, 12, engine="fast") == pure
+    assert residue_series(spec, 3, 12) == pure
 
 
 def test_memory_guard_names_limiting_n(monkeypatch):
