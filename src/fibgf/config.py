@@ -1,9 +1,9 @@
 """Resource caps for the polynomial engines.
 
-``RGF_MAX_MEM_MB`` caps the estimated footprint of any single coefficient
-array built by the engines (pure-Python or numpy), of the states the
-difference walk stores, of the rows and elements the P_ib frontier keeps,
-and of the triangle poset's elements.  The default is generous for
+``RGF_MAX_MEM_MB`` caps the estimated footprint of the pure engine's
+coefficient lists, of the residue stream's one array plus its block
+temporaries, of the states the difference walk stores, of the rows and
+elements the P_ib frontier keeps, and of the triangle poset's elements.  The default is generous for
 desk-scale work but stops runaway expansions with a clean error.
 """
 

@@ -333,7 +333,8 @@ class FrontierAutomaton:
     first child of u are one shared child, which closes the 2b-gon.
 
     ``counts`` has the given numpy dtype: int64, or ``object`` for exact
-    Python ints where a chain count may reach 2^63.
+    Python ints where a chain count may reach 2^63.  ``gaps`` has the
+    narrowest signed dtype that holds b (int8 for b <= 128).
     """
 
     def __init__(self, i: int, b: int, dtype=None):
@@ -343,7 +344,7 @@ class FrontierAutomaton:
 
         self.i, self.b, self.rank = i, b, 0
         self.counts = np.ones(1, dtype=np.int64 if dtype is None else dtype)
-        self.gaps = np.zeros(0, dtype=np.int64)
+        self.gaps = np.zeros(0, dtype=np.min_scalar_type(-b))
 
     @property
     def size(self) -> int:
@@ -357,7 +358,7 @@ class FrontierAutomaton:
         i, b = self.i, self.b
         children = np.repeat(self.counts, i)
         # gaps[c - 1] sits before candidate child c = u i + s
-        gaps = np.full(children.shape[0] - 1, b - 1, dtype=np.int64)
+        gaps = np.full(children.shape[0] - 1, b - 1, dtype=self.gaps.dtype)
         gaps[i - 1 :: i] = self.gaps - 1
         shared = np.flatnonzero(gaps == 0)
         # candidate u i merges into u i - 1, the last child of u - 1
@@ -387,7 +388,7 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     """
     import numpy as np
 
-    from .stream import _shift_add
+    from .stream import _shift_add_blocks
 
     dtype = np.int64 if i**n_max < 2**63 else object
     automaton = FrontierAutomaton(i, b, dtype)
@@ -411,10 +412,13 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
         if diff % (i - 1) != 0:
             raise InvariantError(f"q_{n} - q_{n - 1} not divisible by {i - 1}", detail=n)
         r.append(diff // (i - 1))
-    product = np.ones(1, dtype=dtype)
+    # the product of the first n factors has q_n coefficients
+    product = np.zeros(q[n_max], dtype=dtype)
+    product[0] = 1
     for n in range(1, n_max + 1):
-        product = _shift_add(product, [(1, s * r[n - 1]) for s in range(1, i)], n)
-        if not np.array_equal(product, rows[n]):
+        for _ in _shift_add_blocks(product, q[n - 1], [(1, s * r[n - 1]) for s in range(1, i)]):
+            pass
+        if not np.array_equal(product[: q[n]], rows[n]):
             raise InvariantError("chain-count row differs from the product identity", detail=n)
     return {"q": q, "r": r, "chain_counts": rows}
 

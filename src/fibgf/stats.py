@@ -10,6 +10,7 @@ product here stays as the small-depth oracle of both.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .polynomials import CoeffPoly, ProductSpec, build_product, scalar_is_zero
@@ -81,21 +82,24 @@ def corr_series(spec: ProductSpec, alpha: CorrSpec, n_max: int, engine: str = "a
     return out
 
 
+def _residue_classes(p: CoeffPoly, m: int) -> Counter:
+    """How many k in [0, deg p] have c(k) in each residue class mod m, in one
+    pass over the coefficients; integer coefficients only."""
+    values = Counter(p._list) if p.is_dense and p.base == 0 else Counter(c for _, c in p.items())
+    classes: Counter = Counter()
+    for c, count in values.items():
+        classes[c % m] += count
+    classes[0] += (p.degree + 1) - values.total()
+    return classes
+
+
 def residue_count(p: CoeffPoly, m: int, a: int) -> int:
     """Number of k in [0, deg p] with c(k) congruent to a mod m."""
     if m < 2 or not 0 <= a < m:
         raise ValueError("need m >= 2 and 0 <= a < m")
     if p.has_symbolic_coeffs():
         raise ValueError(_INTEGER_ONLY)
-    if p.is_zero():
-        return 0
-    deg = p.degree
-    if p.is_dense and p.base == 0:
-        return sum(1 for c in p._list if c % m == a)
-    count = sum(1 for _, c in p.items() if c % m == a)
-    if a == 0:
-        count += (deg + 1) - p.nonzero_count()
-    return count
+    return _residue_classes(p, m)[a]
 
 
 def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") -> list[list[int]]:
@@ -117,7 +121,12 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
 
         return residue_series_fast(full, m, n_max)
     out: list[list[int]] = []
-    build_product(full, callback=lambda i, poly: out.append([residue_count(poly, m, a) for a in range(m)]))
+
+    def count(i: int, poly: CoeffPoly):
+        classes = _residue_classes(poly, m)
+        out.append([classes[a] for a in range(m)])
+
+    build_product(full, callback=count)
     return out
 
 

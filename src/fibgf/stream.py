@@ -2,13 +2,18 @@
 
 The pure-Python engine in ``polynomials``/``stats`` is the small-depth
 oracle; this module counts coefficients by residue class mod m along the
-growing product, reducing mod m inside the stream on the narrowest unsigned
-arrays that hold one factor's sums, so depth-30 pipelines mod 2 and 3 stay
-on bytes.  Correlation sums do not come here: ``walk`` computes them without
-expanding the product.
+growing product.  The product lives in one preallocated array, as long as the
+last partial product, of the narrowest unsigned dtype that holds one factor's
+sums, so depth-30 pipelines mod 2 and 3 stay on one byte per coefficient.
+Each factor rewrites the array in place from the top down, one ``CHUNK``-sized
+block at a time, and every block is reduced mod m and counted while it is
+still in cache.  Correlation sums do not come here: ``walk`` computes them
+without expanding the product.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -16,41 +21,48 @@ from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .polynomials import ProductSpec
 
-CHUNK = 1 << 22
+CHUNK = 1 << 16
 
 
-def _shift_add(arr: np.ndarray, terms: list[tuple[int, int]], i: int) -> np.ndarray:
-    """arr * (1 + sum_j a_j x^{e_j}) as a new array of arr's dtype, a_j >= 0.
+def _shift_add_blocks(arr: np.ndarray, old_len: int, terms: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+    """Multiply arr[:old_len] by (1 + sum_j a_j x^{e_j}) in place, e_j >= 1.
 
-    The array grows by the largest exponent of ``terms`` even where that
-    term's coefficient is 0, so the zero coefficients it pads stay counted.
+    The product fills arr[:old_len + max e_j]; entries from old_len on must be
+    zero on entry, and the length grows by the largest exponent even where
+    that term's coefficient is 0, so the zero coefficients it pads stay
+    counted.  Blocks of ``CHUNK`` entries are rewritten from the top down and
+    each is yielded as a view once it is final.  A block reads only entries
+    below its top, which no earlier block has changed; sources that reach
+    into the block itself are copied before any term is added to it.
     """
-    shift = max((e for _, e in terms), default=0)
-    old_len = arr.shape[0]
-    new_len = old_len + shift
-    if (new_len + old_len) * arr.itemsize > max_mem_bytes():
-        raise ResourceLimitError(
-            f"streaming product needs {new_len} coefficients at factor {i}, "
-            f"over the RGF_MAX_MEM_MB cap",
-            limit_n=i,
-        )
-    new = np.zeros(new_len, dtype=arr.dtype)
-    new[:old_len] = arr
+    chunk = CHUNK
+    new_len = old_len + max((e for _, e in terms), default=0)
+    for hi in range(new_len, 0, -chunk):
+        lo = max(hi - chunk, 0)
+        sources = []
+        for aj, e in terms:
+            s_lo, s_hi = max(lo - e, 0), min(hi - e, old_len)
+            if aj == 0 or s_lo >= s_hi:
+                continue
+            src = arr[s_lo:s_hi]
+            if aj != 1:
+                src = src * aj
+            elif s_hi > lo:
+                src = src.copy()
+            sources.append((s_lo + e, src))
+        for start, src in sources:
+            view = arr[start : start + src.shape[0]]
+            np.add(view, src, out=view)
+        yield arr[lo:hi]
+
+
+def _residue_terms(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
+    """One factor's (a mod m, e), one per exponent whose summed coefficient is
+    nonzero over Z: those set the factor's degree, even where a vanishes mod m."""
+    summed: dict[int, int] = {}
     for aj, e in terms:
-        if aj == 0:
-            continue
-        view = new[e : e + old_len]
-        np.add(view, arr if aj == 1 else arr * aj, out=view)
-    return new
-
-
-def _class_counts(arr: np.ndarray, m: int) -> list[int]:
-    """Counts of each value 0..m-1 in arr.  ``bincount`` takes intp input
-    (numpy 1.x refuses to cast uint64), so it sees one CHUNK at a time."""
-    counts = np.zeros(m, dtype=np.int64)
-    for start in range(0, arr.shape[0], CHUNK):
-        counts += np.bincount(arr[start : start + CHUNK].astype(np.intp), minlength=m)
-    return [int(v) for v in counts]
+        summed[e] = summed.get(e, 0) + aj
+    return [(c % m, e) for e, c in summed.items() if c]
 
 
 def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
@@ -58,8 +70,10 @@ def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]
 
     ``spec`` has integer coefficients.  Entries are below m after each
     reduction, and a factor adds at most (m - 1) * sum_j (a_j mod m) to one,
-    so the arrays take the smallest unsigned dtype that holds
-    (m - 1) * (1 + sum_j (a_j mod m)).
+    so the array takes the smallest unsigned dtype that holds
+    (m - 1) * (1 + sum_j (a_j mod m)).  Raises ResourceLimitError(limit_n=i)
+    before any work when the array of the first i factors and the block
+    temporaries would pass the RGF_MAX_MEM_MB cap.
     """
     bound = (m - 1) * (1 + sum(aj % m for aj in spec.a))
     dtype = np.min_scalar_type(bound)
@@ -68,10 +82,27 @@ def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]
     first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     if not first:
         return [[0] * m for _ in range(n_max + 1)]
-    arr = np.array([c % m for c in first], dtype=dtype)
-    out = [_class_counts(arr, m)]
-    for i in range(1, n_max + 1):
-        arr = _shift_add(arr, [(aj % m, e) for aj, e in spec.factor_terms(i)], i)
-        arr %= m
-        out.append(_class_counts(arr, m))
+    factors = [_residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+    lengths = [len(first)]
+    for terms in factors:
+        lengths.append(lengths[-1] + max((e for _, e in terms), default=0))
+    # h source copies of one block, and bincount's intp copy of it
+    temporaries = CHUNK * (len(spec.a) * dtype.itemsize + 8)
+    for i, length in enumerate(lengths):
+        if length * dtype.itemsize + temporaries > max_mem_bytes():
+            raise ResourceLimitError(
+                f"streaming product needs {length} coefficients at factor {i}, "
+                f"over the RGF_MAX_MEM_MB cap",
+                limit_n=i,
+            )
+    arr = np.zeros(lengths[-1], dtype=dtype)
+    arr[: len(first)] = [c % m for c in first]
+    # bincount takes intp input (numpy 1.x refuses to cast uint64)
+    out = [[int(v) for v in np.bincount(arr[: len(first)].astype(np.intp), minlength=m)]]
+    for i, terms in enumerate(factors):
+        counts = np.zeros(m, dtype=np.int64)
+        for block in _shift_add_blocks(arr, lengths[i], terms):
+            block %= m
+            counts += np.bincount(block.astype(np.intp), minlength=m)
+        out.append([int(v) for v in counts])
     return out

@@ -1,12 +1,14 @@
 import json
 
+import pytest
+
 import fibgf.checks
 import fibgf.cli
 from fibgf.cli import main
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.sequences import GoldenInt
-from fibgf.stats import CorrSpec, corr_series, residue_count
+from fibgf.stats import CorrSpec, corr_series, residue_count, residue_series
 from fibgf.triangle import format_row, triangle_rows
 
 
@@ -155,6 +157,15 @@ def test_residue_cap_exit_code(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error:") and "limit_n = " in err
+    # limit_n is the first factor count whose array does not fit; one fewer runs under the cap
+    limit = int(err.rsplit("limit_n = ", 1)[1].rstrip(")\n"))
+    spec = kbonacci_product_spec(4, 0)
+    with pytest.raises(ResourceLimitError) as raised:
+        residue_series(spec, 2, limit)
+    assert raised.value.limit_n == limit
+    counts = residue_series(spec, 2, limit - 1)
+    monkeypatch.delenv("RGF_MAX_MEM_MB")  # the pure oracle charges 32 bytes a coefficient
+    assert counts == residue_series(spec, 2, limit - 1, engine="pure")
 
 
 def test_guess_no_fit_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibgf.stream
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
@@ -115,13 +116,16 @@ def test_frontier_examples():
     assert g32["r"] == [2 ** (j - 1) for j in range(1, 11)]
 
 
-def test_frontier_chain_counts_match_products():
-    g23 = frontier_grow(2, 3, 16)
-    for n in range(1, 17):
-        assert g23["chain_counts"][n].tolist() == build_product(fibonacci_product_spec(n)).dense_coefficients()
-    g32 = frontier_grow(3, 2, 9)
-    for n in range(1, 10):
-        assert g32["chain_counts"][n].tolist() == build_product(stern_product_spec(n)).dense_coefficients()
+def test_frontier_chain_counts_match_products(monkeypatch):
+    # frontier_grow also checks each row against the product it builds in blocks
+    for chunk in (fibgf.stream.CHUNK, 3):
+        monkeypatch.setattr(fibgf.stream, "CHUNK", chunk)
+        g23 = frontier_grow(2, 3, 16)
+        for n in range(1, 17):
+            assert g23["chain_counts"][n].tolist() == build_product(fibonacci_product_spec(n)).dense_coefficients()
+        g32 = frontier_grow(3, 2, 9)
+        for n in range(1, 10):
+            assert g32["chain_counts"][n].tolist() == build_product(stern_product_spec(n)).dense_coefficients()
 
 
 def test_frontier_gap_bounds():
@@ -133,11 +137,13 @@ def test_frontier_gap_bounds():
         FrontierAutomaton(i=1, b=3)
 
 
-def test_pascal_chain_counts_are_binomials():
+def test_pascal_chain_counts_are_binomials(monkeypatch):
     # C(66, 33) > 2^63: the rows must switch to exact Python ints
-    g22 = frontier_grow(2, 2, 70)
-    for n in range(0, 71):
-        assert g22["chain_counts"][n].tolist() == [comb(n, k) for k in range(n + 1)]
+    for chunk in (fibgf.stream.CHUNK, 3):
+        monkeypatch.setattr(fibgf.stream, "CHUNK", chunk)
+        g22 = frontier_grow(2, 2, 70)
+        for n in range(0, 71):
+            assert g22["chain_counts"][n].tolist() == [comb(n, k) for k in range(n + 1)]
 
 
 def _reference_frontier(i, b, n_max):

@@ -2,7 +2,10 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -156,17 +159,19 @@ def test_odd_counts_equal_alternating_nonzero_counts():
 def test_residue_engines_agree():
     spec = fibonacci_product_spec(0)
     for m in (2, 3, 4, 129, 256, 1000):
-        n_max = 14 if m < 5 else 10  # the oracle takes time proportional to m
-        assert residue_series(spec, m, n_max, engine="pure") == residue_series(spec, m, n_max), m
+        assert residue_series(spec, m, 14, engine="pure") == residue_series(spec, m, 14), m
     # negative coefficients reduce correctly mod m
     spec = fibonacci_product_spec(0, t=-1)
     assert residue_series(spec, 3, 12, engine="pure") == residue_series(spec, 3, 12)
     # a_2 = 2 vanishes mod 2 on the largest exponent, which still pads the length
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(1, 2))
     assert residue_series(spec, 2, 12, engine="pure") == residue_series(spec, 2, 12)
+    # -3x + 3x cancels over Z, so the factor is 1 and the degree does not grow
+    spec = ProductSpec(exponent_seq=RecurrentSeq((1,), (1,)), n=0, h=2, a=(-3, 3))
+    assert residue_series(spec, 3, 4) == residue_series(spec, 3, 4, engine="pure") == [[0, 1, 0]] * 5
     # a_1 = -1 is 65536 mod 65537, so the sums need uint64 arrays; past m = 2^32 they overflow it
     spec = fibonacci_product_spec(0, t=-1)
-    assert residue_series(spec, 65537, 3, engine="pure") == residue_series(spec, 65537, 3)
+    assert residue_series(spec, 65537, 10, engine="pure") == residue_series(spec, 65537, 10)
     with pytest.raises(ValueError, match="past uint64"):
         residue_series(spec, 2**32 + 1, 0)
     # a zero prefactor gives all-zero rows
@@ -208,7 +213,12 @@ def residue_specs(draw):
 @given(case=residue_specs(), n_max=st.integers(0, 7))
 def test_residue_engines_agree_with_vanishing_top_coefficient(case, n_max):
     spec, m = case
-    assert residue_series(spec, m, n_max) == residue_series(spec, m, n_max, engine="pure")
+    pure = residue_series(spec, m, n_max, engine="pure")
+    # blocks shorter than, equal to and longer than the exponents, so that
+    # multi-term factors read from the block they write
+    for chunk in (fibgf.stream.CHUNK, 1, 2, 3, 7):
+        with patch.object(fibgf.stream, "CHUNK", chunk):
+            assert residue_series(spec, m, n_max) == pure, chunk
 
 
 def test_value_predicate():
@@ -222,6 +232,21 @@ def test_residue_counts_span_chunks(monkeypatch):
     pure = residue_series(spec, 3, 12, engine="pure")
     monkeypatch.setattr(fibgf.stream, "CHUNK", 7)
     assert residue_series(spec, 3, 12) == pure
+
+
+def test_residue_stream_holds_one_array(monkeypatch):
+    # one byte per coefficient of the last product plus a few block
+    # temporaries; a fresh array per factor would hold about twice the data
+    monkeypatch.setattr(fibgf.stream, "CHUNK", 1 << 16)
+    spec = kbonacci_product_spec(3, 0)
+    length = replace(spec, n=26).degree_bound() + 1
+    tracemalloc.start()
+    try:
+        residue_series(spec, 3, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length + 16 * fibgf.stream.CHUNK, (peak, length)
 
 
 def test_memory_guard_names_limiting_n(monkeypatch):
