@@ -27,7 +27,7 @@ from .polynomials import (
     run_decomposition,
     stern_product_spec,
 )
-from .poset import PosetSlice, build_poset, flag_vectors, frontier_grow, frontier_poset, sigma_labels, upho_check
+from .poset import PosetSlice, flag_vectors, frontier_grow, frontier_poset, sigma_labels, upho_check
 from .sequences import (
     GoldenInt,
     RecurrentSeq,
@@ -65,7 +65,6 @@ __all__ = [
     "TPoly",
     "VERIFY_CHECKS",
     "a_vector",
-    "build_poset",
     "build_product",
     "check_drx_pattern",
     "check_even_part",

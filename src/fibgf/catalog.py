@@ -24,16 +24,8 @@ def _dict_to_list(d: dict):
 
 
 def _maybe_specialize(num: dict, den: dict, t) -> RationalFunc:
-    if t == "sym":
-        return RationalFunc(_dict_to_list(num), _dict_to_list(den))
-    tv = int(t)
-
-    def sp(c):
-        return c.evaluate(tv) if isinstance(c, TPoly) else c
-
-    return RationalFunc(
-        [sp(c) for c in _dict_to_list(num)], [sp(c) for c in _dict_to_list(den)]
-    )
+    rf = RationalFunc(_dict_to_list(num), _dict_to_list(den))
+    return rf if t == "sym" else rf.specialize_t(int(t))
 
 
 def _expand(*factors) -> list[int]:

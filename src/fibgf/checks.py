@@ -36,7 +36,6 @@ from .polynomials import (
     stern_product_spec,
 )
 from .poset import (
-    build_poset,
     flag_vectors,
     frontier_grow,
     frontier_poset,
@@ -90,28 +89,34 @@ def kbonacci_power_sums(k: int, rs: tuple[int, ...], n_max: int) -> dict[int, li
     return {r: corr_series(spec, CorrSpec((r,)), n_max) for r in rs}
 
 
+def _fit_failure(data: list, cf: RationalFunc, den_max: int, holdout: int) -> dict | None:
+    """Failure details unless ``data`` is the series of the catalog form
+    ``cf`` and ``guess_rational`` recovers that form from it; else None."""
+    expected = series_expand(cf, len(data))
+    if data != expected:
+        return {"mismatch": _first_mismatch(data, expected)}
+    fitted = guess_rational(data, den_max=den_max, holdout=holdout)
+    if fitted is None or fitted.integer_pair() != cf.integer_pair():
+        return {"fitted": None if fitted is None else fitted.to_json_dict()}
+    return None
+
+
 # -- verify checks -------------------------------------------------------------
 
 def check_thm1(nmax: int = 25, den_max: int = 10, holdout: int = 6):
     data = corr_series(fibonacci_product_spec(0), CorrSpec((2,)), nmax)
     cf = closed_form("thm1")
-    expected = series_expand(cf, nmax + 1)
-    if data != expected:
-        return "fail", {"mismatch": _first_mismatch(data, expected)}
-    fitted = guess_rational(data, den_max=den_max, holdout=holdout)
-    if fitted is None or fitted.integer_pair() != cf.integer_pair():
-        return "fail", {"fitted": None if fitted is None else fitted.to_json_dict()}
+    failure = _fit_failure(data, cf, den_max, holdout)
+    if failure:
+        return "fail", failure
     return "pass", {"terms": nmax + 1, "form": cf.to_json_dict()}
 
 
 def check_stern_u2(nmax: int = 18, den_max: int = 5, holdout: int = 6):
     data = corr_series(stern_product_spec(0), CorrSpec((2,)), nmax)
-    cf = closed_form("stern-u2")
-    if data != series_expand(cf, nmax + 1):
-        return "fail", {"mismatch": _first_mismatch(data, series_expand(cf, nmax + 1))}
-    fitted = guess_rational(data, den_max=den_max, holdout=holdout)
-    if fitted is None or fitted.integer_pair() != cf.integer_pair():
-        return "fail", {"fitted": None if fitted is None else fitted.to_json_dict()}
+    failure = _fit_failure(data, closed_form("stern-u2"), den_max, holdout)
+    if failure:
+        return "fail", failure
     return "pass", {"terms": nmax + 1}
 
 
@@ -173,7 +178,7 @@ def check_q2():
 
 
 def check_sigma_labels(nmax: int = 13):
-    poset = build_poset(nmax)
+    poset = frontier_poset(2, 3, nmax)
     res = sigma_labels(poset, nmax)
     seq = label_sequence_checks(res["sequences"], nmax)
     status = "pass" if seq["status"] == "pass" else "fail"
@@ -187,7 +192,7 @@ def check_sigma_labels(nmax: int = 13):
 
 
 def check_flag_beta(depth: int = 6):
-    poset = build_poset(depth)
+    poset = frontier_poset(2, 3, depth)
     fv = flag_vectors(poset, (1, 2))
     if fv["beta"] != -1 or fv["alpha_dp"] != 4:
         return "fail", fv
@@ -250,16 +255,14 @@ def check_phi_rgf(pairs=((2, 2), (2, 3), (3, 2), (3, 3)), nmax: int = 14):
 
 def check_upho(depth: int = 4, pairs=((2, 2), (2, 3), (3, 2), (3, 3))):
     results = {}
-    tri = build_poset(depth + 2)
-    rep = upho_check(tri, depth=depth, max_rank=2)
-    if rep["status"] != "pass":
-        return "fail", {"poset": "triangle", **rep}
-    results["triangle"] = "pass"
-    for i, b in pairs:
-        rep = upho_check(frontier_poset(i, b, depth + 2), depth=depth, max_rank=2)
-        if rep["status"] != "pass":
-            return "fail", {"poset": f"P({i},{b})", **rep}
-        results[f"P({i},{b})"] = "pass"
+    reports: dict[tuple[int, int], dict] = {}
+    # the triangle poset is P_{2,3}: it is built and checked once for both names
+    for name, pair in (("triangle", (2, 3)), *((f"P({i},{b})", (i, b)) for i, b in pairs)):
+        if pair not in reports:
+            reports[pair] = upho_check(frontier_poset(*pair, depth + 2), depth=depth, max_rank=2)
+        if reports[pair]["status"] != "pass":
+            return "fail", {"poset": name, **reports[pair]}
+        results[name] = "pass"
     return "pass", {"depth": depth, **results}
 
 
@@ -336,12 +339,9 @@ def check_zhao(nmax: int = 25):
 
 def check_v2m1(nmax: int = 25, den_max: int = 8, holdout: int = 6):
     data = corr_series(fibonacci_product_spec(0, t=-1), CorrSpec((2,)), nmax)
-    cf = closed_form("v2m1")
-    if data != series_expand(cf, nmax + 1):
-        return "fail", {"mismatch": _first_mismatch(data, series_expand(cf, nmax + 1))}
-    fitted = guess_rational(data, den_max=den_max, holdout=holdout)
-    if fitted is None or fitted.integer_pair() != cf.integer_pair():
-        return "fail", {"fitted": None if fitted is None else fitted.to_json_dict()}
+    failure = _fit_failure(data, closed_form("v2m1"), den_max, holdout)
+    if failure:
+        return "fail", failure
     return "pass", {"terms": nmax + 1}
 
 

@@ -27,7 +27,7 @@ from .polynomials import (
 from .sequences import RecurrentSeq
 from .stats import CorrSpec, corr_series, residue_series
 from .triangle import format_row, triangle_rows
-from .poset import build_poset
+from .poset import frontier_poset
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,7 +103,7 @@ def cmd_triangle(args) -> int:
             print(format_row(row))
         return EXIT_OK
     if args.action == "dot":
-        print(build_poset(args.rows).to_dot())
+        print(frontier_poset(2, 3, args.rows).to_dot())
         return EXIT_OK
     raise ValueError(f"unknown triangle action {args.action!r}")
 

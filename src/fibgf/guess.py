@@ -54,10 +54,6 @@ class RationalFunc:
         return f"RationalFunc(num={list(self.num)}, den={list(self.den)})"
 
     @property
-    def num_degree(self) -> int:
-        return len(self.num) - 1
-
-    @property
     def den_degree(self) -> int:
         return len(self.den) - 1
 

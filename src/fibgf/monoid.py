@@ -60,10 +60,6 @@ class MonoidWord:
     def to_json_obj(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
-    @classmethod
-    def from_json_obj(cls, data, k: int) -> "MonoidWord":
-        return cls(tuple(tuple(int(v) for v in row) for row in data), k)
-
 
 def enumerate_elements(k: int, r: int, n: int, cap: int | None = None) -> list[MonoidWord]:
     """All r-tuples of length-n rows with equal weighted sums, by pruned DFS.

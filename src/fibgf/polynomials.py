@@ -38,10 +38,6 @@ class TPoly:
         raise AttributeError("TPoly is immutable")
 
     @classmethod
-    def const(cls, v: int) -> TPoly:
-        return cls((v,))
-
-    @classmethod
     def t(cls) -> TPoly:
         return cls((0, 1))
 

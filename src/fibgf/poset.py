@@ -1,11 +1,12 @@
-"""Graded posets: the triangle poset, its edge labeling, and P_{ib} frontiers.
+"""Graded posets: the planar P_{ib} frontiers, edge labels and flag vectors.
 
 ``PosetSlice`` stores one graded poset truncated to finitely many ranks, as
-parent-index tuples per element (rank 0 is the bottom element).  The triangle
-poset is derived from the production rule; the planar ``i``-cover posets with
-the 2b-gon condition are grown by a frontier automaton.  Both record, for
-every element, its two (or i) children in left-to-right planar order, which
-drives the alternating edge labeling.
+parent-index tuples per element (rank 0 is the bottom element).  The planar
+posets P_{ib}, where every element has ``i`` covers and consecutive covers
+close a 2b-gon, are grown by a frontier automaton, which records every
+element's children in left-to-right planar order; that order drives the
+alternating edge labeling.  The poset the grouped weight triangle generates
+is P_{2,3}: ``frontier_poset(2, 3, n)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import combinations
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
 from .sequences import fibonacci, prec_compare
-from .triangle import CHILDREN, first_row, next_row, production_plan
 
 
 @dataclass
@@ -75,11 +75,8 @@ class PosetSlice:
 
 
 # Footprint of one PosetSlice element, its parent tuple and child-order slot
-# (tracemalloc peak per element: 176-191 bytes on P_ib with 8k-250k elements;
-# 250-258 bytes on the triangle poset with 29k-514k elements, which also holds
-# the current row and its production plan).
+# (tracemalloc peak per element: 176-191 bytes on P_ib with 8k-250k elements).
 POSET_ELEMENT_BYTES = 200
-TRIANGLE_ELEMENT_BYTES = 260
 
 
 def _check_frontier_cap(n: int, nbytes: int):
@@ -87,37 +84,6 @@ def _check_frontier_cap(n: int, nbytes: int):
         raise ResourceLimitError(
             f"ranks up to {n} need about {nbytes} bytes, over the RGF_MAX_MEM_MB cap", limit_n=n
         )
-
-
-def build_poset(n_max: int) -> PosetSlice:
-    """The triangle poset on ranks 0..n_max, with planar child order.
-
-    Raises ResourceLimitError(limit_n=n) when the elements up to rank n would
-    pass the RGF_MAX_MEM_MB cap.
-    """
-    parents: list[list[tuple[int, ...]]] = [[()]]
-    child_order: list[list[tuple[int, ...]]] = []
-    # rank 1: the two entries of row 1 cover the bottom
-    parents.append([(0,), (0,)])
-    child_order.append([(0, 1)])
-    row = first_row(1)
-    kept = 3
-    for n in range(1, n_max):
-        plan = production_plan(row)
-        kept += sum(len(CHILDREN[prod.kind]) for prod in plan)
-        _check_frontier_cap(n + 1, kept * TRIANGLE_ELEMENT_BYTES)
-        rank_parents: list[tuple[int, ...]] = []
-        order: list[list[int]] = [[] for _ in row.entries]
-        for prod in plan:
-            for terms in CHILDREN[prod.kind]:
-                covers = tuple(prod.parents[slot] for slot, _ in terms)
-                for p in covers:
-                    order[p].append(len(rank_parents))
-                rank_parents.append(covers)
-        parents.append(rank_parents)
-        child_order.append([tuple(o) for o in order])
-        row = next_row(row, 1)
-    return PosetSlice(parents=parents, child_order=child_order)
 
 
 # -- sigma edge labels --------------------------------------------------------
@@ -374,6 +340,11 @@ class FrontierAutomaton:
         return two_parents
 
 
+def _check_n_max(n_max: int):
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
+
+
 def frontier_grow(i: int, b: int, n_max: int) -> dict:
     """Grow P_{ib} to rank n_max; verify its counting identities.
 
@@ -384,12 +355,13 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     if q_n != i q_{n-1} - (i-1) q_{n-b}, or if a chain-count row differs from
     the product prod_j (1 + x^{r_j} + ... + x^{(i-1) r_j}); and
     ResourceLimitError(limit_n=n) when the rows and the step to rank n would
-    pass the RGF_MAX_MEM_MB cap.
+    pass the RGF_MAX_MEM_MB cap, and ValueError for a negative n_max.
     """
     import numpy as np
 
     from .stream import _shift_add_blocks
 
+    _check_n_max(n_max)
     dtype = np.int64 if i**n_max < 2**63 else object
     automaton = FrontierAutomaton(i, b, dtype)
     count_bytes = 8 if dtype is np.int64 else PYOBJ_BYTES_PER_COEFF
@@ -428,11 +400,13 @@ def frontier_poset(i: int, b: int, n_max: int) -> PosetSlice:
 
     New element k sits at candidate position c = k + (two-parent elements
     before k), so its first parent is c // i; a two-parent element also
-    covers the next one.  Raises ResourceLimitError(limit_n=n) when the
-    elements up to rank n would pass the RGF_MAX_MEM_MB cap.
+    covers the next one.  P_{2,3} is the triangle poset.  Raises
+    ResourceLimitError(limit_n=n) when the elements up to rank n would pass
+    the RGF_MAX_MEM_MB cap, and ValueError for a negative n_max.
     """
     import numpy as np
 
+    _check_n_max(n_max)
     automaton = FrontierAutomaton(i, b)
     parents: list[list[tuple[int, ...]]] = [[()]]
     child_order: list[list[tuple[int, ...]]] = []

@@ -75,7 +75,8 @@ class Production:
 
 # The production rule: per kind, the visible children of the new group, left
 # to right, each a sum of (parent slot, power of t) terms.  ``next_row``
-# evaluates it; ``poset.build_poset`` reads each child's covers from it.
+# evaluates it.  The children's covers make the triangle poset, which is
+# P_{2,3}: ``poset.frontier_poset(2, 3, n)`` grows it.
 CHILDREN = {
     "lead": (((0, 0),), ((0, 1),)),
     "pair": (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)),
@@ -126,11 +127,10 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
 
 
 def triangle_rows(n_max: int, t=1):
-    """Yield rows 1..n_max."""
-    row = first_row(t)
-    yield row
-    for _ in range(n_max - 1):
-        row = next_row(row, t)
+    """Yield rows 1..n_max (none when n_max <= 0)."""
+    row = None
+    for _ in range(n_max):
+        row = first_row(t) if row is None else next_row(row, t)
         yield row
 
 

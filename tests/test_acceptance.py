@@ -21,9 +21,9 @@ from fibgf.polynomials import (
     stern_product_spec,
 )
 from fibgf.poset import (
-    build_poset,
     flag_vectors,
     frontier_grow,
+    frontier_poset,
     label_sequence_checks,
     sigma_labels,
     upho_check,
@@ -196,7 +196,7 @@ def test_criterion_11_window_example():
 
 @criterion(12, "poset suite", 60)
 def test_criterion_12_poset_suite():
-    poset = build_poset(18)
+    poset = frontier_poset(2, 3, 18)
     sizes = poset.rank_sizes()
     for n in range(0, 19):
         assert sizes[n] == (fibonacci(n + 3) - 1 if n else 1)

@@ -77,6 +77,20 @@ def test_triangle_dot(capsys):
     assert out.startswith("digraph")
 
 
+def test_triangle_zero_and_negative_rows(capsys):
+    code, out, _ = run_cli(capsys, "triangle", "show", "--rows", "0")
+    assert code == 0 and out == ""
+    code, out, err = run_cli(capsys, "triangle", "dot", "--rows", "-2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "n_max >= 0" in err
+
+
+def test_verify_hnfn_at_zero_rows(capsys):
+    code, out, _ = run_cli(capsys, "verify", "hnfn", "--nmax", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["details"] == {"rows": 0, "symbolic": True}
+
+
 def test_guess_roundtrip(tmp_path, capsys):
     series = corr_series(fibonacci_product_spec(0), CorrSpec((2,)), 25)
     path = tmp_path / "seq.json"

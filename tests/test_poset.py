@@ -11,7 +11,7 @@ from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
     FrontierAutomaton,
-    build_poset,
+    PosetSlice,
     flag_vectors,
     frontier_grow,
     frontier_poset,
@@ -20,6 +20,7 @@ from fibgf.poset import (
     upho_check,
 )
 from fibgf.sequences import fibonacci, prec_compare
+from fibgf.triangle import CHILDREN, first_row, next_row, production_plan, triangle_rows
 
 
 def test_rank_sizes(poset13):
@@ -192,12 +193,52 @@ def test_array_automaton_matches_per_element_reference(i, b, n_max):
 
 def test_frontier_cap_names_limiting_rank(monkeypatch):
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
-    for build in (partial(frontier_grow, 3, 3), partial(frontier_poset, 3, 3), build_poset):
+    for build in (partial(frontier_grow, 3, 3), partial(frontier_poset, 3, 3), partial(frontier_poset, 2, 3)):
         with pytest.raises(ResourceLimitError) as err:
-            build(14)
+            build(16)
         limit = err.value.limit_n
-        assert limit is not None and 1 <= limit <= 14
+        assert limit is not None and 1 <= limit <= 16
         build(limit - 1)  # the ranks before it fit under the cap
+
+
+def test_negative_depth_is_rejected():
+    for build in (frontier_grow, frontier_poset):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            build(2, 3, -1)
+    assert frontier_poset(2, 3, 0).parents == [[()]]
+
+
+def _production_rule_poset(n_max):
+    """The triangle poset from the production rule: each child of a production
+    covers the parent slots of its terms.  Returns (parents, child_order)."""
+    parents: list[list[tuple[int, ...]]] = [[()], [(0,), (0,)]]
+    child_order: list[list[tuple[int, ...]]] = [[(0, 1)]]
+    row = first_row(1)
+    for _ in range(1, n_max):
+        rank_parents: list[tuple[int, ...]] = []
+        order: list[list[int]] = [[] for _ in row.entries]
+        for prod in production_plan(row):
+            for terms in CHILDREN[prod.kind]:
+                covers = tuple(prod.parents[slot] for slot, _ in terms)
+                for p in covers:
+                    order[p].append(len(rank_parents))
+                rank_parents.append(covers)
+        parents.append(rank_parents)
+        child_order.append([tuple(o) for o in order])
+        row = next_row(row, 1)
+    return parents, child_order
+
+
+def test_triangle_poset_is_the_production_rule_poset():
+    parents, child_order = _production_rule_poset(18)
+    for n in range(0, 19):
+        poset = frontier_poset(2, 3, n)
+        assert poset.parents == parents[: n + 1], n
+        assert poset.child_order == child_order[:n], n
+    counts = PosetSlice(parents=parents).chain_counts()
+    for n, row in enumerate(triangle_rows(18, 1), 1):
+        assert counts[n] == list(row.entries), n
+
 
 def test_upho_all_posets(poset13):
     assert upho_check(poset13, depth=4, max_rank=2)["status"] == "pass"
@@ -211,7 +252,8 @@ def test_upho_bottom_is_identity(poset13):
 
 
 def test_dot_export(poset13):
-    dot = build_poset(3).to_dot()
+    poset = frontier_poset(2, 3, 3)
+    dot = poset.to_dot()
     assert dot.startswith("digraph")
     assert '"r0_0" -> "r1_0"' in dot
-    assert dot.count("->") == sum(len(ps) for rank in build_poset(3).parents for ps in rank)
+    assert dot.count("->") == sum(len(ps) for rank in poset.parents for ps in rank)

@@ -22,6 +22,13 @@ def test_first_row():
     assert first_row(-1).entries == (1, -1)
 
 
+def test_triangle_rows_yields_exactly_n_max_rows():
+    for n_max in (-3, -1, 0, 1, 2, 5):
+        rows = list(triangle_rows(n_max, 1))
+        assert [row.index for row in rows] == list(range(1, n_max + 1))
+    verify_rows_match_product(0)
+
+
 def test_row_progression_matches_display():
     rows = list(triangle_rows(5, 1))
     assert rows[1].entries == (1, 1, 1, 1)
