@@ -295,19 +295,19 @@ def check_freegen(ks: tuple[int, ...] = (2, 3), nmax: int = 12):
     counts = {}
     for k in ks:
         expected = series_expand(closed_form("vk2n", k=k, t=1), nmax + 1)
+        # generator sequences per total length: every element is reached by
+        # one (its cut factorization), so equal counts leave it no other
+        sequences = transfer_series(k, 1, nmax)
         per_k = []
         for n in range(nmax + 1):
             elements = enumerate_elements(k, 2, n)
             per_k.append(len(elements))
             if len(elements) != expected[n]:
                 return "fail", {"k": k, "n": n, "count": len(elements), "want": expected[n]}
+            if len(elements) != sequences[n]:
+                return "fail", {"k": k, "n": n, "count": len(elements), "sequences": sequences[n]}
             for w in elements:
-                spans, count = factorization_spans(w)
-                if count != 1:
-                    return "fail", {"k": k, "n": n, "word": w.to_json_obj()}
-                acc_len = sum(stop - start for start, stop in spans)
-                if acc_len != w.length:
-                    return "fail", {"k": k, "n": n, "word": w.to_json_obj(), "pieces": acc_len}
+                factorization_spans(w)  # raises unless w factors into generators
         counts[k] = per_k
     return "pass", {"ks": list(ks), "nmax": nmax, "counts": counts}
 

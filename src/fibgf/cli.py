@@ -8,6 +8,7 @@ failed, 2 usage error, 3 no rational fit found, 4 resource cap hit.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -136,10 +137,15 @@ def _emit_report(rep, as_json: bool) -> None:
 
 
 def _check_params(args) -> dict:
-    params = {}
-    if args.nmax is not None:
-        params["nmax"] = args.nmax
-    return params
+    """The named check's parameters; ValueError for an --nmax it cannot take."""
+    if args.nmax is None:
+        return {}
+    if args.nmax < 0:
+        raise ValueError(f"need --nmax >= 0, got {args.nmax}")
+    taken = inspect.signature(VERIFY_CHECKS[args.name]).parameters
+    if "nmax" not in taken:
+        raise ValueError(f"verify {args.name} takes no --nmax; its parameters: {', '.join(taken) or 'none'}")
+    return {"nmax": args.nmax}
 
 
 def _run_or_error(name: str) -> CheckReport:

@@ -2,11 +2,14 @@
 
 An element is an r-tuple of 0/1 rows of one length n whose weighted sums
 sum_i a_i F^{(k)}_{i+k-1} agree across rows.  For r = 2 the monoid is freely
-generated by an explicit two-parameter family; ``free_factorize`` recovers
-the factorization and ``transfer_series`` expands 1/(1 - G) from the
-generator census.  ``word_classes`` and ``move_connectivity`` expose the
-rewriting side: baa <-> abb on letter words and 001 <-> 110 on weight
-vectors.
+generated by an explicit two-parameter family.  The certificate is a count:
+every element factors into generators at its balanced cuts, and the
+elements of each length are as many as the generator sequences of that
+length, the coefficients of 1/(1 - G) that ``transfer_series`` expands from
+the generator census, so no element has a second factorization.
+``free_factorize`` recovers the unique factorization.  ``word_classes`` and
+``move_connectivity`` expose the rewriting side: baa <-> abb on letter words
+and 001 <-> 110 on weight vectors.
 """
 
 from __future__ import annotations
@@ -224,9 +227,21 @@ def balanced_cut_positions(word: MonoidWord) -> list[int]:
     return _cut_pass(word)[0]
 
 
-def _factor_spans(word: MonoidWord, cuts: list[int], masks: list[int]) -> list[tuple[int, int]]:
-    """The (start, stop) column spans between consecutive cuts; raises
-    InvariantError unless they cover the word and each is a generator."""
+def factorization_spans(word: MonoidWord) -> list[tuple[int, int]]:
+    """The (start, stop) column spans between consecutive balanced cuts, from
+    one cut pass: the pieces of the word's factorization into generators.
+
+    Raises InvariantError unless the spans cover the word and each is a
+    generator.  That shows existence only.  Uniqueness follows by counting:
+    each generator sequence of total length n concatenates to one element,
+    and this pass shows every element of length n is reached, so the
+    elements factor uniquely once their number is [x^n] 1/(1 - G(x)), the
+    count of such sequences (``transfer_series``).  ``check_freegen`` makes
+    that comparison.
+    """
+    if word.length == 0:
+        return []
+    cuts, masks = _cut_pass(word)
     if not cuts or cuts[-1] != word.length:
         raise InvariantError("word is not weight-balanced", detail=word.rows)
     spans = list(zip([0] + cuts, cuts))
@@ -237,52 +252,17 @@ def _factor_spans(word: MonoidWord, cuts: list[int], masks: list[int]) -> list[t
     return spans
 
 
-def _count_factorizations(word: MonoidWord, cuts: list[int], masks: list[int]) -> int:
-    # every generator is a balanced pair, so nothing else factors
-    if len(masks) != 2 or not cuts or cuts[-1] != word.length:
-        return 0
-    top, bottom = masks
-    k = word.k
-    ways = {0: 1}  # ways[p]: factorizations of the length-p prefix, p a cut
-    for c in cuts:
-        # a generator has length 1 + jk, so only those starts can end at c
-        ways[c] = sum(
-            ways[c - g] for g in range(1, c + 1, k) if c - g in ways and _is_generator_piece(k, top, bottom, c - g, c)
-        )
-    return ways[word.length]
-
-
 def free_factorize(word: MonoidWord) -> list[MonoidWord]:
-    """The unique factorization into generators, by greedy shortest prefixes.
+    """The unique factorization into generators: the pieces between the
+    balanced cuts of ``factorization_spans``.
 
     Raises InvariantError if a segment between balanced cuts is not a
     generator (this would contradict free generation).
     """
-    if word.length == 0:
-        return []
     return [
         MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
-        for start, stop in _factor_spans(word, *_cut_pass(word))
+        for start, stop in factorization_spans(word)
     ]
-
-
-def factorization_count(word: MonoidWord) -> int:
-    """Number of ways to factor into generators (should be exactly 1)."""
-    if word.length == 0:
-        return 1
-    return _count_factorizations(word, *_cut_pass(word))
-
-
-def factorization_spans(word: MonoidWord) -> tuple[list[tuple[int, int]], int]:
-    """From one cut pass: the (start, stop) column spans of the pieces that
-    ``free_factorize`` returns, and ``factorization_count``.
-
-    Raises InvariantError as ``free_factorize`` does.
-    """
-    if word.length == 0:
-        return [], 1
-    cuts, masks = _cut_pass(word)
-    return _factor_spans(word, cuts, masks), _count_factorizations(word, cuts, masks)
 
 
 def transfer_series(k: int, t, n_max: int) -> list:

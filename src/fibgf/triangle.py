@@ -127,7 +127,9 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
 
 
 def triangle_rows(n_max: int, t=1):
-    """Yield rows 1..n_max (none when n_max <= 0)."""
+    """Yield rows 1..n_max (none when n_max = 0); ValueError for a negative n_max."""
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     row = None
     for _ in range(n_max):
         row = first_row(t) if row is None else next_row(row, t)

@@ -80,9 +80,10 @@ def test_triangle_dot(capsys):
 def test_triangle_zero_and_negative_rows(capsys):
     code, out, _ = run_cli(capsys, "triangle", "show", "--rows", "0")
     assert code == 0 and out == ""
-    code, out, err = run_cli(capsys, "triangle", "dot", "--rows", "-2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "n_max >= 0" in err
+    for action in ("dot", "show"):
+        code, out, err = run_cli(capsys, "triangle", action, "--rows", "-2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "n_max >= 0" in err
 
 
 def test_verify_hnfn_at_zero_rows(capsys):
@@ -213,6 +214,23 @@ def test_verify_pass_and_json(capsys):
     rep = json.loads(out)
     assert rep["check"] == "flag-beta" and rep["status"] == "pass"
     assert "elapsed_ms" in rep
+
+
+def test_verify_rejects_an_nmax_the_check_cannot_take(capsys):
+    for name in ("freegen", "runs", "golden", "m-recurrence"):
+        code, out, err = run_cli(capsys, "verify", name, "--nmax", "-2")
+        assert code == 2 and out == ""
+        assert err == "error: need --nmax >= 0, got -2\n"
+    for name, taken in (
+        ("upho", "depth, pairs"),
+        ("flag-beta", "depth"),
+        ("q2", "none"),
+        ("ep-powersum", "pairs, cap"),
+        ("ep-forgotten", "pairs, cap"),
+    ):
+        code, out, err = run_cli(capsys, "verify", name, "--nmax", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: verify {name} takes no --nmax; its parameters: {taken}\n"
 
 
 def test_verify_exercise_note_reports_counterexample(capsys):

@@ -3,16 +3,19 @@ from itertools import product as iproduct
 
 import pytest
 
+import fibgf.checks
 import fibgf.monoid
+from fibgf.checks import run_check
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.monoid import (
     MonoidWord,
+    _is_generator_piece,
+    _row_masks,
     _weights,
     balanced_cut_positions,
     class_power_sums,
     closed_form_census_series,
     enumerate_elements,
-    factorization_count,
     factorization_spans,
     free_factorize,
     generator_census_series,
@@ -24,6 +27,17 @@ from fibgf.monoid import (
 )
 from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec
 from fibgf.stats import CorrSpec, corr_series
+
+
+def reference_count(word):
+    """Factorizations into generators, trying a piece (of a generator's length
+    1 + jk) that ends at every position, balanced cut or not."""
+    ways = [1] + [0] * word.length
+    for stop in range(1, word.length + 1):
+        for start in range(stop - 1, -1, -word.k):
+            if ways[start] and is_generator(MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)):
+                ways[stop] += ways[start]
+    return ways[word.length]
 
 
 def test_enumeration_counts_match_squared_sums():
@@ -83,6 +97,17 @@ def test_generators_all_balanced_and_recognized():
             atoms = {w.rows for w in enumerate_elements(k, 2, n) if balanced_cut_positions(w) == [n]}
             assert atoms == {g.rows for g in generators(k, n) if g.length == n}, (k, n)
             assert all(is_generator(MonoidWord(rows, k)) for rows in atoms)
+    # the pieces the cut pass accepts are exactly the generators the census counts
+    for k in (2, 3, 4):
+        for length in range(1, 10):
+            accepted = [
+                (top, bottom)
+                for top in range(1 << length)
+                for bottom in range(1 << length)
+                if _is_generator_piece(k, top, bottom, 0, length)
+            ]
+            census = sorted(tuple(_row_masks(g.rows)) for g in generators(k, length) if g.length == length)
+            assert accepted == census, (k, length)
     assert not is_generator(MonoidWord(((1, 1, 0), (0, 0, 1), (1, 1, 0)), 2))
     assert not is_generator(MonoidWord(((), ()), 2))
 
@@ -100,7 +125,7 @@ def test_factorization_examples():
     assert free_factorize(w) == [w]
     # balanced, but no triple is a generator
     triple = MonoidWord(((0,), (0,), (0,)), 2)
-    assert factorization_count(triple) == 0
+    assert reference_count(triple) == 0
     with pytest.raises(InvariantError):
         free_factorize(triple)
     with pytest.raises(InvariantError):
@@ -112,22 +137,36 @@ def test_factorization_spans_counts_every_factorization(monkeypatch):
     # were every segment a generator, 000/000 would factor as 1+1+1 and as one piece
     monkeypatch.setattr(fibgf.monoid, "_is_generator_piece", lambda *args: True)
     w = MonoidWord(((0, 0, 0), (0, 0, 0)), 2)
-    assert factorization_count(w) == 2
-    assert factorization_spans(w) == ([(0, 1), (1, 2), (2, 3)], 2)
+    assert reference_count(w) == 2
+    assert factorization_spans(w) == [(0, 1), (1, 2), (2, 3)]
+
 
 def test_unique_factorization_small():
     for k in (2, 3):
         for n in range(0, 10):
             for w in enumerate_elements(k, 2, n):
-                assert factorization_count(w) == 1, (k, n, w.rows)
+                assert reference_count(w) == 1, (k, n, w.rows)
                 pieces = free_factorize(w)
                 stops = list(accumulate(p.length for p in pieces))
-                assert factorization_spans(w) == (list(zip([0] + stops, stops)), 1)
+                assert factorization_spans(w) == list(zip([0] + stops, stops))
                 if pieces:
                     acc = pieces[0]
                     for p in pieces[1:]:
                         acc = acc.concat(p)
                     assert acc.rows == w.rows
+
+
+def test_freegen_fails_where_the_sequence_count_differs(monkeypatch):
+    def off_by_one(k, t, n_max):
+        series = transfer_series(k, t, n_max)
+        if k == 3:
+            series[5] += 1
+        return series
+
+    monkeypatch.setattr(fibgf.checks, "transfer_series", off_by_one)
+    rep = run_check("verify", "freegen", ks=(2, 3), nmax=6)
+    assert rep.status == "fail"
+    assert (rep.details["k"], rep.details["n"]) == (3, 5)
 
 
 def test_left_cancellation():

@@ -23,10 +23,18 @@ def test_first_row():
 
 
 def test_triangle_rows_yields_exactly_n_max_rows():
-    for n_max in (-3, -1, 0, 1, 2, 5):
+    for n_max in (0, 1, 2, 5):
         rows = list(triangle_rows(n_max, 1))
         assert [row.index for row in rows] == list(range(1, n_max + 1))
     verify_rows_match_product(0)
+
+
+def test_negative_row_count_is_rejected():
+    for n_max in (-3, -1):
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            list(triangle_rows(n_max, 1))
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        verify_m_recurrence(-2)
 
 
 def test_row_progression_matches_display():
