@@ -19,9 +19,8 @@ from .guess import RationalFunc, check_drx_pattern, guess_rational, series_expan
 from .monoid import (
     class_power_sums,
     closed_form_census_series,
-    enumerate_elements,
-    factorization_spans,
     generator_census_series,
+    generator_lemma_failure,
     transfer_series,
     word_classes,
 )
@@ -294,21 +293,22 @@ def check_ep_forgotten(pairs=((2, 2), (2, 3), (3, 2)), cap: int = 6):
 def check_freegen(ks: tuple[int, ...] = (2, 3), nmax: int = 12):
     counts = {}
     for k in ks:
+        # the lemma: concatenating generators maps sequences into elements injectively
+        broken = generator_lemma_failure(k, nmax)
+        if broken:
+            generator, reason = broken
+            return "fail", {"k": k, "generator": generator.to_json_obj(), "reason": reason}
+        # the elements of length n are the pairs of rows of equal weight
+        elements = corr_series(kbonacci_product_spec(k, 0), CorrSpec((2,)), nmax)
         expected = series_expand(closed_form("vk2n", k=k, t=1), nmax + 1)
-        # generator sequences per total length: every element is reached by
-        # one (its cut factorization), so equal counts leave it no other
+        # as many generator sequences as elements make the injection a bijection
         sequences = transfer_series(k, 1, nmax)
-        per_k = []
-        for n in range(nmax + 1):
-            elements = enumerate_elements(k, 2, n)
-            per_k.append(len(elements))
-            if len(elements) != expected[n]:
-                return "fail", {"k": k, "n": n, "count": len(elements), "want": expected[n]}
-            if len(elements) != sequences[n]:
-                return "fail", {"k": k, "n": n, "count": len(elements), "sequences": sequences[n]}
-            for w in elements:
-                factorization_spans(w)  # raises unless w factors into generators
-        counts[k] = per_k
+        for n, count in enumerate(elements):
+            if count != expected[n]:
+                return "fail", {"k": k, "n": n, "count": count, "want": expected[n]}
+            if count != sequences[n]:
+                return "fail", {"k": k, "n": n, "count": count, "sequences": sequences[n]}
+        counts[k] = elements
     return "pass", {"ks": list(ks), "nmax": nmax, "counts": counts}
 
 
@@ -429,42 +429,26 @@ def scan_conj_jrkx(ks: tuple[int, ...] = (2, 3, 4), rs: tuple[int, ...] = (4, 5,
     return "pass", {"mode": "pass-at-depth", "evidence": evidence}
 
 
-# data-supported fitting grid: at k=4 the depth needed for r in {6,7} is out of
-# desk range, so those denominators are pattern-checked from the catalog only
-FIT_GRID = {2: (2, 3, 4, 5, 6, 7), 3: (2, 3, 4, 5, 6, 7), 4: (2, 3, 4, 5)}
-
-
 def scan_conj_drx(rs: tuple[int, ...] = (2, 3, 4, 5, 6, 7), kmax: int = 4, terms: int = 28):
-    reports = {}
+    if kmax < 2:
+        raise ValueError(f"need kmax >= 2, got {kmax}")
+    blocks = {2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 3}
+    if not set(rs) <= blocks.keys():
+        raise ValueError(f"conj-drx covers r = 2..7, got r = {sorted(set(rs) - blocks.keys())}")
+    holdout = 6
     fitted: dict[int, list[tuple[int, RationalFunc]]] = {r: [] for r in rs}
     for k in range(2, kmax + 1):
-        grid = [r for r in FIT_GRID.get(k, ()) if r in rs]
-        if not grid:
-            continue
-        series = kbonacci_power_sums(k, tuple(grid), terms)
-        for r in grid:
-            m = {2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 3}[r]
-            fit = guess_rational(series[r], den_max=m * k + 2, holdout=6)
+        for r in rs:
+            den_max = blocks[r] * k + 2
+            # a fit of degree den_max needs 2 den_max terms before the holdout
+            depth = max(terms, 2 * den_max + holdout)
+            fit = guess_rational(kbonacci_power_sums(k, (r,), depth)[r], den_max=den_max, holdout=holdout)
             if fit is None:
                 return "inconclusive", {"k": k, "r": r, "fit": None}
             fitted[r].append((k, fit))
-    catalog_extra = {
-        3: [(k, closed_form("conj-v3k", k=k, t=1)) for k in range(2, 6)],
-        4: [(k, closed_form("J4k", k=k)) for k in range(2, 6)],
-        5: [(k, closed_form("J5k", k=k)) for k in range(2, 6)],
-        6: [(k, closed_form("J6k", k=k)) for k in range(2, 6)],
-        7: [(k, closed_form("J7k", k=k)) for k in range(2, 6)],
-        2: [(k, closed_form("vk2n", k=k, t=1)) for k in range(2, 6)],
-    }
-    status = "pass"
-    for r in rs:
-        seen = {k for k, _ in fitted[r]}
-        forms = fitted[r] + [(k, f) for k, f in catalog_extra.get(r, []) if k not in seen]
-        rep = check_drx_pattern(forms, r)
-        reports[r] = rep
-        if rep["status"] != "pass":
-            status = "inconclusive"
-    return status, {"mode": "pass-at-depth", "pattern": reports, "fitted_grid": {k: list(v) for k, v in FIT_GRID.items() if k <= kmax}}
+    reports = {r: check_drx_pattern(fitted[r], r) for r in rs}
+    status = "pass" if all(rep["status"] == "pass" for rep in reports.values()) else "inconclusive"
+    return status, {"mode": "pass-at-depth", "pattern": reports}
 
 
 def scan_conj_h_k(ks: tuple[int, ...] = (2, 3, 4), depth: int = 22, depth31: int = 30):
@@ -568,6 +552,8 @@ def run_check(kind: str, name: str, **params) -> CheckReport:
     registry = VERIFY_CHECKS if kind == "verify" else SCAN_CHECKS
     if name not in registry:
         raise KeyError(f"unknown {kind} check {name!r}")
+    if params.get("nmax", 0) < 0:
+        raise ValueError(f"need nmax >= 0, got {params['nmax']}")
     start = time.monotonic()
     try:
         status, details = registry[name](**params)

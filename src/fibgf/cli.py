@@ -161,6 +161,8 @@ def _run_or_error(name: str) -> CheckReport:
 
 def cmd_verify(args) -> int:
     if args.name == "all":
+        if args.nmax is not None:
+            raise ValueError("verify all takes no --nmax; every check runs at its own defaults")
         failed = False
         for name in sorted(VERIFY_CHECKS):
             rep = _run_or_error(name)

@@ -2,14 +2,16 @@
 
 An element is an r-tuple of 0/1 rows of one length n whose weighted sums
 sum_i a_i F^{(k)}_{i+k-1} agree across rows.  For r = 2 the monoid is freely
-generated by an explicit two-parameter family.  The certificate is a count:
-every element factors into generators at its balanced cuts, and the
-elements of each length are as many as the generator sequences of that
-length, the coefficients of 1/(1 - G) that ``transfer_series`` expands from
-the generator census, so no element has a second factorization.
-``free_factorize`` recovers the unique factorization.  ``word_classes`` and
-``move_connectivity`` expose the rewriting side: baa <-> abb on letter words
-and 001 <-> 110 on weight vectors.
+generated by an explicit two-parameter family, shown without building an
+element.  Lemma (``generator_lemma_failure``): every generator balances at
+every shift and none has a proper prefix that does, so a concatenation of
+generators is an element whose balanced cuts are its piece boundaries, and
+generator sequences map into elements injectively.  Count: the elements of
+length n number sum_j c_n(j)^2 (the difference walk's square sum), as many
+as the sequences, [x^n] 1/(1 - G) (``transfer_series``), so the map is a
+bijection.  ``free_factorize`` recovers the unique factorization.
+``word_classes`` and ``move_connectivity`` expose the rewriting side:
+baa <-> abb on letter words and 001 <-> 110 on weight vectors.
 """
 
 from __future__ import annotations
@@ -167,18 +169,15 @@ def _generator_masks(k: int, length: int) -> tuple[int, int, int] | None:
     return stars, (last - 1) & ~stars, last
 
 
-def _is_generator_piece(k: int, top: int, bottom: int, start: int, stop: int) -> bool:
-    """Whether columns start..stop-1 of the pair with these row bitmasks form
-    a generator, by mask arithmetic."""
-    length = stop - start
+def _is_generator_piece(k: int, top: int, bottom: int, length: int) -> bool:
+    """Whether the length-``length`` pair with these row bitmasks is a
+    generator, by mask arithmetic."""
     if length == 1:
-        return not (top ^ bottom) >> start & 1
+        return top == bottom
     masks = _generator_masks(k, length)
     if masks is None:
         return False
     stars, fill, last = masks
-    span = (1 << length) - 1
-    top, bottom = (top >> start) & span, (bottom >> start) & span
     # the rows agree on the stars and differ everywhere else, in either order
     return top ^ bottom == fill | last and top & ~stars in (fill, last)
 
@@ -187,7 +186,7 @@ def is_generator(word: MonoidWord) -> bool:
     """Membership in the generator family."""
     if len(word.rows) != 2:
         return False
-    return _is_generator_piece(word.k, *_row_masks(word.rows), 0, word.length)
+    return _is_generator_piece(word.k, *_row_masks(word.rows), word.length)
 
 
 def generator_census_series(k: int, max_len: int, symbolic: bool = True) -> list:
@@ -214,55 +213,56 @@ def closed_form_census_series(k: int, max_len: int) -> list:
     return out[1:]
 
 
-def _cut_pass(word: MonoidWord) -> tuple[list[int], list[int]]:
-    """The balanced cut positions of the word, and its row bitmasks."""
-    w = _weights(word.k, word.length)
-    prefix_sums = [accumulate(bit * wp for bit, wp in zip(row, w)) for row in word.rows]
-    cuts = [p for p, sums in enumerate(zip(*prefix_sums), 1) if len(set(sums)) == 1]
-    return cuts, _row_masks(word.rows)
+def generator_lemma_failure(k: int, max_len: int) -> tuple[MonoidWord, str] | None:
+    """The first generator of ``generators(k, max_len)`` that breaks the
+    free-generation lemma, with the reason, or None.  With d_j = top_j -
+    bottom_j, a generator must (a) balance: D(s) = sum_j d_j w_{s+j} = 0 for
+    s < k, hence at every shift, as D obeys the weights' k-term recurrence;
+    (b) have no balanced proper prefix: off the last column d has one sign
+    and d_0 != 0, so with positive weights no proper prefix balances at any
+    shift; (c) be listed once.
+    """
+    seen = set()
+    for g in generators(k, max_len):
+        diff = [a - b for a, b in zip(*g.rows)]
+        w = _weights(k, g.length + k - 1)
+        if any(sum(d * wi for d, wi in zip(diff, w[s:])) for s in range(k)):
+            return g, "unbalanced"
+        head = diff[:-1]
+        if head and (head[0] == 0 or any(d * head[0] < 0 for d in head)):
+            return g, "balanced proper prefix"
+        if g.rows in seen:
+            return g, "repeated generator"
+        seen.add(g.rows)
+    return None
 
 
 def balanced_cut_positions(word: MonoidWord) -> list[int]:
     """Positions p (1 <= p <= n) where the length-p prefix has equal row weights."""
-    return _cut_pass(word)[0]
-
-
-def factorization_spans(word: MonoidWord) -> list[tuple[int, int]]:
-    """The (start, stop) column spans between consecutive balanced cuts, from
-    one cut pass: the pieces of the word's factorization into generators.
-
-    Raises InvariantError unless the spans cover the word and each is a
-    generator.  That shows existence only.  Uniqueness follows by counting:
-    each generator sequence of total length n concatenates to one element,
-    and this pass shows every element of length n is reached, so the
-    elements factor uniquely once their number is [x^n] 1/(1 - G(x)), the
-    count of such sequences (``transfer_series``).  ``check_freegen`` makes
-    that comparison.
-    """
-    if word.length == 0:
-        return []
-    cuts, masks = _cut_pass(word)
-    if not cuts or cuts[-1] != word.length:
-        raise InvariantError("word is not weight-balanced", detail=word.rows)
-    spans = list(zip([0] + cuts, cuts))
-    for start, stop in spans:
-        if len(masks) != 2 or not _is_generator_piece(word.k, *masks, start, stop):
-            piece = tuple(row[start:stop] for row in word.rows)
-            raise InvariantError("segment between balanced cuts is not a generator", detail=piece)
-    return spans
+    w = _weights(word.k, word.length)
+    prefix_sums = [accumulate(bit * wp for bit, wp in zip(row, w)) for row in word.rows]
+    return [p for p, sums in enumerate(zip(*prefix_sums), 1) if len(set(sums)) == 1]
 
 
 def free_factorize(word: MonoidWord) -> list[MonoidWord]:
     """The unique factorization into generators: the pieces between the
-    balanced cuts of ``factorization_spans``.
+    balanced cuts.
 
-    Raises InvariantError if a segment between balanced cuts is not a
-    generator (this would contradict free generation).
+    Lemma (``generator_lemma_failure``): the balanced cuts of a concatenation
+    of generators are exactly its piece boundaries, so no word has two
+    factorizations.  Count: the elements of length n, sum_j c_n(j)^2, are as
+    many as the generator sequences, [x^n] 1/(1 - G(x)) (``check_freegen``),
+    so every element has one.  Raises InvariantError unless the word is
+    balanced and every piece is a generator.
     """
-    return [
-        MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
-        for start, stop in factorization_spans(word)
-    ]
+    cuts = balanced_cut_positions(word)
+    if word.length and cuts[-1:] != [word.length]:
+        raise InvariantError("word is not weight-balanced", detail=word.rows)
+    pieces = [MonoidWord(tuple(row[a:b] for row in word.rows), word.k) for a, b in zip([0] + cuts, cuts)]
+    for piece in pieces:
+        if not is_generator(piece):
+            raise InvariantError("segment between balanced cuts is not a generator", detail=piece.rows)
+    return pieces
 
 
 def transfer_series(k: int, t, n_max: int) -> list:

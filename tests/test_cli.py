@@ -233,6 +233,18 @@ def test_verify_rejects_an_nmax_the_check_cannot_take(capsys):
         assert err == f"error: verify {name} takes no --nmax; its parameters: {taken}\n"
 
 
+def test_verify_all_refuses_nmax(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--nmax", "-5", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: verify all takes no --nmax; every check runs at its own defaults\n"
+
+
+def test_run_check_refuses_a_negative_nmax():
+    for name in ("runs", "golden", "freegen"):
+        with pytest.raises(ValueError, match="need nmax >= 0, got -2"):
+            fibgf.checks.run_check("verify", name, nmax=-2)
+
+
 def test_verify_exercise_note_reports_counterexample(capsys):
     code, out, _ = run_cli(capsys, "verify", "exercise-note", "--json")
     assert code == 1
@@ -247,6 +259,20 @@ def test_scan_smoke(capsys):
     rep = json.loads(out)
     assert rep["status"] == "pass"
     assert rep["details"]["mode"] == "pass-at-depth"
+
+
+def test_scan_conj_drx_fits_every_cell(capsys):
+    code, out, _ = run_cli(capsys, "scan", "conj-drx", "--r", "7", "--json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "pass" and "fitted_grid" not in rep["details"]
+    assert rep["details"]["pattern"]["7"]["k_values"] == [2, 3, 4]
+    code, out, err = run_cli(capsys, "scan", "conj-drx", "--kmax", "1", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: need kmax >= 2, got 1\n"
+    code, out, err = run_cli(capsys, "scan", "conj-drx", "--r", "8", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: conj-drx covers r = 2..7, got r = [8]\n"
 
 
 def test_custom_sequence_spec(tmp_path, capsys):

@@ -16,16 +16,16 @@ from fibgf.monoid import (
     class_power_sums,
     closed_form_census_series,
     enumerate_elements,
-    factorization_spans,
     free_factorize,
     generator_census_series,
+    generator_lemma_failure,
     generators,
     is_generator,
     move_connectivity,
     transfer_series,
     word_classes,
 )
-from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec
+from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.stats import CorrSpec, corr_series
 
 
@@ -43,6 +43,10 @@ def reference_count(word):
 def test_enumeration_counts_match_squared_sums():
     assert [len(enumerate_elements(2, 2, n)) for n in range(6)] == [1, 2, 4, 10, 24, 60]
     assert len(enumerate_elements(2, 2, 0)) == 1
+    # the walk's square sums, which freegen takes as the element counts
+    for k in (2, 3):
+        v2 = corr_series(kbonacci_product_spec(k, 0), CorrSpec((2,)), 9)
+        assert [len(enumerate_elements(k, 2, n)) for n in range(10)] == v2, k
 
 
 def test_enumeration_matches_brute_force():
@@ -97,14 +101,14 @@ def test_generators_all_balanced_and_recognized():
             atoms = {w.rows for w in enumerate_elements(k, 2, n) if balanced_cut_positions(w) == [n]}
             assert atoms == {g.rows for g in generators(k, n) if g.length == n}, (k, n)
             assert all(is_generator(MonoidWord(rows, k)) for rows in atoms)
-    # the pieces the cut pass accepts are exactly the generators the census counts
+    # the pairs the mask test accepts are exactly the generators the census counts
     for k in (2, 3, 4):
         for length in range(1, 10):
             accepted = [
                 (top, bottom)
                 for top in range(1 << length)
                 for bottom in range(1 << length)
-                if _is_generator_piece(k, top, bottom, 0, length)
+                if _is_generator_piece(k, top, bottom, length)
             ]
             census = sorted(tuple(_row_masks(g.rows)) for g in generators(k, length) if g.length == length)
             assert accepted == census, (k, length)
@@ -115,6 +119,20 @@ def test_generators_all_balanced_and_recognized():
 def test_census_matches_closed_form():
     for k in (2, 3, 4):
         assert generator_census_series(k, 13) == closed_form_census_series(k, 13)
+
+
+def test_generator_lemma_holds_at_every_shift():
+    for k in (2, 3, 4):
+        assert generator_lemma_failure(k, 14) is None, k
+    # the lemma's claims, checked shift by shift: each generator balances and
+    # no proper prefix of it does
+    for k in (2, 3, 4):
+        w = _weights(k, 24)
+        for g in generators(k, 10):
+            diff = [a - b for a, b in zip(*g.rows)]
+            for s in range(12):
+                partial = list(accumulate(d * wi for d, wi in zip(diff, w[s:])))
+                assert partial[-1] == 0 and all(partial[:-1]), (k, g.rows, s)
 
 
 def test_factorization_examples():
@@ -128,17 +146,14 @@ def test_factorization_examples():
     assert reference_count(triple) == 0
     with pytest.raises(InvariantError):
         free_factorize(triple)
-    with pytest.raises(InvariantError):
-        factorization_spans(triple)
 
 
-
-def test_factorization_spans_counts_every_factorization(monkeypatch):
+def test_free_factorize_cuts_at_every_balanced_position(monkeypatch):
     # were every segment a generator, 000/000 would factor as 1+1+1 and as one piece
     monkeypatch.setattr(fibgf.monoid, "_is_generator_piece", lambda *args: True)
     w = MonoidWord(((0, 0, 0), (0, 0, 0)), 2)
     assert reference_count(w) == 2
-    assert factorization_spans(w) == [(0, 1), (1, 2), (2, 3)]
+    assert [p.rows for p in free_factorize(w)] == [((0,), (0,))] * 3
 
 
 def test_unique_factorization_small():
@@ -147,8 +162,7 @@ def test_unique_factorization_small():
             for w in enumerate_elements(k, 2, n):
                 assert reference_count(w) == 1, (k, n, w.rows)
                 pieces = free_factorize(w)
-                stops = list(accumulate(p.length for p in pieces))
-                assert factorization_spans(w) == list(zip([0] + stops, stops))
+                assert list(accumulate(p.length for p in pieces)) == balanced_cut_positions(w)
                 if pieces:
                     acc = pieces[0]
                     for p in pieces[1:]:
@@ -169,6 +183,36 @@ def test_freegen_fails_where_the_sequence_count_differs(monkeypatch):
     assert (rep.details["k"], rep.details["n"]) == (3, 5)
 
 
+def test_freegen_fails_where_the_walk_count_differs(monkeypatch):
+    def off_by_one(spec, alpha, n_max):
+        series = corr_series(spec, alpha, n_max)
+        if spec == kbonacci_product_spec(3, 0):
+            series[5] += 1
+        return series
+
+    monkeypatch.setattr(fibgf.checks, "corr_series", off_by_one)
+    rep = run_check("verify", "freegen", ks=(2, 3), nmax=6)
+    assert rep.status == "fail"
+    assert rep.details == {"k": 3, "n": 5, "count": 41, "want": 40}
+
+
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        (((1, 1, 0, 0, 0), (0, 0, 1, 0, 0)), "balanced proper prefix"),  # 110/001 then 00/00
+        (((1, 0), (0, 1)), "unbalanced"),
+        (((1, 1, 0), (0, 0, 1)), "repeated generator"),
+    ],
+    ids=["prefix", "unbalanced", "repeated"],
+)
+def test_freegen_fails_on_a_generator_that_breaks_the_lemma(monkeypatch, extra, reason):
+    real = fibgf.monoid.generators
+    monkeypatch.setattr(fibgf.monoid, "generators", lambda k, max_len: real(k, max_len) + [MonoidWord(extra, k)])
+    rep = run_check("verify", "freegen", ks=(2,), nmax=6)
+    assert rep.status == "fail"
+    assert rep.details == {"k": 2, "generator": [list(row) for row in extra], "reason": reason}
+
+
 def test_left_cancellation():
     # prefix in the monoid and whole in the monoid imply the suffix is too
     for w in enumerate_elements(2, 2, 8):
@@ -183,8 +227,6 @@ def test_unbalanced_word_rejected():
         w.weight()
     with pytest.raises(InvariantError):
         free_factorize(w)
-    with pytest.raises(InvariantError):
-        factorization_spans(w)
 
 
 def test_transfer_series():
