@@ -2,10 +2,10 @@
 
 ``RGF_MAX_MEM_MB`` caps the estimated footprint of the pure engine's
 coefficient lists, of the residue stream's one array plus its block
-temporaries, of the states the difference walk stores, and of the rows and
-elements the P_ib frontier keeps (the triangle poset is
-``frontier_poset(2, 3, n)``).  The default is generous for desk-scale work
-but stops runaway expansions with a clean error.
+temporaries, of the states the difference walk and the residue carry
+automaton store, and of the rows and elements the P_ib frontier keeps (the
+triangle poset is ``frontier_poset(2, 3, n)``).  The default is generous for
+desk-scale work but stops runaway expansions with a clean error.
 """
 
 from __future__ import annotations

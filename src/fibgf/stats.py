@@ -4,8 +4,9 @@
 window cells beyond the degree are exact zeros and annihilate the product.
 ``corr_series`` gives those sums along a growing product, one value per
 factor count, from the difference walk in ``walk``; ``residue_series``
-counts residue classes on the numpy stream in ``stream``.  Expanding the
-product here stays as the small-depth oracle of both.
+counts residue classes with the carry automaton in ``carry``, and hands a
+series whose carries blow up to the numpy stream in ``stream``.  Expanding
+the product here stays as the small-depth oracle of all three.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 
+from .errors import ResourceLimitError
 from .polynomials import CoeffPoly, ProductSpec, build_product, scalar_is_zero
 from .walk import corr_walk_series
 
@@ -105,8 +107,15 @@ def residue_count(p: CoeffPoly, m: int, a: int) -> int:
 def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") -> list[list[int]]:
     """Per n in 0..n_max, the counts [h(n, a) for a in 0..m-1] for the product.
 
-    ``engine``: "auto" counts on the mod-m numpy stream; "pure" expands every
-    partial product, the small-depth oracle.  Both need integer coefficients.
+    ``engine``: "auto" runs the mod-m carry automaton, and "pure" expands
+    every partial product, the small-depth oracle.  Both need integer
+    coefficients.  When the numpy stream would fit the series, the automaton
+    may spend as many carry updates as the stream writes coefficients and
+    store states worth as many bytes as the stream would hold; past either,
+    the stream counts the series.  When the stream would not fit, the
+    automaton runs under the RGF_MAX_MEM_MB cap alone.
+    ResourceLimitError's ``limit_n`` is then the later of the two engines'
+    first failing n, so that ``limit_n - 1`` runs.
     """
     if engine not in ("auto", "pure"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -117,9 +126,23 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
         raise ValueError(_INTEGER_ONLY)
     full = replace(spec, n=n_max)
     if engine == "auto":
-        from .stream import residue_series_fast
+        from . import carry, stream
 
-        return residue_series_fast(full, m, n_max)
+        plan = stream.stream_plan(full, m, n_max)
+        if plan.limit is None:
+            try:
+                return carry.carry_residue_series(full, m, n_max, sum(plan.lengths), plan.footprint)
+            except ResourceLimitError:
+                return stream.residue_series_fast(full, m, n_max)
+        try:
+            return carry.carry_residue_series(full, m, n_max)
+        except ResourceLimitError as err:
+            limit = max(err.limit_n, plan.limit)
+            raise ResourceLimitError(
+                f"residue counts pass the RGF_MAX_MEM_MB cap at n = {limit} "
+                f"on both the carry automaton and the stream",
+                limit_n=limit,
+            ) from err
     out: list[list[int]] = []
 
     def count(i: int, poly: CoeffPoly):

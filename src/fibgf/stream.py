@@ -1,21 +1,22 @@
-"""numpy residue counts mod m for every integer product.
+"""numpy residue counts mod m: the fallback of the carry automaton.
 
-The pure-Python engine in ``polynomials``/``stats`` is the small-depth
-oracle; this module counts coefficients by residue class mod m along the
-growing product.  The product lives in one preallocated array, as long as the
-last partial product, of the narrowest unsigned dtype that holds one factor's
-sums, so depth-30 pipelines mod 2 and 3 stay on one byte per coefficient.
-Each factor rewrites the array in place from the top down, one ``CHUNK``-sized
-block at a time, and every block is reduced mod m and counted while it is
-still in cache.  Correlation sums do not come here: ``walk`` computes them
-without expanding the product.
+``carry`` counts coefficients by residue class mod m without building the
+product; this module is what ``stats.residue_series`` hands a series to when
+the automaton's carries blow up.  The product lives in one preallocated
+array, as long as the last partial product, of the narrowest unsigned dtype
+that holds one factor's sums, so depth-30 pipelines mod 2 and 3 stay on one
+byte per coefficient.  Each factor rewrites the array in place from the top
+down, one ``CHUNK``-sized block at a time, and every block is reduced mod m
+and counted while it is still in cache.  The pure-Python engine in
+``polynomials``/``stats`` is the small-depth oracle of both.  numpy is
+imported on first use, so that sizing a series (``stream_plan``) and
+``import fibgf`` stay numpy-free.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-
-import numpy as np
+from typing import NamedTuple
 
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
@@ -24,7 +25,7 @@ from .polynomials import ProductSpec
 CHUNK = 1 << 16
 
 
-def _shift_add_blocks(arr: np.ndarray, old_len: int, terms: list[tuple[int, int]]) -> Iterator[np.ndarray]:
+def _shift_add_blocks(arr, old_len: int, terms: list[tuple[int, int]]) -> Iterator:
     """Multiply arr[:old_len] by (1 + sum_j a_j x^{e_j}) in place, e_j >= 1.
 
     The product fills arr[:old_len + max e_j]; entries from old_len on must be
@@ -35,6 +36,8 @@ def _shift_add_blocks(arr: np.ndarray, old_len: int, terms: list[tuple[int, int]
     below its top, which no earlier block has changed; sources that reach
     into the block itself are copied before any term is added to it.
     """
+    import numpy as np
+
     chunk = CHUNK
     new_len = old_len + max((e for _, e in terms), default=0)
     for hi in range(new_len, 0, -chunk):
@@ -65,43 +68,65 @@ def _residue_terms(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]
     return [(c % m, e) for e, c in summed.items() if c]
 
 
+class StreamPlan(NamedTuple):
+    """The stream's sizes for one series, as ``stream_plan`` works them out."""
+
+    lengths: list[int]  # of the partial products for n = 0..n_max
+    itemsize: int  # bytes per entry
+    footprint: int  # bytes of the array at n_max and the block temporaries
+    limit: int | None  # the first n whose footprint passes the RGF_MAX_MEM_MB cap
+
+
+def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
+    """What the stream would hold for the series, without numpy.
+
+    Entries are below m after each reduction, and a factor adds at most
+    (m - 1) * sum_j (a_j mod m) to one, so an entry takes the smallest
+    unsigned width that holds (m - 1) * (1 + sum_j (a_j mod m)); past 8 bytes
+    this raises ValueError.
+    """
+    bound = (m - 1) * (1 + sum(aj % m for aj in spec.a))
+    itemsize = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size)), None)
+    if itemsize is None:
+        raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
+    first = 1 if spec.prefactor is None else spec.prefactor.degree + 1
+    lengths = [first]
+    for i in range(1, n_max + 1):
+        lengths.append(lengths[-1] + max((e for _, e in _residue_terms(spec.factor_terms(i), m)), default=0))
+    # h source copies of one block, and bincount's intp copy of it
+    temporaries = CHUNK * (len(spec.a) * itemsize + 8)
+    cap = max_mem_bytes()
+    limit = next((i for i, length in enumerate(lengths) if length * itemsize + temporaries > cap), None)
+    return StreamPlan(lengths, itemsize, lengths[-1] * itemsize + temporaries, limit)
+
+
 def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
     """Counts of coefficients in each residue class mod m, per factor count.
 
-    ``spec`` has integer coefficients.  Entries are below m after each
-    reduction, and a factor adds at most (m - 1) * sum_j (a_j mod m) to one,
-    so the array takes the smallest unsigned dtype that holds
-    (m - 1) * (1 + sum_j (a_j mod m)).  Raises ResourceLimitError(limit_n=i)
-    before any work when the array of the first i factors and the block
-    temporaries would pass the RGF_MAX_MEM_MB cap.
+    ``spec`` has integer coefficients; the array's width is ``stream_plan``'s.
+    Raises ResourceLimitError(limit_n=i) before any work when the array of
+    the first i factors and the block temporaries would pass the
+    RGF_MAX_MEM_MB cap.
     """
-    bound = (m - 1) * (1 + sum(aj % m for aj in spec.a))
-    dtype = np.min_scalar_type(bound)
-    if dtype.kind != "u":
-        raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
+    import numpy as np
+
+    lengths, itemsize, _, limit = stream_plan(spec, m, n_max)
     first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     if not first:
         return [[0] * m for _ in range(n_max + 1)]
-    factors = [_residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
-    lengths = [len(first)]
-    for terms in factors:
-        lengths.append(lengths[-1] + max((e for _, e in terms), default=0))
-    # h source copies of one block, and bincount's intp copy of it
-    temporaries = CHUNK * (len(spec.a) * dtype.itemsize + 8)
-    for i, length in enumerate(lengths):
-        if length * dtype.itemsize + temporaries > max_mem_bytes():
-            raise ResourceLimitError(
-                f"streaming product needs {length} coefficients at factor {i}, "
-                f"over the RGF_MAX_MEM_MB cap",
-                limit_n=i,
-            )
-    arr = np.zeros(lengths[-1], dtype=dtype)
+    if limit is not None:
+        raise ResourceLimitError(
+            f"streaming product needs {lengths[limit]} coefficients at factor {limit}, "
+            f"over the RGF_MAX_MEM_MB cap",
+            limit_n=limit,
+        )
+    arr = np.zeros(lengths[-1], dtype=f"u{itemsize}")
     arr[: len(first)] = [c % m for c in first]
     # bincount takes intp input (numpy 1.x refuses to cast uint64)
     out = [[int(v) for v in np.bincount(arr[: len(first)].astype(np.intp), minlength=m)]]
-    for i, terms in enumerate(factors):
+    for i in range(1, n_max + 1):
         counts = np.zeros(m, dtype=np.int64)
-        for block in _shift_add_blocks(arr, lengths[i], terms):
+        for block in _shift_add_blocks(arr, lengths[i - 1], _residue_terms(spec.factor_terms(i), m)):
             block %= m
             counts += np.bincount(block.astype(np.intp), minlength=m)
         out.append([int(v) for v in counts])

@@ -6,8 +6,8 @@ import fibgf.checks
 import fibgf.cli
 from fibgf.cli import main
 from fibgf.errors import InvariantError, ResourceLimitError
-from fibgf.polynomials import CoeffPoly, build_product, fibonacci_product_spec, kbonacci_product_spec
-from fibgf.sequences import GoldenInt
+from fibgf.polynomials import CoeffPoly, ProductSpec, build_product, fibonacci_product_spec, kbonacci_product_spec
+from fibgf.sequences import GoldenInt, RecurrentSeq
 from fibgf.stats import CorrSpec, corr_series, residue_count, residue_series
 from fibgf.triangle import format_row, triangle_rows
 
@@ -166,15 +166,19 @@ def test_resource_cap_exit_code(monkeypatch, capsys, tmp_path):
     assert err.startswith("error:") and "limit_n = " in err
 
 
-def test_residue_cap_exit_code(monkeypatch, capsys):
+def test_residue_cap_exit_code(tmp_path, monkeypatch, capsys):
+    # f_{i+1} = f_i + f_{i-3} grows too slowly for the carries to stay few, so
+    # both the carry automaton and the stream reach the cap
+    seq = tmp_path / "slow.json"
+    seq.write_text('{"coeffs": [1, 0, 0, 1], "init": [1, 1, 1, 1]}')
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
-    code, out, err = run_cli(capsys, "congruence", "--seq", "kbonacci:4", "--m", "2", "--a", "1", "--nmax", "40")
+    code, out, err = run_cli(capsys, "congruence", "--seq", f"custom:{seq}", "--m", "2", "--a", "1", "--nmax", "40")
     assert code == 4
     assert out == ""
     assert err.startswith("error:") and "limit_n = " in err
-    # limit_n is the first factor count whose array does not fit; one fewer runs under the cap
+    # limit_n is the first factor count neither engine reaches; one fewer runs under the cap
     limit = int(err.rsplit("limit_n = ", 1)[1].rstrip(")\n"))
-    spec = kbonacci_product_spec(4, 0)
+    spec = ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0)
     with pytest.raises(ResourceLimitError) as raised:
         residue_series(spec, 2, limit)
     assert raised.value.limit_n == limit

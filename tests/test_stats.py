@@ -12,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibgf.stream
+from fibgf.carry import carry_residue_series
+from fibgf.catalog import closed_form
 from fibgf.errors import ResourceLimitError
+from fibgf.guess import series_expand
 from fibgf.polynomials import (
     CoeffPoly,
     ProductSpec,
@@ -186,10 +189,10 @@ def test_residue_engines_agree():
 
 
 @st.composite
-def residue_specs(draw):
+def residue_specs(draw, max_m=5):
     """An integer spec and a modulus m whose coefficient on the largest
     exponent is a nonzero multiple of m."""
-    m = draw(st.integers(2, 5))
+    m = draw(st.integers(2, max_m))
     order = draw(st.integers(1, 2))
     # c_1 >= 1, the other c_j >= 0 and a sorted init: a nondecreasing sequence,
     # so the last of the terms f_i..f_{i+h-1} is the largest
@@ -218,7 +221,91 @@ def test_residue_engines_agree_with_vanishing_top_coefficient(case, n_max):
     # multi-term factors read from the block they write
     for chunk in (fibgf.stream.CHUNK, 1, 2, 3, 7):
         with patch.object(fibgf.stream, "CHUNK", chunk):
-            assert residue_series(spec, m, n_max) == pure, chunk
+            assert fibgf.stream.residue_series_fast(spec, m, n_max) == pure, chunk
+
+
+@st.composite
+def carry_specs(draw):
+    """residue_specs' space for m up to 7, with any top coefficient (0
+    included) and with factors whose equal exponents cancel over Z."""
+    spec, m = draw(residue_specs(max_m=7))
+    if draw(st.booleans()):
+        spec = replace(spec, a=spec.a[:-1] + (draw(st.integers(-3, 3)),))
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        seq = RecurrentSeq((1,), (draw(st.integers(1, 3)),))
+        spec = replace(spec, exponent_seq=seq, h=3, a=(c, draw(st.integers(-2, 2)), -c))
+    return spec, m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=carry_specs(), n_max=st.integers(0, 9))
+def test_carry_automaton_matches_pure_engine(case, n_max):
+    spec, m = case
+    assert carry_residue_series(spec, m, n_max) == residue_series(spec, m, n_max, engine="pure")
+
+
+def test_carry_automaton_matches_pure_engine_on_presets():
+    specs = (
+        fibonacci_product_spec(0),
+        fibonacci_product_spec(0, t=-1),
+        fibonacci_product_spec(0, t=2),
+        kbonacci_product_spec(3, 0),
+        stern_product_spec(0),
+    )
+    for spec in specs:
+        for m in (2, 3, 4, 7):
+            assert carry_residue_series(spec, m, 14) == residue_series(spec, m, 14, engine="pure"), (spec, m)
+    # a zero prefactor gives all-zero rows, though the factors still have digits
+    zero = replace(fibonacci_product_spec(0), prefactor=CoeffPoly([0]))
+    assert carry_residue_series(zero, 3, 6) == [[0, 0, 0]] * 7
+
+
+def test_residue_series_reaches_catalog_forms_at_depth_100():
+    # the stream would need about 10^21 coefficients here
+    depth = 100
+    for k in (2, 3, 4):
+        data = [row[1] for row in residue_series(kbonacci_product_spec(k, 0), 2, depth)]
+        assert data == series_expand(closed_form("Hk21", k=k), depth + 1), k
+    for k, name in ((2, "H31k2"), (3, "H31k3")):
+        data = [row[1] for row in residue_series(kbonacci_product_spec(k, 0), 3, depth)]
+        assert data == series_expand(closed_form(name), depth + 1), name
+    for m in (2, 3, 4):
+        rows = residue_series(fibonacci_product_spec(0), m, depth)
+        for a in range(m):
+            assert [row[a] for row in rows] == series_expand(closed_form("H", m=m, a=a), depth + 1), (m, a)
+
+
+def test_slow_recurrence_hands_off_to_stream():
+    # f_{i+1} = f_i + f_{i-3}: the carries outgrow the stream's coefficient
+    # count, so the stream counts the series
+    spec = ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0)
+    with patch.object(fibgf.stream, "residue_series_fast", wraps=fibgf.stream.residue_series_fast) as fast:
+        rows = residue_series(spec, 2, 20)
+    assert fast.call_count == 1
+    assert rows == residue_series(spec, 2, 20, engine="pure")
+
+
+def test_kbonacci_residues_never_call_stream():
+    fail = AssertionError("the stream was called")
+    with patch.object(fibgf.stream, "residue_series_fast", side_effect=fail):
+        for k in (2, 3, 4):
+            for m in (2, 3):
+                for n_max in (12, 22, 30):
+                    residue_series(kbonacci_product_spec(k, 0), m, n_max)
+
+
+def test_kbonacci_residues_leave_numpy_unloaded():
+    src = str(Path(fibgf.stream.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import sys\n"
+        "from fibgf.polynomials import kbonacci_product_spec\n"
+        "from fibgf.stats import residue_series\n"
+        "residue_series(kbonacci_product_spec(3, 0), 3, 30)\n"
+        "sys.exit('numpy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_value_predicate():
@@ -231,7 +318,7 @@ def test_residue_counts_span_chunks(monkeypatch):
     spec = kbonacci_product_spec(3, 0)
     pure = residue_series(spec, 3, 12, engine="pure")
     monkeypatch.setattr(fibgf.stream, "CHUNK", 7)
-    assert residue_series(spec, 3, 12) == pure
+    assert fibgf.stream.residue_series_fast(spec, 3, 12) == pure
 
 
 def test_residue_stream_holds_one_array(monkeypatch):
@@ -242,7 +329,7 @@ def test_residue_stream_holds_one_array(monkeypatch):
     length = replace(spec, n=26).degree_bound() + 1
     tracemalloc.start()
     try:
-        residue_series(spec, 3, 26)
+        fibgf.stream.residue_series_fast(spec, 3, 26)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
