@@ -26,8 +26,9 @@ the sparse map class -> number of k-suffixes, depends only on the state and
 the factors below, never on n, so one table per factor index is shared by
 the whole series, as in ``walk``.  Linear-recurrence digit systems are
 finite-state (Frougny, Math. Systems Theory 25, 1992), so for the presets
-the tables stay small; recurrences whose carries grow without bound run into
-the work budget or the RGF_MAX_MEM_MB cap.
+the tables stay small.  Recurrences whose carries grow without bound run into
+the work budget or the RGF_MAX_MEM_MB cap; each state is charged for its
+carries, successors and classes.
 """
 
 from __future__ import annotations
@@ -39,36 +40,55 @@ from .errors import ResourceLimitError
 from .polynomials import ProductSpec
 from .stream import _residue_terms
 
-# Estimated bytes per stored state (key tuple, completion map, successor map):
-# tracemalloc measured 500-1,100 on the presets and m from 2 to 65537.
-STATE_BYTES = 1000
+# Estimated bytes a stored state holds: a fixed part (table slot, key tuple,
+# completion and successor maps), and one part per carry in its key, per
+# successor and per class in its completion map.  tracemalloc measured 0.5 to
+# 0.75 of this on the presets, f_{i+1} = f_i + f_{i-3}, a prefactor of degree
+# 100 and m from 2 to 1000.
+STATE_BYTES = 500
+CARRY_BYTES = 100
+LINK_BYTES = 50
+CLASS_BYTES = 100
+
+# The stream's cost in carry updates: an update takes 1 to 2 us, the stream
+# about 6.5 ns per coefficient of its partial products, and numpy's import and
+# first call about 95 ms (2 vCPUs, Python 3.11, numpy 2.4).
+STREAM_COEFFS_PER_UPDATE = 250
+STREAM_SETUP_UPDATES = 60_000
+
+
+def stream_budget(coefficients: int) -> int:
+    """A quarter of the carry updates that take as long as the stream takes
+    on ``coefficients`` partial-product coefficients, so that a series the
+    automaton hands off costs at most about 1.25 times the stream alone."""
+    return (STREAM_SETUP_UPDATES + coefficients // STREAM_COEFFS_PER_UPDATE) // 4
 
 
 class _Carry:
-    def __init__(self, spec: ProductSpec, m: int, budget: int | None, max_bytes: int):
-        self.spec = spec
+    def __init__(self, spec: ProductSpec, m: int, factors: list, budget: int | None):
         self.m = m
         self.budget = budget
-        self.max_bytes = max_bytes
+        self.max_bytes = max_mem_bytes()
         first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
         self.first = [c % m for c in first]
         self.degree = [len(first) - 1]  # degree[i]: the degree after factor i
         self.factors: list = [None]  # factor i: (D_i, ((e, a_e mod m), ...)), or None
-        self.tables: list[dict[tuple, dict[int, int]]] = [{}]
-        self.stored = 0
-        self.work = 0  # carry updates and prefactor reads
-
-    def _add_factor(self) -> None:
-        terms = _residue_terms(self.spec.factor_terms(len(self.factors)), self.m)
-        if terms:
-            base = max(e for _, e in terms)
+        for terms in factors:
+            base = max((e for _, e in terms), default=0)
             choices = ((0, 1),) + tuple((e, w) for w, e in terms if w)
-            self.factors.append((base, choices))
-        else:
-            base = 0
-            self.factors.append(None)
-        self.degree.append(self.degree[-1] + base)
-        self.tables.append({})
+            self.factors.append((base, choices) if base else None)
+            self.degree.append(self.degree[-1] + base)
+        self.tables: list[dict[tuple, dict[int, int]]] = [{} for _ in self.factors]
+        self.stored = 0  # estimated bytes of the tables and the pending level
+        self.work = 0  # carry updates, prefactor reads and class merges
+
+    def _store(self, size: int, n: int) -> None:
+        self.stored += size
+        if self.stored > self.max_bytes:
+            raise ResourceLimitError(
+                f"carry automaton's states pass {self.max_bytes} bytes at n = {n}",
+                limit_n=n,
+            )
 
     def _spend(self, units: int, n: int) -> None:
         self.work += units
@@ -120,8 +140,6 @@ class _Carry:
 
     def row(self, n: int) -> list[int]:
         """[h(n, a) for a in 0..m-1]: the completion of the start state."""
-        while len(self.factors) <= n:
-            self._add_factor()
         m = self.m
         if not self.first:  # P = 0
             return [0] * m
@@ -130,18 +148,16 @@ class _Carry:
         need = set() if start in self.tables[n] else {start}
         i = n
         while need:
-            self.stored += len(need)
-            if self.stored * STATE_BYTES > self.max_bytes:
-                raise ResourceLimitError(
-                    f"carry automaton needs {self.stored} states at n = {n}, past {self.max_bytes} bytes",
-                    limit_n=n,
-                )
             if not i:
                 table = self.tables[0]
                 for state in need:
                     table[state] = self._read_prefactor(state, n)
+                    self._store(STATE_BYTES + CARRY_BYTES * len(state[1]) + CLASS_BYTES * len(table[state]), n)
                 break
-            level = {state: self._successors(state, i, n) for state in need}
+            level = {}
+            for state in need:
+                level[state] = self._successors(state, i, n)
+                self._store(STATE_BYTES + CARRY_BYTES * len(state[1]) + LINK_BYTES * len(level[state][0]), n)
             pending.append((i, level))
             below = self.tables[i - 1]
             need = {s for succ, _ in level.values() for s in succ if s not in below}
@@ -151,26 +167,32 @@ class _Carry:
             for state, (succ, zeros) in level.items():
                 classes: Counter = Counter({0: zeros} if zeros else {})
                 for nxt, ways in succ.items():
-                    for a, count in below[nxt].items():
+                    done = below[nxt]
+                    self._spend(len(done), n)
+                    for a, count in done.items():
                         classes[a] += ways * count
                 table[state] = classes
+                self._store(CLASS_BYTES * len(classes), n)
         classes = self.tables[n][start]
         return [classes[a] for a in range(m)]
 
 
 def carry_residue_series(
-    spec: ProductSpec, m: int, n_max: int, budget: int | None = None, max_bytes: int | None = None
+    spec: ProductSpec, m: int, n_max: int, budget: int | None = None, factors: list | None = None
 ) -> list[list[int]]:
     """Per n in 0..n_max, [h(n, a) for a in 0..m-1] for the integer product ``spec``.
 
-    Raises ``ResourceLimitError`` with ``limit_n`` = the first n whose states
-    would pass ``max_bytes`` (default: the RGF_MAX_MEM_MB cap) or, when
-    ``budget`` is given, whose carry updates and prefactor reads would pass
-    ``budget`` in total over the series.
+    ``factors`` are the residue terms of factors 1..n_max as ``stream_plan``
+    lists them, worked out here when not given.  Raises ``ResourceLimitError``
+    with ``limit_n`` = the first n whose states would pass the RGF_MAX_MEM_MB
+    cap or, when ``budget`` is given, whose carry updates, prefactor reads and
+    class merges would pass ``budget`` in total over the series.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    automaton = _Carry(spec, m, budget, max_mem_bytes() if max_bytes is None else max_bytes)
+    if factors is None:
+        factors = [_residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+    automaton = _Carry(spec, m, factors, budget)
     return [automaton.row(n) for n in range(n_max + 1)]

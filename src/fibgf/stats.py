@@ -109,12 +109,12 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
 
     ``engine``: "auto" runs the mod-m carry automaton, and "pure" expands
     every partial product, the small-depth oracle.  Both need integer
-    coefficients.  When the numpy stream would fit the series, the automaton
-    may spend as many carry updates as the stream writes coefficients and
-    store states worth as many bytes as the stream would hold; past either,
-    the stream counts the series.  When the stream would not fit, the
-    automaton runs under the RGF_MAX_MEM_MB cap alone.
-    ResourceLimitError's ``limit_n`` is then the later of the two engines'
+    coefficients.  The automaton may spend about as long as the numpy stream
+    would take on the series (``carry.stream_budget``), or, when the stream
+    would not fit the RGF_MAX_MEM_MB cap, on the deepest series it fits;
+    both engines store under that cap.  Past its budget or the cap, the
+    automaton hands the series to the stream if the stream fits, and else
+    raises ResourceLimitError with ``limit_n`` the later of the two engines'
     first failing n, so that ``limit_n - 1`` runs.
     """
     if engine not in ("auto", "pure"):
@@ -129,18 +129,15 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
         from . import carry, stream
 
         plan = stream.stream_plan(full, m, n_max)
-        if plan.limit is None:
-            try:
-                return carry.carry_residue_series(full, m, n_max, sum(plan.lengths), plan.footprint)
-            except ResourceLimitError:
-                return stream.residue_series_fast(full, m, n_max)
+        budget = carry.stream_budget(sum(plan.lengths[: plan.limit]))
         try:
-            return carry.carry_residue_series(full, m, n_max)
+            return carry.carry_residue_series(full, m, n_max, budget, plan.factors)
         except ResourceLimitError as err:
+            if plan.limit is None:
+                return stream.residue_series_fast(full, m, n_max, plan)
             limit = max(err.limit_n, plan.limit)
             raise ResourceLimitError(
-                f"residue counts pass the RGF_MAX_MEM_MB cap at n = {limit} "
-                f"on both the carry automaton and the stream",
+                f"{err}, and the stream passes the RGF_MAX_MEM_MB cap at n = {plan.limit}",
                 limit_n=limit,
             ) from err
     out: list[list[int]] = []

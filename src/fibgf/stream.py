@@ -71,9 +71,9 @@ def _residue_terms(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]
 class StreamPlan(NamedTuple):
     """The stream's sizes for one series, as ``stream_plan`` works them out."""
 
+    factors: list[list[tuple[int, int]]]  # _residue_terms of factors 1..n_max
     lengths: list[int]  # of the partial products for n = 0..n_max
     itemsize: int  # bytes per entry
-    footprint: int  # bytes of the array at n_max and the block temporaries
     limit: int | None  # the first n whose footprint passes the RGF_MAX_MEM_MB cap
 
 
@@ -83,34 +83,35 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     Entries are below m after each reduction, and a factor adds at most
     (m - 1) * sum_j (a_j mod m) to one, so an entry takes the smallest
     unsigned width that holds (m - 1) * (1 + sum_j (a_j mod m)); past 8 bytes
-    this raises ValueError.
+    this raises ValueError.  The footprint of n factors is the array of their
+    product and the block temporaries.
     """
     bound = (m - 1) * (1 + sum(aj % m for aj in spec.a))
     itemsize = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size)), None)
     if itemsize is None:
         raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
-    first = 1 if spec.prefactor is None else spec.prefactor.degree + 1
-    lengths = [first]
-    for i in range(1, n_max + 1):
-        lengths.append(lengths[-1] + max((e for _, e in _residue_terms(spec.factor_terms(i), m)), default=0))
+    factors = [_residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+    lengths = [1 if spec.prefactor is None else spec.prefactor.degree + 1]
+    for terms in factors:
+        lengths.append(lengths[-1] + max((e for _, e in terms), default=0))
     # h source copies of one block, and bincount's intp copy of it
     temporaries = CHUNK * (len(spec.a) * itemsize + 8)
     cap = max_mem_bytes()
     limit = next((i for i, length in enumerate(lengths) if length * itemsize + temporaries > cap), None)
-    return StreamPlan(lengths, itemsize, lengths[-1] * itemsize + temporaries, limit)
+    return StreamPlan(factors, lengths, itemsize, limit)
 
 
-def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
+def residue_series_fast(spec: ProductSpec, m: int, n_max: int, plan: StreamPlan | None = None) -> list[list[int]]:
     """Counts of coefficients in each residue class mod m, per factor count.
 
-    ``spec`` has integer coefficients; the array's width is ``stream_plan``'s.
-    Raises ResourceLimitError(limit_n=i) before any work when the array of
-    the first i factors and the block temporaries would pass the
-    RGF_MAX_MEM_MB cap.
+    ``spec`` has integer coefficients; ``plan`` is ``stream_plan(spec, m,
+    n_max)``, worked out here when not given.  Raises
+    ResourceLimitError(limit_n=i) before any work when the array of the first
+    i factors and the block temporaries would pass the RGF_MAX_MEM_MB cap.
     """
     import numpy as np
 
-    lengths, itemsize, _, limit = stream_plan(spec, m, n_max)
+    factors, lengths, itemsize, limit = stream_plan(spec, m, n_max) if plan is None else plan
     first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     if not first:
         return [[0] * m for _ in range(n_max + 1)]
@@ -124,9 +125,9 @@ def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]
     arr[: len(first)] = [c % m for c in first]
     # bincount takes intp input (numpy 1.x refuses to cast uint64)
     out = [[int(v) for v in np.bincount(arr[: len(first)].astype(np.intp), minlength=m)]]
-    for i in range(1, n_max + 1):
+    for i, terms in enumerate(factors):
         counts = np.zeros(m, dtype=np.int64)
-        for block in _shift_add_blocks(arr, lengths[i - 1], _residue_terms(spec.factor_terms(i), m)):
+        for block in _shift_add_blocks(arr, lengths[i], terms):
             block %= m
             counts += np.bincount(block.astype(np.intp), minlength=m)
         out.append([int(v) for v in counts])

@@ -1,14 +1,17 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 import fibgf.checks
 import fibgf.cli
+from fibgf.carry import stream_budget
 from fibgf.cli import main
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import CoeffPoly, ProductSpec, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.sequences import GoldenInt, RecurrentSeq
 from fibgf.stats import CorrSpec, corr_series, residue_count, residue_series
+from fibgf.stream import stream_plan
 from fibgf.triangle import format_row, triangle_rows
 
 
@@ -185,6 +188,24 @@ def test_residue_cap_exit_code(tmp_path, monkeypatch, capsys):
     counts = residue_series(spec, 2, limit - 1)
     monkeypatch.delenv("RGF_MAX_MEM_MB")  # the pure oracle charges 32 bytes a coefficient
     assert counts == residue_series(spec, 2, limit - 1, engine="pure")
+
+
+def test_residue_past_stream_cap_stops_at_carry_budget(monkeypatch, capsys):
+    # at m = 1000 the Fibonacci product's carries keep growing; where the
+    # stream passes the cap, the automaton stops at its work budget, which is
+    # sized by the deepest series the stream holds, long before the cap
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "16")
+    code, out, err = run_cli(capsys, "congruence", "--m", "1000", "--a", "1", "--nmax", "45")
+    assert code == 4
+    assert out == ""
+    limit = int(err.rsplit("limit_n = ", 1)[1].rstrip(")\n"))
+    spec = fibonacci_product_spec(0)
+    plan = stream_plan(replace(spec, n=45), 1000, 45)
+    assert limit == plan.limit
+    with pytest.raises(ResourceLimitError) as raised:
+        residue_series(spec, 1000, 45)
+    budget = stream_budget(sum(plan.lengths[:limit]))
+    assert f"passed its budget of {budget} carry updates" in str(raised.value.__cause__)
 
 
 def test_guess_no_fit_exit_code(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibgf.carry
 import fibgf.stream
 from fibgf.carry import carry_residue_series
 from fibgf.catalog import closed_form
@@ -284,6 +285,25 @@ def test_slow_recurrence_hands_off_to_stream():
         rows = residue_series(spec, 2, 20)
     assert fast.call_count == 1
     assert rows == residue_series(spec, 2, 20, engine="pure")
+
+
+def test_carry_states_are_charged_by_size():
+    # many carries per state (f_{i+1} = f_i + f_{i-3} mod 2), or many classes
+    # per state (a prefactor of degree 100 mod 1000, where the tables hold
+    # about 2,300 bytes a state): the estimate covers what the tables hold
+    slow = ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0)
+    long = replace(fibonacci_product_spec(0), prefactor=CoeffPoly(list(range(1, 102))))
+    for spec, m, n_max in ((slow, 2, 20), (long, 1000, 10)):
+        factors = [fibgf.stream._residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+        tracemalloc.start()
+        try:
+            automaton = fibgf.carry._Carry(spec, m, factors, None)
+            for n in range(n_max + 1):
+                automaton.row(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < automaton.stored, (m, peak, automaton.stored)
 
 
 def test_kbonacci_residues_never_call_stream():
