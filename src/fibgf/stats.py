@@ -109,10 +109,10 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
 
     ``engine``: "auto" runs the mod-m carry automaton, and "pure" expands
     every partial product, the small-depth oracle.  Both need integer
-    coefficients.  The automaton may spend about as long as the numpy stream
-    would take on the series (``carry.stream_budget``), or, when the stream
-    would not fit the RGF_MAX_MEM_MB cap, on the deepest series it fits;
-    both engines store under that cap.  Past its budget or the cap, the
+    coefficients.  The automaton may spend a quarter of the time the numpy
+    stream would take on the series (``carry.stream_budget``), or, when the
+    stream would not fit the RGF_MAX_MEM_MB cap, on the deepest series it
+    fits; both engines store under that cap.  Past its budget or the cap, the
     automaton hands the series to the stream if the stream fits, and else
     raises ResourceLimitError with ``limit_n`` the later of the two engines'
     first failing n, so that ``limit_n - 1`` runs.
