@@ -6,10 +6,11 @@ product is built: k is read as a digit word over the factors' degrees, from
 the top factor down, and c(k) mod m is tracked as a weighted set of carries.
 
 Digits.  Factor i has digit base D_i, its largest exponent whose summed
-coefficient is nonzero over Z; a factor whose terms all cancel is 1 and has
-no digit.  At the top R is the degree of the whole product.  A digit d at
-factor i leaves R' = min(R - d D_i, D_i - 1) for the factors below, so the
-digit words biject onto k in [0, deg] for any positive bases.  After factor 1
+coefficient is nonzero over Z (the last of ``ProductSpec.factor_terms``); a
+factor whose terms all cancel is 1 and has no digit.  At the top R is the
+degree of the whole product.  A digit d at factor i leaves
+R' = min(R - d D_i, D_i - 1) for the factors below, so the digit words
+biject onto k in [0, deg] for any positive bases.  After factor 1
 a remainder r in [0, R] is read against P's dense coefficients.
 
 Carries.  A carry V is the part of k not yet matched by the chosen exponents:
@@ -33,12 +34,12 @@ carries, successors and classes.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .polynomials import ProductSpec
-from .stream import _residue_terms
 
 # Estimated bytes a stored state holds: a fixed part (table slot, key tuple,
 # completion and successor maps), and one part per carry in its key, per
@@ -60,8 +61,10 @@ STREAM_SETUP_UPDATES = 60_000
 def stream_budget(coefficients: int) -> int:
     """A quarter of the carry updates that take as long as the stream takes
     on ``coefficients`` partial-product coefficients, so that a series the
-    automaton hands off costs at most about 1.25 times the stream alone."""
-    return (STREAM_SETUP_UPDATES + coefficients // STREAM_COEFFS_PER_UPDATE) // 4
+    automaton hands off costs at most about 1.25 times the stream alone.
+    numpy's import is charged only while numpy is not yet loaded."""
+    setup = 0 if "numpy" in sys.modules else STREAM_SETUP_UPDATES
+    return (setup + coefficients // STREAM_COEFFS_PER_UPDATE) // 4
 
 
 class _Carry:
@@ -182,17 +185,18 @@ def carry_residue_series(
 ) -> list[list[int]]:
     """Per n in 0..n_max, [h(n, a) for a in 0..m-1] for the integer product ``spec``.
 
-    ``factors`` are the residue terms of factors 1..n_max as ``stream_plan``
-    lists them, worked out here when not given.  Raises ``ResourceLimitError``
-    with ``limit_n`` = the first n whose states would pass the RGF_MAX_MEM_MB
-    cap or, when ``budget`` is given, whose carry updates, prefactor reads and
-    class merges would pass ``budget`` in total over the series.
+    ``factors`` are factors 1..n_max as ``stream_plan`` lists them, (a mod m,
+    e) per term of ``ProductSpec.factor_terms``, worked out here when not
+    given.  Raises ``ResourceLimitError`` with ``limit_n`` = the first n whose
+    states would pass the RGF_MAX_MEM_MB cap or, when ``budget`` is given,
+    whose carry updates, prefactor reads and class merges would pass
+    ``budget`` in total over the series.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     if factors is None:
-        factors = [_residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+        factors = [[(c % m, e) for c, e in spec.factor_terms(i)] for i in range(1, n_max + 1)]
     automaton = _Carry(spec, m, factors, budget)
     return [automaton.row(n) for n in range(n_max + 1)]

@@ -15,6 +15,7 @@ import time
 from dataclasses import replace
 
 from .checks import SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
+from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .guess import guess_rational
 from .polynomials import (
@@ -261,6 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        max_mem_bytes()  # a malformed cap is a usage error of every command
         return args.func(args)
     except ResourceLimitError as err:
         print(f"error: {err} (limit_n = {err.limit_n})", file=sys.stderr)

@@ -4,13 +4,15 @@
 "scalars" throughout the package are either Python ints (the degree-0 case,
 kept as ints for speed) or ``TPoly`` values, which interoperate under +, -, *.
 
-``CoeffPoly`` is a polynomial in x over those scalars, stored dense (list)
-or, for very gappy exponent sequences, sparse (dict keyed by exponent).
-``build_product`` expands products of the shape
+``CoeffPoly`` is a polynomial in x over those scalars, stored as a dense
+list.  ``ProductSpec`` describes products of the shape
 
     P(x) * prod_{i=1}^{n} (1 + a_1 x^{f_{i+off}} + ... + a_h x^{f_{i+off+h-1}})
 
-by shifted adds, streaming each partial product to an optional callback.
+and ``ProductSpec.factor_terms`` gives each factor's terms in the one normal
+form every engine reads.  ``build_product`` expands the product by shifted
+adds, streaming each partial product to an optional callback; it is the
+small-depth oracle of the walk, the carry automaton and the residue stream.
 """
 
 from __future__ import annotations
@@ -157,68 +159,49 @@ def scalar_to_tcoeffs(v) -> list[int]:
 
 
 class CoeffPoly:
-    """Polynomial in x over int/TPoly scalars; dense list or sparse map.
+    """Polynomial in x over int/TPoly scalars, stored dense.
 
-    ``base`` is the exponent of the first stored coefficient; dense storage
-    holds coefficients of x^base .. x^degree contiguously, sparse storage maps
-    exponents to nonzero scalars.  The zero polynomial has empty storage.
+    ``base`` is the exponent of the first stored coefficient; the list holds
+    the coefficients of x^base .. x^degree contiguously, with no zero at
+    either end.  The zero polynomial has an empty list.
     """
 
-    __slots__ = ("base", "_list", "_map")
+    __slots__ = ("base", "_list")
 
-    def __init__(self, coeffs=None, base: int = 0, sparse: dict | None = None):
-        self.base = base
-        self._list = None
-        self._map = None
-        if sparse is not None:
-            self._map = {e: c for e, c in sparse.items() if not scalar_is_zero(c)}
-            self.base = min(self._map) if self._map else 0
-        else:
-            cs = list(coeffs if coeffs is not None else [])
-            while cs and scalar_is_zero(cs[-1]):
-                cs.pop()
-            lead = 0
-            while lead < len(cs) and scalar_is_zero(cs[lead]):
-                lead += 1
-            self.base = base + lead
-            self._list = cs[lead:]
+    def __init__(self, coeffs=None, base: int = 0):
+        cs = list(coeffs if coeffs is not None else [])
+        while cs and scalar_is_zero(cs[-1]):
+            cs.pop()
+        lead = 0
+        while lead < len(cs) and scalar_is_zero(cs[lead]):
+            lead += 1
+        self.base = base + lead
+        self._list = cs[lead:]
 
     @classmethod
     def one(cls) -> CoeffPoly:
         return cls([1])
 
-    @property
-    def is_dense(self) -> bool:
-        return self._list is not None
-
     def is_zero(self) -> bool:
-        return not self._list if self.is_dense else not self._map
+        return not self._list
 
     @property
     def degree(self) -> int:
         """Degree, or -1 for the zero polynomial."""
-        if self.is_dense:
-            return self.base + len(self._list) - 1 if self._list else -1
-        return max(self._map) if self._map else -1
+        return self.base + len(self._list) - 1 if self._list else -1
 
     def coeff(self, k: int):
         """Coefficient of x^k (absolute exponent); 0 outside the support."""
-        if self.is_dense:
-            idx = k - self.base
-            if 0 <= idx < len(self._list):
-                return self._list[idx]
-            return 0
-        return self._map.get(k, 0)
+        idx = k - self.base
+        if 0 <= idx < len(self._list):
+            return self._list[idx]
+        return 0
 
     def items(self):
         """(exponent, coefficient) pairs of nonzero terms, ascending."""
-        if self.is_dense:
-            for i, c in enumerate(self._list):
-                if not scalar_is_zero(c):
-                    yield self.base + i, c
-        else:
-            for e in sorted(self._map):
-                yield e, self._map[e]
+        for i, c in enumerate(self._list):
+            if not scalar_is_zero(c):
+                yield self.base + i, c
 
     def nonzero_count(self) -> int:
         return sum(1 for _ in self.items())
@@ -238,11 +221,8 @@ class CoeffPoly:
 
     def specialize(self, t_value: int) -> CoeffPoly:
         """Replace TPoly scalars by their value at an integer t."""
-        if self.is_dense:
-            vals = [c if isinstance(c, int) else c.evaluate(t_value) for c in self._list]
-            return CoeffPoly(vals, base=self.base)
-        vals = {e: (c if isinstance(c, int) else c.evaluate(t_value)) for e, c in self._map.items()}
-        return CoeffPoly(sparse=vals)
+        vals = [c if isinstance(c, int) else c.evaluate(t_value) for c in self._list]
+        return CoeffPoly(vals, base=self.base)
 
     def has_symbolic_coeffs(self) -> bool:
         return any(isinstance(c, TPoly) for _, c in self.items())
@@ -255,8 +235,7 @@ class CoeffPoly:
         return all(self.coeff(k) == other.coeff(k) for k in range(self.degree + 1))
 
     def __repr__(self) -> str:
-        kind = "dense" if self.is_dense else "sparse"
-        return f"CoeffPoly({kind}, base={self.base}, degree={self.degree})"
+        return f"CoeffPoly(base={self.base}, degree={self.degree})"
 
     def to_json_dict(self) -> dict:
         return {
@@ -302,31 +281,26 @@ class ProductSpec:
             raise ValueError("need n >= 0")
 
     def factor_terms(self, i: int) -> list[tuple]:
-        """Nonzero (coefficient, exponent) terms of factor i (1-based), excluding the 1."""
-        terms = []
+        """Factor i (1-based) without its 1: one (coefficient, exponent) per
+        exponent, ascending, with the coefficients of equal exponents summed
+        and zero sums dropped.  A factor whose terms all cancel is []."""
+        by_exp: dict[int, object] = {}
         for j, aj in enumerate(self.a):
             if scalar_is_zero(aj):
                 continue
             e = self.exponent_seq.term(i + self.offset + j)
             if e < 1:
                 raise ValueError(f"factor {i}: exponent {e} at index {i + self.offset + j} must be >= 1")
-            terms.append((aj, e))
-        return terms
+            by_exp[e] = by_exp.get(e, 0) + aj
+        return [(c, e) for e, c in sorted(by_exp.items()) if not scalar_is_zero(c)]
 
     def degree_bound(self) -> int:
         total = 0 if self.prefactor is None else max(self.prefactor.degree, 0)
         for i in range(1, self.n + 1):
             terms = self.factor_terms(i)
             if terms:
-                total += max(e for _, e in terms)
+                total += terms[-1][1]
         return total
-
-    def nonzero_bound(self) -> int:
-        """Upper bound on the number of nonzero coefficients (no-collision count)."""
-        count = 1 if self.prefactor is None else max(self.prefactor.nonzero_count(), 1)
-        for i in range(1, self.n + 1):
-            count *= 1 + len(self.factor_terms(i))
-        return count
 
 
 def _guard_size(n_coeffs: int, at_n: int):
@@ -339,7 +313,7 @@ def _guard_size(n_coeffs: int, at_n: int):
 
 
 def _multiply_dense(coeffs: list, terms: list[tuple]) -> list:
-    shift = max(e for _, e in terms) if terms else 0
+    shift = terms[-1][1] if terms else 0
     out = list(coeffs) + [0] * shift
     for aj, e in terms:
         if aj == 1:
@@ -353,50 +327,23 @@ def _multiply_dense(coeffs: list, terms: list[tuple]) -> list:
     return out
 
 
-def _multiply_sparse(coeffs: dict, terms: list[tuple]) -> dict:
-    out = dict(coeffs)
-    for aj, e in terms:
-        for k, c in coeffs.items():
-            prev = out.get(e + k, 0)
-            out[e + k] = prev + aj * c
-    return {k: v for k, v in out.items() if not scalar_is_zero(v)}
-
-
 def build_product(spec: ProductSpec, callback=None) -> CoeffPoly:
     """Expand the product exactly; stream partials to ``callback(i, poly)``.
 
     The callback, when given, receives the partial product after factor i for
-    i = 0..n (i = 0 is the prefactor alone).  Dense storage is used unless the
-    collision-free term count predicts density below 25%.
+    i = 0..n (i = 0 is the prefactor alone).  Raises ResourceLimitError
+    before any work when the dense list of the whole product would pass the
+    RGF_MAX_MEM_MB cap.
     """
-    use_sparse = False
-    deg_bound = spec.degree_bound()
-    if deg_bound + 1 > 0:
-        density = spec.nonzero_bound() / (deg_bound + 1)
-        use_sparse = density < 0.25
-    if not use_sparse:
-        _guard_size(deg_bound + 1, spec.n)
-
-    if spec.prefactor is None:
-        start = CoeffPoly.one()
-    else:
-        start = spec.prefactor
-    if use_sparse:
-        acc_map = {e: c for e, c in start.items()}
-        current = CoeffPoly(sparse=acc_map)
-    else:
-        acc = start.dense_coefficients()
-        current = CoeffPoly(list(acc))
+    _guard_size(spec.degree_bound() + 1, spec.n)
+    start = CoeffPoly.one() if spec.prefactor is None else spec.prefactor
+    acc = start.dense_coefficients()
+    current = CoeffPoly(list(acc))
     if callback is not None:
         callback(0, current)
     for i in range(1, spec.n + 1):
-        terms = spec.factor_terms(i)
-        if use_sparse:
-            acc_map = _multiply_sparse(acc_map, terms)
-            current = CoeffPoly(sparse=acc_map)
-        else:
-            acc = _multiply_dense(acc, terms)
-            current = CoeffPoly(list(acc))
+        acc = _multiply_dense(acc, spec.factor_terms(i))
+        current = CoeffPoly(list(acc))
         if callback is not None:
             callback(i, current)
     return current

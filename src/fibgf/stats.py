@@ -53,18 +53,9 @@ def _window_product(p: CoeffPoly, k: int, spec: CorrSpec):
 
 def corr_sum(p: CoeffPoly, spec: CorrSpec):
     """sum_{k >= 0} prod_j c(k+j)^{alpha_j}, exact over the scalar ring."""
-    if p.is_zero():
-        return 0
-    active = spec.active
-    top = active[-1]
-    if p.is_dense:
-        total = 0
-        for k in range(max(0, p.base - top), p.degree - top + 1):
-            total = total + _window_product(p, k, spec)
-        return total
-    ks = sorted({e - j for e, _ in p.items() for j in active if e - j >= 0})
+    top = spec.active[-1]
     total = 0
-    for k in ks:
+    for k in range(max(0, p.base - top), p.degree - top + 1):
         total = total + _window_product(p, k, spec)
     return total
 
@@ -87,11 +78,11 @@ def corr_series(spec: ProductSpec, alpha: CorrSpec, n_max: int, engine: str = "a
 def _residue_classes(p: CoeffPoly, m: int) -> Counter:
     """How many k in [0, deg p] have c(k) in each residue class mod m, in one
     pass over the coefficients; integer coefficients only."""
-    values = Counter(p._list) if p.is_dense and p.base == 0 else Counter(c for _, c in p.items())
+    values = Counter(p._list)
     classes: Counter = Counter()
     for c, count in values.items():
         classes[c % m] += count
-    classes[0] += (p.degree + 1) - values.total()
+    classes[0] += (p.degree + 1) - values.total()  # the zeros below p.base
     return classes
 
 

@@ -59,19 +59,12 @@ def _shift_add_blocks(arr, old_len: int, terms: list[tuple[int, int]]) -> Iterat
         yield arr[lo:hi]
 
 
-def _residue_terms(terms: list[tuple[int, int]], m: int) -> list[tuple[int, int]]:
-    """One factor's (a mod m, e), one per exponent whose summed coefficient is
-    nonzero over Z: those set the factor's degree, even where a vanishes mod m."""
-    summed: dict[int, int] = {}
-    for aj, e in terms:
-        summed[e] = summed.get(e, 0) + aj
-    return [(c % m, e) for e, c in summed.items() if c]
-
-
 class StreamPlan(NamedTuple):
     """The stream's sizes for one series, as ``stream_plan`` works them out."""
 
-    factors: list[list[tuple[int, int]]]  # _residue_terms of factors 1..n_max
+    # factors 1..n_max as (a mod m, e), one per exponent of factor_terms:
+    # those set a factor's degree, even where a vanishes mod m
+    factors: list[list[tuple[int, int]]]
     lengths: list[int]  # of the partial products for n = 0..n_max
     itemsize: int  # bytes per entry
     limit: int | None  # the first n whose footprint passes the RGF_MAX_MEM_MB cap
@@ -90,7 +83,7 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     itemsize = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size)), None)
     if itemsize is None:
         raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
-    factors = [_residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+    factors = [[(c % m, e) for c, e in spec.factor_terms(i)] for i in range(1, n_max + 1)]
     lengths = [1 if spec.prefactor is None else spec.prefactor.degree + 1]
     for terms in factors:
         lengths.append(lengths[-1] + max((e for _, e in terms), default=0))

@@ -34,19 +34,11 @@ from math import factorial
 
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
-from .polynomials import ProductSpec, scalar_is_zero
+from .polynomials import ProductSpec
 
 # Estimated bytes per stored state (key tuple, table entry, value, successor
 # map): tracemalloc measured 130-700 on integer power sums up to depth 200.
 STATE_BYTES = 400
-
-
-def _merged_terms(pairs) -> list[tuple]:
-    """(coefficient, exponent) terms with equal exponents summed, ascending."""
-    by_exp: dict[int, object] = {}
-    for c, e in pairs:
-        by_exp[e] = by_exp.get(e, 0) + c
-    return [(c, e) for e, c in sorted(by_exp.items()) if not scalar_is_zero(c)]
 
 
 def _compositions(m: int, parts: int):
@@ -72,7 +64,7 @@ class _Walk:
         if spec.prefactor is None:
             terms = [(1, 0)]
         else:
-            terms = _merged_terms((c, e) for e, c in spec.prefactor.items())
+            terms = [(c, e) for e, c in spec.prefactor.items()]
         self.factors = [terms]  # factor 0 is the prefactor
         self.slack = [terms[-1][1] - terms[0][1] if terms else 0]
         self.options: list[dict[int, list]] = [{}]
@@ -80,7 +72,7 @@ class _Walk:
         self.stored = 0
 
     def _add_factor(self) -> None:
-        terms = _merged_terms([(1, 0)] + self.spec.factor_terms(len(self.factors)))
+        terms = [(1, 0)] + self.spec.factor_terms(len(self.factors))
         self.factors.append(terms)
         self.slack.append(self.slack[-1] + terms[-1][1] - terms[0][1])
         self.options.append({})

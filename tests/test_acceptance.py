@@ -30,14 +30,7 @@ from fibgf.poset import (
 )
 from fibgf.sequences import RecurrentSeq, fibonacci
 from fibgf.stats import CorrSpec, corr_series, residue_series
-from fibgf.symfun import verify_forgotten_expansion, verify_powersum_expansion
-from fibgf.triangle import (
-    a_vector,
-    expected_charpoly,
-    mark_matrix_charpoly,
-    triangle_rows,
-    verify_m_recurrence,
-)
+from fibgf.triangle import a_vector, triangle_rows
 
 
 def criterion(number, label, budget_s=None):
@@ -85,10 +78,11 @@ def test_criterion_03_rows_equal_products():
 
 @criterion(4, "mark-correlation matrix pipeline", 30)
 def test_criterion_04_matrix_pipeline():
-    rep = verify_m_recurrence(20)
-    assert rep["status"] == "pass" and rep["first_valid_index"] == 1
-    assert rep["square_sum_identity"]
-    assert mark_matrix_charpoly() == expected_charpoly()
+    rep = run_check("verify", "m-recurrence", nmax=20)
+    assert rep.status == "pass" and rep.details["first_valid_index"] == 1, rep.details
+    assert rep.details["square_sum_identity"]
+    # q2: the mark matrix's characteristic polynomial is the expected one
+    assert run_check("verify", "q2").status == "pass"
     v2 = corr_series(fibonacci_product_spec(0), CorrSpec((2,)), 6)
     for row, want in zip(triangle_rows(6, 1), v2[1:]):
         a = a_vector(row)
@@ -240,15 +234,13 @@ def test_criterion_14_frontier_suite():
 
 @criterion(15, "flag symmetric-function expansions", 60)
 def test_criterion_15_symmetric_functions():
-    experiment = {}
-    for i, b in ((2, 2), (2, 3), (3, 2)):
-        assert verify_powersum_expansion(i, b, 6)["status"] == "pass", (i, b)
-        assert verify_forgotten_expansion(i, b, 6)["status"] == "pass", (i, b)
-        experiment[(i, b)] = {
-            "powersum_seed": verify_powersum_expansion(i, b, 4)["status"],
-            "unit_seed": verify_powersum_expansion(i, b, 4, convention="unit-seed")["status"],
-        }
+    # both checks cover the pairs (2, 2), (2, 3) and (3, 2)
+    for name in ("ep-powersum", "ep-forgotten"):
+        rep = run_check("verify", name, cap=6)
+        assert rep.status == "pass", (name, rep.details)
+    experiment = run_check("verify", "ep-powersum", cap=4).details["seed_experiment"]
     # the seed-convention experiment: the literal unit seed must fail
+    assert sorted(experiment) == ["2,2", "2,3", "3,2"], experiment
     assert all(v["powersum_seed"] == "pass" and v["unit_seed"] == "fail" for v in experiment.values()), experiment
 
 

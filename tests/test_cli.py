@@ -169,6 +169,17 @@ def test_resource_cap_exit_code(monkeypatch, capsys, tmp_path):
     assert err.startswith("error:") and "limit_n = " in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+def test_malformed_cap_is_a_usage_error(raw, monkeypatch, capsys):
+    # no command runs under a cap it cannot read, not even one check of verify all
+    monkeypatch.setenv("RGF_MAX_MEM_MB", raw)
+    for argv in (("vsum", "--seq", "fib", "--alpha", "2", "--nmax", "3"), ("verify", "all", "--json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == f"error: RGF_MAX_MEM_MB must be a positive integer of megabytes, got {raw!r}\n"
+
+
 def test_residue_cap_exit_code(tmp_path, monkeypatch, capsys):
     # f_{i+1} = f_i + f_{i-3} grows too slowly for the carries to stay few, so
     # both the carry automaton and the stream reach the cap

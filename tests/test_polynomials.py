@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -14,7 +15,7 @@ from fibgf.polynomials import (
     run_decomposition,
     stern_product_spec,
 )
-from fibgf.sequences import RecurrentSeq, fibonacci
+from fibgf.sequences import RecurrentSeq, fibonacci, kbonacci
 
 
 def test_tpoly_ring_ops():
@@ -72,25 +73,32 @@ def test_doubling_ratio_products_have_unit_coefficients():
         assert p.nonzero_count() == 2**10
 
 
-def test_sparse_fallback_selected_for_gappy_products():
-    seq = RecurrentSeq(coeffs=(3,), init=(1,))
-    p = build_product(ProductSpec(exponent_seq=seq, n=9, h=1, a=(1,)))
-    assert not p.is_dense
-    dense = build_product(fibonacci_product_spec(9))
-    assert dense.is_dense
+def test_factor_terms_normal_form():
+    # F_1 = F_2 = 1: factor 1 reads one exponent twice
+    summed = ProductSpec(exponent_seq=kbonacci(2), n=2, h=2, a=(1, 1))
+    assert summed.factor_terms(1) == [(2, 1)]
+    assert summed.factor_terms(2) == [(1, 1), (1, 2)]
+    cancelled = ProductSpec(exponent_seq=kbonacci(2), n=2, h=2, a=(1, -1))
+    assert cancelled.factor_terms(1) == []
+    assert cancelled.factor_terms(2) == [(1, 1), (-1, 2)]
+    # the cancelled factor is 1 and adds nothing to the degree
+    assert cancelled.degree_bound() == 2 == build_product(cancelled).degree
+    assert replace(cancelled, n=1).degree_bound() == 0
+    descending = ProductSpec(exponent_seq=RecurrentSeq(coeffs=(1, 0), init=(3, 1)), n=1, h=2, a=(TPoly.t(), 2))
+    assert descending.factor_terms(1) == [(2, 1), (TPoly.t(), 3)]
 
 
-def test_sparse_and_dense_agree():
+def test_gappy_product_matches_subset_sums():
     seq = RecurrentSeq(coeffs=(3,), init=(1,))
     spec = ProductSpec(exponent_seq=seq, n=6, h=1, a=(1,))
-    sparse = build_product(spec)
+    p = build_product(spec)
     # brute force expansion
     exps = [seq.term(i) for i in range(1, 7)]
     sums = {}
     for mask in iproduct((0, 1), repeat=6):
         s = sum(e for e, b in zip(exps, mask) if b)
         sums[s] = sums.get(s, 0) + 1
-    assert dict(sparse.items()) == sums
+    assert dict(p.items()) == sums
 
 
 def test_memory_guard(monkeypatch):

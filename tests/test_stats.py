@@ -37,12 +37,16 @@ from fibgf.stats import (
 )
 
 
-def test_import_leaves_numpy_unloaded():
-    # stats and poset import the numpy stream on first use, so set-up stays light
+def _fresh_python(code: str) -> int:
+    """Exit status of ``code`` run in a fresh interpreter that imports this fibgf."""
     src = str(Path(fibgf.stream.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, fibgf; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def test_import_leaves_numpy_unloaded():
+    # stats and poset import the numpy stream on first use, so set-up stays light
+    assert _fresh_python("import sys, fibgf; sys.exit('numpy' in sys.modules)") == 0
 
 
 def test_corr_spec_validation():
@@ -294,7 +298,7 @@ def test_carry_states_are_charged_by_size():
     slow = ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0)
     long = replace(fibonacci_product_spec(0), prefactor=CoeffPoly(list(range(1, 102))))
     for spec, m, n_max in ((slow, 2, 20), (long, 1000, 10)):
-        factors = [fibgf.stream._residue_terms(spec.factor_terms(i), m) for i in range(1, n_max + 1)]
+        factors = fibgf.stream.stream_plan(spec, m, n_max).factors
         tracemalloc.start()
         try:
             automaton = fibgf.carry._Carry(spec, m, factors, None)
@@ -306,18 +310,40 @@ def test_carry_states_are_charged_by_size():
         assert peak < automaton.stored, (m, peak, automaton.stored)
 
 
+def test_stream_budget_charges_numpy_import_only_while_unloaded():
+    import numpy  # noqa: F401
+
+    for c in (0, 249, 1000, 10**6, 9_227_431):
+        assert fibgf.carry.stream_budget(c) == (c // 250) // 4
+    code = (
+        "import sys\n"
+        "from fibgf.carry import stream_budget\n"
+        "assert 'numpy' not in sys.modules\n"
+        "sys.exit(any(stream_budget(c) != (60_000 + c // 250) // 4 for c in (0, 1000, 10**6)))"
+    )
+    assert _fresh_python(code) == 0
+
+
 def test_kbonacci_residues_never_call_stream():
-    fail = AssertionError("the stream was called")
-    with patch.object(fibgf.stream, "residue_series_fast", side_effect=fail):
-        for k in (2, 3, 4):
-            for m in (2, 3):
-                for n_max in (12, 22, 30):
-                    residue_series(kbonacci_product_spec(k, 0), m, n_max)
+    # in a fresh interpreter, as the command line runs: once numpy is loaded
+    # the budget no longer charges its import, and a small series is handed
+    # to the stream, which is then faster
+    code = (
+        "from unittest.mock import patch\n"
+        "import fibgf.stream\n"
+        "from fibgf.polynomials import kbonacci_product_spec\n"
+        "from fibgf.stats import residue_series\n"
+        "fail = AssertionError('the stream was called')\n"
+        "with patch.object(fibgf.stream, 'residue_series_fast', side_effect=fail):\n"
+        "    for k in (2, 3, 4):\n"
+        "        for m in (2, 3):\n"
+        "            for n_max in (12, 22, 30):\n"
+        "                residue_series(kbonacci_product_spec(k, 0), m, n_max)\n"
+    )
+    assert _fresh_python(code) == 0
 
 
 def test_kbonacci_residues_leave_numpy_unloaded():
-    src = str(Path(fibgf.stream.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
         "import sys\n"
         "from fibgf.polynomials import kbonacci_product_spec\n"
@@ -325,7 +351,7 @@ def test_kbonacci_residues_leave_numpy_unloaded():
         "residue_series(kbonacci_product_spec(3, 0), 3, 30)\n"
         "sys.exit('numpy' in sys.modules)"
     )
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_python(code) == 0
 
 
 def test_value_predicate():
