@@ -40,6 +40,7 @@ from collections import Counter
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .polynomials import ProductSpec
+from .stream import stream_plan
 
 # Estimated bytes a stored state holds: a fixed part (table slot, key tuple,
 # completion and successor maps), and one part per carry in its key, per
@@ -185,10 +186,10 @@ def carry_residue_series(
 ) -> list[list[int]]:
     """Per n in 0..n_max, [h(n, a) for a in 0..m-1] for the integer product ``spec``.
 
-    ``factors`` are factors 1..n_max as ``stream_plan`` lists them, (a mod m,
-    e) per term of ``ProductSpec.factor_terms``, worked out here when not
-    given.  Raises ``ResourceLimitError`` with ``limit_n`` = the first n whose
-    states would pass the RGF_MAX_MEM_MB cap or, when ``budget`` is given,
+    ``factors`` are ``stream_plan(spec, m, n_max).factors``, (a mod m, e) per
+    term of ``ProductSpec.factor_terms``, worked out here when not given.
+    Raises ``ResourceLimitError`` with ``limit_n`` = the first n whose states
+    would pass the RGF_MAX_MEM_MB cap or, when ``budget`` is given,
     whose carry updates, prefactor reads and class merges would pass
     ``budget`` in total over the series.
     """
@@ -197,6 +198,6 @@ def carry_residue_series(
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     if factors is None:
-        factors = [[(c % m, e) for c, e in spec.factor_terms(i)] for i in range(1, n_max + 1)]
+        factors = stream_plan(spec, m, n_max).factors
     automaton = _Carry(spec, m, factors, budget)
     return [automaton.row(n) for n in range(n_max + 1)]

@@ -86,7 +86,7 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     factors = [[(c % m, e) for c, e in spec.factor_terms(i)] for i in range(1, n_max + 1)]
     lengths = [1 if spec.prefactor is None else spec.prefactor.degree + 1]
     for terms in factors:
-        lengths.append(lengths[-1] + max((e for _, e in terms), default=0))
+        lengths.append(lengths[-1] + (terms[-1][1] if terms else 0))
     # h source copies of one block, and bincount's intp copy of it
     temporaries = CHUNK * (len(spec.a) * itemsize + 8)
     cap = max_mem_bytes()

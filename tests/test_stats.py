@@ -325,9 +325,8 @@ def test_stream_budget_charges_numpy_import_only_while_unloaded():
 
 
 def test_kbonacci_residues_never_call_stream():
-    # in a fresh interpreter, as the command line runs: once numpy is loaded
-    # the budget no longer charges its import, and a small series is handed
-    # to the stream, which is then faster
+    # in a fresh interpreter, as the command line runs, numpy's import is
+    # charged to the stream and every preset stays on the automaton
     code = (
         "from unittest.mock import patch\n"
         "import fibgf.stream\n"
@@ -341,6 +340,27 @@ def test_kbonacci_residues_never_call_stream():
         "                residue_series(kbonacci_product_spec(k, 0), m, n_max)\n"
     )
     assert _fresh_python(code) == 0
+
+
+def test_kbonacci_residues_hand_off_with_numpy_loaded():
+    # in one process that has numpy loaded, as the benchmark worker runs the
+    # scans, the budget charges no import, and the small series go to the stream
+    import numpy  # noqa: F401
+
+    fast = fibgf.stream.residue_series_fast
+    rows, handed_off = {}, []
+    for k in (2, 3, 4):
+        for m in (2, 3):
+            for n_max in (12, 22, 30):
+                with patch.object(fibgf.stream, "residue_series_fast", side_effect=fast) as spy:
+                    rows[k, m, n_max] = residue_series(kbonacci_product_spec(k, 0), m, n_max)
+                if spy.called:
+                    handed_off.append((k, m, n_max))
+    assert handed_off == [
+        (2, 2, 12), (2, 2, 22), (2, 3, 12), (2, 3, 22), (3, 2, 12), (3, 3, 12), (3, 3, 22), (4, 2, 12), (4, 3, 12),
+    ]
+    for k, m, n_max in handed_off:
+        assert rows[k, m, n_max] == residue_series(kbonacci_product_spec(k, 0), m, n_max, engine="pure")
 
 
 def test_kbonacci_residues_leave_numpy_unloaded():
