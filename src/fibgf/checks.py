@@ -17,7 +17,6 @@ from .catalog import closed_form
 from .errors import InvariantError
 from .guess import RationalFunc, check_drx_pattern, guess_rational, series_expand
 from .monoid import (
-    class_power_sums,
     closed_form_census_series,
     generator_census_series,
     generator_lemma_failure,
@@ -29,12 +28,14 @@ from .polynomials import (
     TPoly,
     build_product,
     fibonacci_product_spec,
-    golden_series,
+    golden_partials,
     kbonacci_product_spec,
     run_decomposition,
     stern_product_spec,
 )
 from .poset import (
+    flag_alpha_dp,
+    flag_alpha_product,
     flag_vectors,
     frontier_grow,
     frontier_poset,
@@ -197,15 +198,16 @@ def check_flag_beta(depth: int = 6):
         return "fail", fv
     for size in range(0, depth + 1):
         for S in combinations(range(1, depth + 1), size):
-            f = flag_vectors(poset, S)
-            if f["alpha_dp"] != f["alpha_product"]:
-                return "fail", {"S": list(S), **f}
+            if flag_alpha_dp(poset, S) != flag_alpha_product(poset, S):
+                return "fail", {"S": list(S), **flag_vectors(poset, S)}
     return "pass", {"beta_12": -1, "alpha_12": 4, "subsets_checked": f"all S in 1..{depth}"}
 
 
 def check_runs(nmax: int = 18):
-    for n in range(1, nmax + 1):
-        rd = run_decomposition(golden_series(n))
+    partials = golden_partials(nmax)
+    next(partials)  # n = 0 has no run
+    for n, series in enumerate(partials, 1):
+        rd = run_decomposition(series)
         lengths = rd.lengths()
         if rd.count != fibonacci(n + 1):
             return "fail", {"n": n, "count": rd.count, "want": fibonacci(n + 1)}
@@ -222,9 +224,10 @@ def check_runs(nmax: int = 18):
 
 
 def check_golden(nmax: int = 16):
-    for n in range(0, nmax + 1):
-        gs = golden_series(n).coefficient_sequence()
-        ps = build_product(fibonacci_product_spec(n)).coefficient_sequence()
+    products = []
+    build_product(fibonacci_product_spec(nmax), callback=lambda i, p: products.append(p.coefficient_sequence()))
+    for n, series in enumerate(golden_partials(nmax)):
+        gs, ps = series.coefficient_sequence(), products[n]
         if gs != ps:
             return "fail", {"n": n}
         if len(gs) != fibonacci(n + 3) - 1:
@@ -346,14 +349,17 @@ def check_v2m1(nmax: int = 25, den_max: int = 8, holdout: int = 6):
 
 
 def check_wordclasses(nmax: int = 13):
+    products = []
+    build_product(fibonacci_product_spec(nmax), callback=lambda i, p: products.append(p))
+    sizes = []
     for n in range(1, nmax + 1):
         classes = word_classes(n)
-        coeffs = sorted(build_product(fibonacci_product_spec(n)).coefficient_sequence())
-        if classes != coeffs:
+        if classes != sorted(products[n].coefficient_sequence()):
             return "fail", {"n": n}
+        sizes.append(classes)
     for r in (1, 2, 3):
         vr = corr_series(fibonacci_product_spec(0), CorrSpec((r,)), nmax)
-        power = [class_power_sums(n, r) for n in range(1, nmax + 1)]
+        power = [sum(s**r for s in classes) for classes in sizes]
         if power != vr[1:]:
             return "fail", {"r": r, "mismatch": _first_mismatch(power, vr[1:])}
     return "pass", {"nmax": nmax, "power_sums": [1, 2, 3]}

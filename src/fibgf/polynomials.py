@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
@@ -62,6 +63,8 @@ class TPoly:
         return None
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, TPoly):
+            return self.c == other.c
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -71,16 +74,19 @@ class TPoly:
         return hash(self.c)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, int):
+            if not other:
+                return self
+            a = self.c
+            return TPoly((a[0] + other,) + a[1:]) if a else _tpoly((other,))
+        if not isinstance(other, TPoly):
             return NotImplemented
-        a, b = self.c, o.c
+        a, b = self.c, other.c
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return TPoly(out)
+        low = tuple(map(add, a, b))
+        # the top coefficients of the longer operand stay nonzero; equal lengths may cancel
+        return _tpoly(low + a[len(b):]) if len(a) > len(b) else TPoly(low)
 
     __radd__ = __add__
 
@@ -97,12 +103,21 @@ class TPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        a = self.c
+        if isinstance(other, int):
+            if not other or not a:
+                return _tpoly(())
+            return self if other == 1 else _tpoly(tuple(other * v for v in a))
+        if not isinstance(other, TPoly):
             return NotImplemented
-        a, b = self.c, o.c
+        b = other.c
         if not a or not b:
-            return TPoly()
+            return _tpoly(())
+        if not any(a[:-1]):
+            a, b = b, a
+        if not any(b[:-1]):  # b is one term u t^k: shift and scale a
+            u = b[-1]
+            return _tpoly((0,) * (len(b) - 1) + (a if u == 1 else tuple(u * v for v in a)))
         out = [0] * (len(a) + len(b) - 1)
         for i, u in enumerate(a):
             if u:
@@ -149,8 +164,11 @@ class TPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def scalar_is_zero(v) -> bool:
-    return v == 0 if isinstance(v, int) else v.is_zero()
+def _tpoly(c: tuple) -> TPoly:
+    """A TPoly around a tuple that already has no trailing zero."""
+    p = object.__new__(TPoly)
+    object.__setattr__(p, "c", c)
+    return p
 
 
 def scalar_to_tcoeffs(v) -> list[int]:
@@ -163,17 +181,18 @@ class CoeffPoly:
 
     ``base`` is the exponent of the first stored coefficient; the list holds
     the coefficients of x^base .. x^degree contiguously, with no zero at
-    either end.  The zero polynomial has an empty list.
+    either end.  The zero polynomial has an empty list.  A scalar is zero
+    exactly when it is falsy (``TPoly.__bool__`` is exact).
     """
 
     __slots__ = ("base", "_list")
 
     def __init__(self, coeffs=None, base: int = 0):
         cs = list(coeffs if coeffs is not None else [])
-        while cs and scalar_is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         lead = 0
-        while lead < len(cs) and scalar_is_zero(cs[lead]):
+        while lead < len(cs) and not cs[lead]:
             lead += 1
         self.base = base + lead
         self._list = cs[lead:]
@@ -199,25 +218,21 @@ class CoeffPoly:
 
     def items(self):
         """(exponent, coefficient) pairs of nonzero terms, ascending."""
+        base = self.base
         for i, c in enumerate(self._list):
-            if not scalar_is_zero(c):
-                yield self.base + i, c
+            if c:
+                yield base + i, c
 
     def nonzero_count(self) -> int:
-        return sum(1 for _ in self.items())
+        return sum(1 for c in self._list if c)
 
     def coefficient_sequence(self) -> list:
         """The nonzero coefficients in exponent order."""
-        return [c for _, c in self.items()]
+        return [c for c in self._list if c]
 
     def dense_coefficients(self) -> list:
         """All coefficients of x^0..x^degree as a list (materializes zeros)."""
-        if self.is_zero():
-            return []
-        out = [0] * (self.degree + 1)
-        for e, c in self.items():
-            out[e] = c
-        return out
+        return [0] * self.base + self._list if self._list else []
 
     def specialize(self, t_value: int) -> CoeffPoly:
         """Replace TPoly scalars by their value at an integer t."""
@@ -225,14 +240,13 @@ class CoeffPoly:
         return CoeffPoly(vals, base=self.base)
 
     def has_symbolic_coeffs(self) -> bool:
-        return any(isinstance(c, TPoly) for _, c in self.items())
+        return any(isinstance(c, TPoly) and c for c in self._list)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffPoly):
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        return all(self.coeff(k) == other.coeff(k) for k in range(self.degree + 1))
+        # both are normalised; a zero polynomial's base means nothing
+        return self._list == other._list and (self.base == other.base or not self._list)
 
     def __repr__(self) -> str:
         return f"CoeffPoly(base={self.base}, degree={self.degree})"
@@ -240,10 +254,7 @@ class CoeffPoly:
     def to_json_dict(self) -> dict:
         return {
             "base": self.base,
-            "coeffs": [
-                [str(v) for v in scalar_to_tcoeffs(self.coeff(k))]
-                for k in range(self.base, self.degree + 1)
-            ],
+            "coeffs": [[str(v) for v in scalar_to_tcoeffs(c)] for c in self._list],
         }
 
     def to_json(self) -> str:
@@ -286,13 +297,13 @@ class ProductSpec:
         and zero sums dropped.  A factor whose terms all cancel is []."""
         by_exp: dict[int, object] = {}
         for j, aj in enumerate(self.a):
-            if scalar_is_zero(aj):
+            if not aj:
                 continue
             e = self.exponent_seq.term(i + self.offset + j)
             if e < 1:
                 raise ValueError(f"factor {i}: exponent {e} at index {i + self.offset + j} must be >= 1")
             by_exp[e] = by_exp.get(e, 0) + aj
-        return [(c, e) for e, c in sorted(by_exp.items()) if not scalar_is_zero(c)]
+        return [(c, e) for e, c in sorted(by_exp.items()) if c]
 
     def degree_bound(self) -> int:
         total = 0 if self.prefactor is None else max(self.prefactor.degree, 0)
@@ -316,14 +327,14 @@ def _multiply_dense(coeffs: list, terms: list[tuple]) -> list:
     shift = terms[-1][1] if terms else 0
     out = list(coeffs) + [0] * shift
     for aj, e in terms:
-        if aj == 1:
-            for idx, c in enumerate(coeffs):
-                if not scalar_is_zero(c):
-                    out[e + idx] = out[e + idx] + c
+        if isinstance(aj, int) and aj == 1:
+            for idx, c in enumerate(coeffs, e):
+                if c:
+                    out[idx] = out[idx] + c
         else:
-            for idx, c in enumerate(coeffs):
-                if not scalar_is_zero(c):
-                    out[e + idx] = out[e + idx] + aj * c
+            for idx, c in enumerate(coeffs, e):
+                if c:
+                    out[idx] = out[idx] + aj * c
     return out
 
 
@@ -338,12 +349,12 @@ def build_product(spec: ProductSpec, callback=None) -> CoeffPoly:
     _guard_size(spec.degree_bound() + 1, spec.n)
     start = CoeffPoly.one() if spec.prefactor is None else spec.prefactor
     acc = start.dense_coefficients()
-    current = CoeffPoly(list(acc))
+    current = CoeffPoly(acc)
     if callback is not None:
         callback(0, current)
     for i in range(1, spec.n + 1):
         acc = _multiply_dense(acc, spec.factor_terms(i))
-        current = CoeffPoly(list(acc))
+        current = CoeffPoly(acc)
         if callback is not None:
             callback(i, current)
     return current
@@ -383,20 +394,23 @@ class GoldenSeries:
         return len(self.terms)
 
 
-def golden_series(n: int) -> GoldenSeries:
-    """Expand prod_{i=0}^{n-1} (1 + x^{phi^i}) with exact Z[phi] exponents."""
-    if n < 0:
+def golden_partials(n_max: int):
+    """Yield the expansions of prod_{i=0}^{n-1} (1 + x^{phi^i}) for
+    n = 0..n_max, each from the one before, with exact Z[phi] exponents."""
+    if n_max < 0:
         raise ValueError("n must be >= 0")
     terms: list[tuple[GoldenInt, int]] = [(GoldenInt(0, 0), 1)]
-    for i in range(n):
+    yield GoldenSeries(tuple(terms))
+    for i in range(n_max):
         shift = phi_power(i)
-        shifted = [(e + shift, c) for e, c in terms]
+        sa, sb = shift.a, shift.b
+        shifted = [(GoldenInt(e.a + sa, e.b + sb), c) for e, c in terms]
         merged: list[tuple[GoldenInt, int]] = []
         p = q = 0
         while p < len(terms) and q < len(shifted):
             ea, ca = terms[p]
             eb, cb = shifted[q]
-            d = (ea - eb).sign()
+            d = GoldenInt(ea.a - eb.a, ea.b - eb.b).sign()
             if d < 0:
                 merged.append((ea, ca))
                 p += 1
@@ -410,7 +424,14 @@ def golden_series(n: int) -> GoldenSeries:
         merged.extend(terms[p:])
         merged.extend(shifted[q:])
         terms = merged
-    return GoldenSeries(tuple(terms))
+        yield GoldenSeries(tuple(terms))
+
+
+def golden_series(n: int) -> GoldenSeries:
+    """Expand prod_{i=0}^{n-1} (1 + x^{phi^i}) with exact Z[phi] exponents."""
+    for series in golden_partials(n):
+        pass
+    return series
 
 
 @dataclass(frozen=True)
@@ -448,11 +469,10 @@ def run_decomposition(series: GoldenSeries) -> RunDecomposition:
     cur_start, cur_coeffs = series.terms[0][0], [series.terms[0][1]]
     prev_e = series.terms[0][0]
     for e, c in series.terms[1:]:
-        diff = e - prev_e
-        if diff == GoldenInt(1, 0):
+        if e.a - prev_e.a == 1 and e.b == prev_e.b:  # a unit step
             cur_coeffs.append(c)
         else:
-            if diff.sign() <= 0:
+            if (e - prev_e).sign() <= 0:
                 raise InvariantError("exponents not strictly increasing", detail=e)
             runs.append(Run(cur_start, len(cur_coeffs), tuple(cur_coeffs)))
             cur_start, cur_coeffs = e, [c]

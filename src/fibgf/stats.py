@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import ResourceLimitError
-from .polynomials import CoeffPoly, ProductSpec, build_product, scalar_is_zero
+from .polynomials import CoeffPoly, ProductSpec, build_product
 from .walk import corr_walk_series
 
 _INTEGER_ONLY = "residue counts need integer coefficients; specialize t first"
@@ -45,7 +45,7 @@ def _window_product(p: CoeffPoly, k: int, spec: CorrSpec):
     prod = 1
     for j in spec.active:
         c = p.coeff(k + j)
-        if scalar_is_zero(c):
+        if not c:
             return 0
         prod = prod * (c ** spec.alpha[j])
     return prod
@@ -144,4 +144,4 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
 def coefficient_value_predicate(p: CoeffPoly, allowed) -> bool:
     """True iff every nonzero coefficient lies in ``allowed``."""
     allowed = set(allowed)
-    return all(c in allowed for _, c in p.items())
+    return all(c in allowed for c in p._list if c)

@@ -21,6 +21,7 @@ checks rather than assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InvariantError
 from .polynomials import CoeffPoly, TPoly, build_product, fibonacci_product_spec
@@ -97,10 +98,8 @@ def production_plan(row: GroupedRow) -> list[Production]:
             prev = groups[gi - 1]
             e = prev.start + prev.visible - 1
             plan.append(Production("pair", (e, g.start)))
-        roles = g.roles()
-        for offset, role in enumerate(roles):
-            if role == "m":
-                plan.append(Production("middle", (g.start + offset,)))
+        if g.length == 3:  # the middle member is never virtual
+            plan.append(Production("middle", (g.start + 1 - g.leading_virtual,)))
     if not last.trailing_virtual:
         plan.append(Production("trail", (last.start + last.visible - 1,)))
     return plan
@@ -115,12 +114,17 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
     entries: list = []
     groups: list[Group] = []
     vals = row.entries
+    # by power of t: the entries, and the entries times t (the same at t = 1)
+    weighted = (vals, vals if isinstance(t, int) and t == 1 else [t * v for v in vals])
     for prod in production_plan(row):
         start = len(entries)
-        src = [vals[p] for p in prod.parents]
+        parents = prod.parents
         for terms in CHILDREN[prod.kind]:
-            parts = [t * src[slot] if power else src[slot] for slot, power in terms]
-            entries.append(sum(parts[1:], parts[0]))
+            (slot, power), *rest = terms
+            value = weighted[power][parents[slot]]
+            for slot, power in rest:
+                value = value + weighted[power][parents[slot]]
+            entries.append(value)
         lead, trail = prod.kind == "lead", prod.kind == "trail"
         groups.append(Group(start, len(entries) - start + lead + trail, leading_virtual=lead, trailing_virtual=trail))
     return GroupedRow(entries=tuple(entries), groups=tuple(groups), index=row.index + 1)
@@ -144,19 +148,16 @@ def verify_rows_match_product(n_max: int, t=1) -> None:
     partials: dict[int, CoeffPoly] = {}
     build_product(fibonacci_product_spec(n_max, t=t), callback=lambda i, p: partials.__setitem__(i, p))
     for row in triangle_rows(n_max, t):
-        poly = partials[row.index]
-        coeffs = poly.dense_coefficients()
+        coeffs = partials[row.index].dense_coefficients()
         if len(coeffs) != len(row.entries):
             raise InvariantError(
                 f"row {row.index} has {len(row.entries)} entries, product has {len(coeffs)}",
                 detail=row.index,
             )
-        for k, (a, b) in enumerate(zip(row.entries, coeffs)):
-            if a != b:
-                raise InvariantError(
-                    f"row {row.index} disagrees with the product at exponent {k}",
-                    detail=k,
-                )
+        if list(row.entries) == coeffs:
+            continue
+        k = next(k for k, (a, b) in enumerate(zip(row.entries, coeffs)) if a != b)
+        raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
 
 
 def format_row(row: GroupedRow) -> str:
@@ -190,18 +191,22 @@ def a_vector(row: GroupedRow) -> tuple[int, ...]:
     vals = row.entries
     if any(not isinstance(v, int) for v in vals):
         raise ValueError("mark correlations need integer entries; specialize t")
-    n = len(vals)
-    firsts = [vals[k] if marks[k] == "f" else 0 for k in range(n)]
-    mids = [vals[k] if marks[k] == "m" else 0 for k in range(n)]
-    lasts = [vals[k] if marks[k] == "l" else 0 for k in range(n)]
-    a1 = sum(v * v for v in firsts)
-    a2 = sum(v * v for v in mids)
-    a3 = sum(v * v for v in lasts)
-    a31 = sum(lasts[k] * firsts[k + 1] for k in range(n - 1))
-    a12 = sum(firsts[k] * mids[k + 1] for k in range(n - 1))
-    a13 = sum(firsts[k] * lasts[k + 1] for k in range(n - 1))
-    a23 = sum(mids[k] * lasts[k + 1] for k in range(n - 1))
-    return (a1, a2, a3, a31, a12, a13, a23)
+    firsts = [v if m == "f" else 0 for v, m in zip(vals, marks)]
+    mids = [v if m == "m" else 0 for v, m in zip(vals, marks)]
+    lasts = [v if m == "l" else 0 for v, m in zip(vals, marks)]
+
+    def dot(xs, ys):  # sum x_k y_k over the shorter length
+        return sum(map(mul, xs, ys))
+
+    return (
+        dot(firsts, firsts),
+        dot(mids, mids),
+        dot(lasts, lasts),
+        dot(lasts, firsts[1:]),
+        dot(firsts, mids[1:]),
+        dot(firsts, lasts[1:]),
+        dot(mids, lasts[1:]),
+    )
 
 
 def _mat_vec(m, v):

@@ -8,7 +8,6 @@ for the exhaustively verified divergence).
 """
 
 import time
-from itertools import combinations
 
 from fibgf.catalog import MULTI_INDEX_ALPHAS, closed_form
 from fibgf.checks import kbonacci_power_sums, run_check
@@ -21,7 +20,6 @@ from fibgf.polynomials import (
     stern_product_spec,
 )
 from fibgf.poset import (
-    flag_vectors,
     frontier_grow,
     frontier_poset,
     label_sequence_checks,
@@ -194,12 +192,9 @@ def test_criterion_12_poset_suite():
     sizes = poset.rank_sizes()
     for n in range(0, 19):
         assert sizes[n] == (fibonacci(n + 3) - 1 if n else 1)
-    fv = flag_vectors(poset, (1, 2))
-    assert fv["beta"] == -1
-    for size in range(0, 4):
-        for S in combinations(range(1, 7), size):
-            f = flag_vectors(poset, S)
-            assert f["alpha_dp"] == f["alpha_product"], S
+    rep = run_check("verify", "flag-beta")
+    assert rep.status == "pass", rep.details
+    assert rep.details["beta_12"] == -1
     res = sigma_labels(poset, 13)
     for n in range(1, 14):
         assert sorted(res["sequences"][n]) == list(range(fibonacci(n + 3) - 1))

@@ -2,6 +2,8 @@ from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import (
@@ -10,6 +12,7 @@ from fibgf.polynomials import (
     TPoly,
     build_product,
     fibonacci_product_spec,
+    golden_partials,
     golden_series,
     kbonacci_product_spec,
     run_decomposition,
@@ -27,6 +30,63 @@ def test_tpoly_ring_ops():
     assert (2 * t).evaluate(5) == 10
     assert TPoly((1, 2, 3)).evaluate(-1) == 2
     assert str(1 + 2 * t) == "1 + 2*t"
+
+
+def _convolve(a: tuple, b: tuple) -> tuple:
+    """The generic product of two ascending coefficient tuples, untrimmed."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return tuple(out)
+
+
+def _trimmed(c) -> tuple:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+_coeffs = st.lists(st.integers(-5, 5), max_size=5)
+# an int, a one-term TPoly u t^k (zero included), or a general TPoly
+_operands = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda u, k: TPoly((0,) * k + (u,)), st.integers(-3, 3), st.integers(0, 3)),
+    _coeffs.map(TPoly),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_coeffs, _operands, st.integers(-3, 3))
+def test_tpoly_fast_paths_match_the_generic_convolution(coeffs, other, v):
+    p = TPoly(coeffs)
+    o = other.c if isinstance(other, TPoly) else _trimmed((other,))
+    for got in (p * other, other * p):
+        assert isinstance(got, TPoly)
+        assert got.c == _trimmed(_convolve(p.c, o))
+        assert got.evaluate(v) == p.evaluate(v) * (other if isinstance(other, int) else other.evaluate(v))
+    width = max(len(p.c), len(o))
+    padded = [c + (0,) * (width - len(c)) for c in (p.c, o)]
+    for got in (p + other, other + p):
+        assert isinstance(got, TPoly)
+        assert got.c == _trimmed(x + y for x, y in zip(*padded))
+        assert got.evaluate(v) == p.evaluate(v) + (other if isinstance(other, int) else other.evaluate(v))
+
+
+def test_coeffpoly_equality_and_dense_coefficients():
+    t = TPoly.t()
+    assert CoeffPoly([]) == CoeffPoly([], base=3) == CoeffPoly([0, 0], base=2) == CoeffPoly([TPoly()])
+    assert CoeffPoly([]).dense_coefficients() == CoeffPoly([0], base=4).dense_coefficients() == []
+    assert CoeffPoly([1, 2]) != CoeffPoly([1, 2], base=1)
+    assert CoeffPoly([0, 1, 2]) == CoeffPoly([1, 2], base=1)
+    assert CoeffPoly([1, 2], base=1) != CoeffPoly([])
+    assert CoeffPoly([0, 0, t, 0, 1], base=1).dense_coefficients() == [0, 0, 0, t, 0, 1]
+    assert CoeffPoly([3, TPoly((0,)), 5]) == CoeffPoly([3, 0, 5])
+    assert CoeffPoly([3, TPoly((4,))]) == CoeffPoly([3, 4])
+    dense = CoeffPoly([1, 2], base=2).dense_coefficients()
+    dense.append(7)  # a copy: the polynomial is unchanged
+    assert CoeffPoly([1, 2], base=2).dense_coefficients() == [0, 0, 1, 2]
 
 
 def test_build_product_examples():
@@ -143,6 +203,15 @@ def test_golden_matches_product_coefficients():
         ).coefficient_sequence()
 
 
+def test_golden_partials_match_golden_series():
+    partials = list(golden_partials(12))
+    assert len(partials) == 13
+    for n, series in enumerate(partials):
+        assert series == golden_series(n)
+    with pytest.raises(ValueError):
+        next(golden_partials(-1))
+
+
 def test_run_decomposition_examples():
     rd5 = run_decomposition(golden_series(5))
     assert rd5.lengths() == [2, 3, 2, 3, 3, 2, 3, 2]
@@ -165,6 +234,11 @@ def test_run_decomposition_rejects_bad_series():
     bad = GoldenSeries(((GoldenInt(0, 0), 1), (GoldenInt(1, 0), 1), (GoldenInt(2, 0), 1), (GoldenInt(3, 0), 1)))
     with pytest.raises(InvariantError):
         run_decomposition(bad)  # a run of length 4
+    # an exponent that repeats or falls raises, also when its rational part rises by 1
+    for e1 in (GoldenInt(1, 0), GoldenInt(0, 0), GoldenInt(1, -1), GoldenInt(2, -1)):
+        series = GoldenSeries(((GoldenInt(0, 0), 1), (GoldenInt(1, 0), 1), (e1, 1), (e1 + 1, 1)))
+        with pytest.raises(InvariantError, match="not strictly increasing"):
+            run_decomposition(series)
 
 
 def test_exercise_note_truth():

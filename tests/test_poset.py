@@ -106,6 +106,18 @@ def test_flag_alpha_product_formula(poset13):
             assert fv["alpha_dp"] == fv["alpha_product"], S
 
 
+def test_flag_beta_fail_report_carries_flag_vectors(monkeypatch):
+    import fibgf.checks
+
+    # the check compares alpha per S and builds flag_vectors only to report a failure
+    real = fibgf.checks.flag_alpha_product
+    monkeypatch.setattr(fibgf.checks, "flag_alpha_product", lambda poset, S: real(poset, S) + (S == (2, 5)))
+    rep = fibgf.checks.run_check("verify", "flag-beta")
+    assert rep.status == "fail"
+    assert rep.details == {"S": [2, 5], **flag_vectors(frontier_poset(2, 3, 6), (2, 5))}
+    assert set(rep.details) == {"S", "alpha_dp", "alpha_product", "beta"}
+
+
 def test_frontier_examples():
     g23 = frontier_grow(2, 3, 12)
     assert g23["q"] == [fibonacci(n + 3) - 1 for n in range(13)]
