@@ -159,7 +159,18 @@ def check_transfer(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
 
 
 def check_hnfn(nmax: int = 20, symbolic: bool = True):
-    verify_rows_match_product(nmax, t=TPoly.t() if symbolic else 1)
+    """Rows 1..nmax equal the partial products, for symbolic t or at t = 1.
+
+    The symbolic check runs on ints at T = 2^(nmax+1), which decides it
+    exactly.  The coefficient of x^k t^j in the n-th product counts j-subsets
+    of its n factors, so it lies in [0, 2^n).  A row-n entry is a sum of at
+    most two row-(n-1) entries times powers of t, so, from row 1 = (1, t),
+    each of its t-coefficients lies in [0, 2^(n-1)].  Both sides are
+    polynomials in t with coefficients in [0, T), and two such polynomials
+    that agree at T agree as polynomials: their values at T are base-T
+    numerals.
+    """
+    verify_rows_match_product(nmax, t=2 ** (nmax + 1) if symbolic else 1)
     return "pass", {"rows": nmax, "symbolic": symbolic}
 
 

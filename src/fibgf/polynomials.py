@@ -71,7 +71,8 @@ class TPoly:
         return self.c == o.c
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        # a constant (and zero) equals its int, so it hashes like that int
+        return hash(self.c) if len(self.c) > 1 else hash(self.c[0] if self.c else 0)
 
     def __add__(self, other):
         if isinstance(other, int):

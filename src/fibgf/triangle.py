@@ -1,17 +1,18 @@
-"""The grouped weight triangle: rows, groups, marks, and the 7-term recurrence.
+"""The grouped weight triangle: rows, marks, and the 7-term recurrence.
 
-Rows are sequences of scalars partitioned into consecutive groups of two or
-three members, where a group may carry *virtual* zero sentinels at the row
-boundary.  Row n+1 is produced from row n by an operational rule validated
-against the defining product: writing t for the weight,
+A row is its entries together with a marks string over f/m/l: each entry is
+the first, middle or last member of a group of two or three.  A group
+boundary sits exactly where an ``l`` is followed by an ``f``.  Only the first
+group may start with ``m`` (its first member is a virtual zero before the
+row) and only the last may end with ``m`` (a virtual zero after it).  Row
+n+1 is produced from row n by one left-to-right pass over the marks, writing
+t for the weight:
 
-  * below each middle entry a of a 3-group: the 2-group (a, t*a);
-  * below each (group-end e, next-group-begin b) pair: the 3-group
-    (e, b + t*e, t*b);
-  * when the leading group has no virtual first member, a leading boundary
-    pair (virtual 0, first entry b) fires, giving a 3-group (virt, b, t*b)
-    whose first slot is a virtual zero; symmetrically on the right with
-    (e, t*e, virt).
+  * a row that starts with ``f`` (entry b) first gives (b, t*b), marked ``ml``;
+  * each ``m`` entry a gives (a, t*a), marked ``fl``;
+  * each ``l`` entry e followed by an ``f`` entry b gives (e, b + t*e, t*b),
+    marked ``fml``;
+  * a row that ends with ``l`` (entry e) last gives (e, t*e), marked ``fm``.
 
 With these conventions the entries of row n are exactly the coefficients of
 prod_{i=1}^{n} (1 + t x^{F_{i+1}}), which ``verify_rows_match_product``
@@ -28,106 +29,43 @@ from .polynomials import CoeffPoly, TPoly, build_product, fibonacci_product_spec
 
 
 @dataclass(frozen=True)
-class Group:
-    start: int            # index of the first visible member
-    length: int           # counts virtual sentinel members (2 or 3)
-    leading_virtual: bool = False
-    trailing_virtual: bool = False
-
-    @property
-    def visible(self) -> int:
-        return self.length - int(self.leading_virtual) - int(self.trailing_virtual)
-
-    def roles(self) -> list[str]:
-        """Marks of the visible members: 'f'irst / 'm'iddle / 'l'ast."""
-        slots = ["f", "l"] if self.length == 2 else ["f", "m", "l"]
-        if self.leading_virtual:
-            slots = slots[1:]
-        if self.trailing_virtual:
-            slots = slots[:-1]
-        return slots
-
-
-@dataclass(frozen=True)
 class GroupedRow:
     entries: tuple
-    groups: tuple[Group, ...]
+    marks: str  # one of f/m/l per entry
     index: int
-
-    def marks(self) -> list[str]:
-        out: list[str] = []
-        for g in self.groups:
-            out.extend(g.roles())
-        if len(out) != len(self.entries):
-            raise InvariantError("groups do not tile the row", detail=self.index)
-        return out
-
-
-@dataclass(frozen=True)
-class Production:
-    """One group of the next row: ``kind`` in {lead, pair, middle, trail}.
-
-    ``parents`` holds the source positions in the current row (left first).
-    """
-
-    kind: str
-    parents: tuple[int, ...]
-
-
-# The production rule: per kind, the visible children of the new group, left
-# to right, each a sum of (parent slot, power of t) terms.  ``next_row``
-# evaluates it.  The children's covers make the triangle poset, which is
-# P_{2,3}: ``poset.frontier_poset(2, 3, n)`` grows it.
-CHILDREN = {
-    "lead": (((0, 0),), ((0, 1),)),
-    "pair": (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)),
-    "middle": (((0, 0),), ((0, 1),)),
-    "trail": (((0, 0),), ((0, 1),)),
-}
-
-
-def production_plan(row: GroupedRow) -> list[Production]:
-    """The left-to-right production schedule for the next row."""
-    plan: list[Production] = []
-    groups = row.groups
-    first, last = groups[0], groups[-1]
-    if not first.leading_virtual:
-        plan.append(Production("lead", (first.start,)))
-    for gi, g in enumerate(groups):
-        if gi > 0:
-            prev = groups[gi - 1]
-            e = prev.start + prev.visible - 1
-            plan.append(Production("pair", (e, g.start)))
-        if g.length == 3:  # the middle member is never virtual
-            plan.append(Production("middle", (g.start + 1 - g.leading_virtual,)))
-    if not last.trailing_virtual:
-        plan.append(Production("trail", (last.start + last.visible - 1,)))
-    return plan
 
 
 def first_row(t=1) -> GroupedRow:
-    return GroupedRow(entries=(1, t if not isinstance(t, int) else t), groups=(Group(0, 2),), index=1)
+    return GroupedRow(entries=(1, t), marks="fl", index=1)
 
 
 def next_row(row: GroupedRow, t=1) -> GroupedRow:
-    """Apply the production rule once."""
+    """Apply the production rule once.
+
+    Each new entry covers the entries of this row it is summed from; those
+    covers make the triangle poset, which is P_{2,3}:
+    ``poset.frontier_poset(2, 3, n)`` grows it.
+    """
+    vals, marks = row.entries, row.marks
+    # the entries times t (the entries themselves at t = 1)
+    tvals = vals if isinstance(t, int) and t == 1 else [t * v for v in vals]
     entries: list = []
-    groups: list[Group] = []
-    vals = row.entries
-    # by power of t: the entries, and the entries times t (the same at t = 1)
-    weighted = (vals, vals if isinstance(t, int) and t == 1 else [t * v for v in vals])
-    for prod in production_plan(row):
-        start = len(entries)
-        parents = prod.parents
-        for terms in CHILDREN[prod.kind]:
-            (slot, power), *rest = terms
-            value = weighted[power][parents[slot]]
-            for slot, power in rest:
-                value = value + weighted[power][parents[slot]]
-            entries.append(value)
-        lead, trail = prod.kind == "lead", prod.kind == "trail"
-        groups.append(Group(start, len(entries) - start + lead + trail, leading_virtual=lead, trailing_virtual=trail))
-    return GroupedRow(entries=tuple(entries), groups=tuple(groups), index=row.index + 1)
+    new_marks: list[str] = []
+    if marks[0] == "f":
+        entries += (vals[0], tvals[0])
+        new_marks.append("ml")
+    last = len(marks) - 1
+    for k, mark in enumerate(marks):
+        if mark == "m":
+            entries += (vals[k], tvals[k])
+            new_marks.append("fl")
+        elif mark == "l" and k < last:  # an inner l is always followed by an f
+            entries += (vals[k], vals[k + 1] + tvals[k], tvals[k + 1])
+            new_marks.append("fml")
+    if marks[-1] == "l":
+        entries += (vals[-1], tvals[-1])
+        new_marks.append("fm")
+    return GroupedRow(entries=tuple(entries), marks="".join(new_marks), index=row.index + 1)
 
 
 def triangle_rows(n_max: int, t=1):
@@ -161,12 +99,12 @@ def verify_rows_match_product(n_max: int, t=1) -> None:
 
 
 def format_row(row: GroupedRow) -> str:
-    """Entries separated by spaces with a bullet between groups."""
+    """Entries separated by spaces, with a bullet before each f that follows an l."""
     parts: list[str] = []
-    for gi, g in enumerate(row.groups):
-        if gi > 0:
+    for value, prev, mark in zip(row.entries, " " + row.marks, row.marks):
+        if prev + mark == "lf":
             parts.append("•")
-        parts.extend(str(row.entries[g.start + off]) for off in range(g.visible))
+        parts.append(str(value))
     return " ".join(parts)
 
 
@@ -187,7 +125,7 @@ MARK_MATRIX = (
 
 def a_vector(row: GroupedRow) -> tuple[int, ...]:
     """(A1, A2, A3, A31, A12, A13, A23): squared and adjacent mark sums."""
-    marks = row.marks()
+    marks = row.marks
     vals = row.entries
     if any(not isinstance(v, int) for v in vals):
         raise ValueError("mark correlations need integer entries; specialize t")

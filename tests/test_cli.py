@@ -67,11 +67,13 @@ def test_product_dump_roundtrip(capsys):
 
 
 def test_triangle_show_matches_library(capsys):
-    code, out, _ = run_cli(capsys, "triangle", "show", "--rows", "3")
+    code, out, _ = run_cli(capsys, "triangle", "show", "--rows", "4")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines == [format_row(r) for r in triangle_rows(3, 1)]
-    assert lines[2] == "1 1 • 1 2 1 • 1 1"
+    assert out.strip().splitlines() == [format_row(r) for r in triangle_rows(4, 1)]
+    assert out == "1 1\n1 1 • 1 1\n1 1 • 1 2 1 • 1 1\n1 1 • 1 2 1 • 2 2 • 1 2 1 • 1 1\n"
+    code, out, _ = run_cli(capsys, "triangle", "show", "--rows", "3", "--symbolic")
+    assert code == 0
+    assert out == "1 t\n1 t • t t^2\n1 t • t t + t^2 t^2 • t^2 t^3\n"
 
 
 def test_triangle_dot(capsys):

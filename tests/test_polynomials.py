@@ -32,6 +32,14 @@ def test_tpoly_ring_ops():
     assert str(1 + 2 * t) == "1 + 2*t"
 
 
+def test_constant_tpoly_hashes_like_its_int():
+    for c in (-1, 0, 1, 7, 2**70):
+        assert TPoly((c,)) == c and hash(TPoly((c,))) == hash(c)
+        assert TPoly((c,)) in {c} and c in {TPoly((c,))}
+    assert hash(TPoly()) == hash(0) and TPoly() in {0}
+    assert TPoly((1, 1)) not in {1, 2}
+
+
 def _convolve(a: tuple, b: tuple) -> tuple:
     """The generic product of two ascending coefficient tuples, untrimmed."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []

@@ -20,7 +20,7 @@ from fibgf.poset import (
     upho_check,
 )
 from fibgf.sequences import fibonacci, prec_compare
-from fibgf.triangle import CHILDREN, first_row, next_row, production_plan, triangle_rows
+from fibgf.triangle import triangle_rows
 
 
 def test_rank_sizes(poset13):
@@ -221,23 +221,31 @@ def test_negative_depth_is_rejected():
 
 
 def _production_rule_poset(n_max):
-    """The triangle poset from the production rule: each child of a production
-    covers the parent slots of its terms.  Returns (parents, child_order)."""
+    """The triangle poset from the production rule read off the marks: each new
+    entry covers the entries it is summed from.  Returns (parents, child_order)."""
     parents: list[list[tuple[int, ...]]] = [[()], [(0,), (0,)]]
     child_order: list[list[tuple[int, ...]]] = [[(0, 1)]]
-    row = first_row(1)
+    marks = "fl"
     for _ in range(1, n_max):
-        rank_parents: list[tuple[int, ...]] = []
-        order: list[list[int]] = [[] for _ in row.entries]
-        for prod in production_plan(row):
-            for terms in CHILDREN[prod.kind]:
-                covers = tuple(prod.parents[slot] for slot, _ in terms)
-                for p in covers:
-                    order[p].append(len(rank_parents))
-                rank_parents.append(covers)
+        last = len(marks) - 1
+        produced = []  # (the covers of each new entry, their marks), left to right
+        if marks[0] == "f":
+            produced.append((((0,), (0,)), "ml"))
+        for k, mark in enumerate(marks):
+            if mark == "m":
+                produced.append((((k,), (k,)), "fl"))
+            elif mark == "l" and k < last:
+                produced.append((((k,), (k, k + 1), (k + 1,)), "fml"))
+        if marks[-1] == "l":
+            produced.append((((last,), (last,)), "fm"))
+        rank_parents = [covers for group, _ in produced for covers in group]
+        order: list[list[int]] = [[] for _ in marks]
+        for child, covers in enumerate(rank_parents):
+            for p in covers:
+                order[p].append(child)
         parents.append(rank_parents)
         child_order.append([tuple(o) for o in order])
-        row = next_row(row, 1)
+        marks = "".join(m for _, m in produced)
     return parents, child_order
 
 

@@ -376,6 +376,8 @@ def test_kbonacci_residues_leave_numpy_unloaded():
 
 def test_value_predicate():
     assert coefficient_value_predicate(build_product(fibonacci_product_spec(3, t=-1)), {-1, 1})
+    # a constant TPoly weight reads its coefficients as the ints they equal
+    assert coefficient_value_predicate(build_product(fibonacci_product_spec(3, t=TPoly((-1,)))), {-1, 1})
     assert not coefficient_value_predicate(build_product(fibonacci_product_spec(3)), {-1, 1})
     assert coefficient_value_predicate(build_product(fibonacci_product_spec(0)), {1})
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec
@@ -37,13 +39,19 @@ def test_negative_row_count_is_rejected():
         verify_m_recurrence(-2)
 
 
+def _group_spans(marks):
+    """(start, stop) of each group: the marks split at every l followed by an f."""
+    cuts = [0, *(m.start() for m in re.finditer("(?<=l)f", marks)), len(marks)]
+    return list(zip(cuts, cuts[1:]))
+
+
 def test_row_progression_matches_display():
     rows = list(triangle_rows(5, 1))
     assert rows[1].entries == (1, 1, 1, 1)
     assert rows[2].entries == (1, 1, 1, 2, 1, 1, 1)
     assert rows[3].entries == (1, 1, 1, 2, 1, 2, 2, 1, 2, 1, 1, 1)
     assert rows[4].entries == (1, 1, 1, 2, 1, 2, 2, 1, 3, 2, 2, 3, 1, 2, 2, 1, 2, 1, 1, 1)
-    groups5 = [tuple(rows[4].entries[g.start : g.start + g.visible]) for g in rows[4].groups]
+    groups5 = [tuple(rows[4].entries[i:j]) for i, j in _group_spans(rows[4].marks)]
     assert groups5 == [(1, 1), (1, 2, 1), (2, 2), (1, 3, 2), (2, 3, 1), (2, 2), (1, 2, 1), (1, 1)]
 
 
@@ -59,22 +67,26 @@ def test_row_sizes():
 
 
 def test_virtual_edge_parity():
+    # a row starts and ends with a middle (a virtual edge member) exactly when n is even
     for row in triangle_rows(22, 1):
-        assert row.groups[0].leading_virtual == (row.index % 2 == 0)
-        assert row.groups[-1].trailing_virtual == (row.index % 2 == 0)
+        assert (row.marks[0] == "m") == (row.index % 2 == 0)
+        assert (row.marks[-1] == "m") == (row.index % 2 == 0)
 
 
 def test_group_sizes_and_marks_tile():
     for row in triangle_rows(12, 1):
-        assert all(g.length in (2, 3) for g in row.groups)
-        marks = row.marks()
-        assert len(marks) == len(row.entries)
-        assert set(marks) <= {"f", "m", "l"}
+        assert len(row.marks) == len(row.entries)
+        groups = [row.marks[i:j] for i, j in _group_spans(row.marks)]
+        # with its virtual members restored, every group is f l or f m l
+        padded = [("f" if g[0] == "m" else "") + g + ("l" if g[-1] == "m" else "") for g in groups]
+        assert set(padded) <= {"fl", "fml"}
+        # only the first group may start with m, only the last may end with it
+        assert all(g[0] == "f" for g in groups[1:]) and all(g[-1] == "l" for g in groups[:-1])
 
 
 def test_marks_of_virtual_boundary_row():
     r2 = list(triangle_rows(2, 1))[1]
-    assert r2.marks() == ["m", "l", "f", "m"]
+    assert r2.marks == "mlfm"
 
 
 def test_a_vector_examples():
@@ -121,6 +133,25 @@ def test_rows_match_product_all_weights():
 
 def test_rows_match_product_symbolic_deep():
     verify_rows_match_product(22, t=TPoly.t())
+
+
+def _as_tpoly(v):
+    return v if isinstance(v, TPoly) else TPoly((v,))
+
+
+def test_rows_and_products_are_read_exactly_at_a_power_of_two():
+    # the hnfn check compares rows with products at an int T = 2^(n+1); that
+    # decides symbolic equality only while every t-coefficient stays in [0, T)
+    t = TPoly.t()
+    partials = {}
+    build_product(fibonacci_product_spec(14, t=t), callback=lambda i, p: partials.__setitem__(i, p))
+    for row in triangle_rows(14, t):
+        n, big = row.index, 2 ** (row.index + 1)
+        entries = [_as_tpoly(v) for v in row.entries]
+        assert all(0 <= c <= 2 ** (n - 1) for v in entries for c in v.c), n
+        coeffs = [_as_tpoly(v) for v in partials[n].dense_coefficients()]
+        assert all(0 <= c < 2**n for v in coeffs for c in v.c), n
+        assert tuple(v.evaluate(big) for v in entries) == list(triangle_rows(n, big))[-1].entries, n
 
 
 def test_format_row_paper_style():
