@@ -44,7 +44,7 @@ from .poset import (
     upho_check,
 )
 from .sequences import RecurrentSeq, fibonacci, floor_times_phi, kbonacci
-from .stats import CorrSpec, coefficient_value_predicate, corr_series, residue_series
+from .stats import CorrSpec, corr_series, residue_series
 from .symfun import newton_power_sums, tilde_q, verify_forgotten_expansion, verify_powersum_expansion
 from .triangle import (
     expected_charpoly,
@@ -246,7 +246,29 @@ def check_golden(nmax: int = 16):
     return "pass", {"nmax": nmax}
 
 
+def _first_factor_mismatch(spec: ProductSpec, i: int, r: list[int]) -> int | None:
+    """The first j whose factor of ``spec`` is not 1 + x^{r_j} + ... + x^{(i-1) r_j}."""
+    for j, rj in enumerate(r, 1):
+        if spec.factor_terms(j) != [(1, s * rj) for s in range(1, i)]:
+            return j
+    return None
+
+
 def check_phi_rgf(pairs=((2, 2), (2, 3), (3, 2), (3, 3)), nmax: int = 14):
+    """Rank sizes against the phi closed form, and the chain-count rows of
+    P_{3,2} and P_{2,3} against the Stern and Fibonacci products.
+
+    ``frontier_grow`` verifies that row n is prod_{j<=n} (1 + x^{r_j} + ... +
+    x^{(i-1) r_j}).  Z[x] has no zero divisors, so the rows equal a product
+    of such factors up to every n <= nmax exactly when the factors agree one
+    by one, and the first j whose factor differs is the first row that does:
+    at (3, 2) the rows are the Stern products iff r_j = 2^(j-1), at (2, 3)
+    the Fibonacci products iff r_j = F_{j+1}.  No product is expanded.
+    """
+    products = {
+        (3, 2): (stern_product_spec(0), {"rows": "differ from the doubling product"}),
+        (2, 3): (fibonacci_product_spec(0), {}),
+    }
     details = {}
     for i, b in pairs:
         grown = frontier_grow(i, b, nmax)
@@ -254,15 +276,11 @@ def check_phi_rgf(pairs=((2, 2), (2, 3), (3, 2), (3, 3)), nmax: int = 14):
         if grown["q"] != expected_q:
             return "fail", {"pair": [i, b], "q": grown["q"], "want": expected_q}
         details[f"{i},{b}"] = {"q": grown["q"][: min(8, nmax + 1)], "r": grown["r"][:6]}
-        if (i, b) == (3, 2):
-            for n in range(1, min(nmax, 10) + 1):
-                stern_row = build_product(stern_product_spec(n)).dense_coefficients()
-                if grown["chain_counts"][n].tolist() != stern_row:
-                    return "fail", {"pair": [3, 2], "n": n, "rows": "differ from the doubling product"}
-        if (i, b) == (2, 3):
-            for n in range(1, min(nmax, 16) + 1):
-                if grown["chain_counts"][n].tolist() != build_product(fibonacci_product_spec(n)).dense_coefficients():
-                    return "fail", {"pair": [2, 3], "n": n}
+        if (i, b) in products:
+            spec, note = products[i, b]
+            n = _first_factor_mismatch(spec, i, grown["r"])
+            if n is not None:
+                return "fail", {"pair": [i, b], "n": n, **note}
     return "pass", details
 
 
@@ -327,27 +345,24 @@ def check_freegen(ks: tuple[int, ...] = (2, 3), nmax: int = 12):
 
 
 def check_zhao(nmax: int = 25):
+    """The alternating-sign products prod_{i=1}^n (1 - x^{F_{i+1}}) have
+    every coefficient in {0, +-1}, and their squared sums v2 follow v2m1.
+
+    No product is expanded.  For an integer c, c^4 - c^2 = c^2 (c^2 - 1) >= 0
+    with equality exactly when c is 0 or +-1, so v4(n) = v2(n) holds exactly
+    when every coefficient of the n-th product lies in {0, +-1}; the first n
+    with v4(n) != v2(n) is the first product with another coefficient.  Where
+    the sums agree, v2(n) also counts the nonzero coefficients.
+    """
     spec = fibonacci_product_spec(0, t=-1)
-    state = {"bad": None, "nonzero": []}
-
-    def inspect(n, poly):
-        if state["bad"] is None and not coefficient_value_predicate(poly, {-1, 1}):
-            state["bad"] = n
-        state["nonzero"].append(poly.nonzero_count())
-
-    build_product(replace(spec, n=nmax), callback=inspect)
-    if state["bad"] is not None:
-        return "fail", {"n": state["bad"], "coefficients": "outside {0,+-1}"}
     v2 = corr_series(spec, CorrSpec((2,)), nmax)
     v4 = corr_series(spec, CorrSpec((4,)), nmax)
-    cf = closed_form("v2m1")
-    if v2 != series_expand(cf, nmax + 1):
-        return "fail", {"v2": _first_mismatch(v2, series_expand(cf, nmax + 1))}
-    if v2 != v4:
-        return "fail", {"v4_vs_v2": _first_mismatch(v4, v2)}
-    # squares of +-1 coefficients count the nonzeros, so the two must agree
-    if state["nonzero"] != v2:
-        return "fail", {"nonzero_counts": "differ from the squared sums"}
+    for n, (s2, s4) in enumerate(zip(v2, v4)):
+        if s2 != s4:
+            return "fail", {"n": n, "coefficients": "outside {0,+-1}"}
+    want = series_expand(closed_form("v2m1"), nmax + 1)
+    if v2 != want:
+        return "fail", {"v2": _first_mismatch(v2, want)}
     return "pass", {"nmax": nmax, "value_set": [-1, 1]}
 
 

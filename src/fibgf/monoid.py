@@ -144,58 +144,29 @@ def generators(k: int, max_len: int) -> list[MonoidWord]:
     return out
 
 
-# Row bitmasks: bit p of a row's mask is row[p].
-
-def _row_masks(rows) -> list[int]:
-    return [sum(bit << p for p, bit in enumerate(row)) for row in rows]
-
-
-@lru_cache(maxsize=None)
-def _generator_masks(k: int, length: int) -> tuple[int, int, int] | None:
-    """(star bits, top-row bits off the stars, last bit) of the generators of
-    this length, or None if no generator has it.
-
-    The stars sit at positions k, 2k, ..., jk of a length (j+1)k+1 generator;
-    off the stars, the top row (of ``_generator_rows``) is 1 everywhere but at
-    the last position and the bottom row only there.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    blocks, rem = divmod(length - 1, k)
-    if rem or blocks < 1:
-        return None
-    stars = ((1 << (blocks * k)) - 1) // ((1 << k) - 1) - 1
-    last = 1 << (length - 1)
-    return stars, (last - 1) & ~stars, last
-
-
-def _is_generator_piece(k: int, top: int, bottom: int, length: int) -> bool:
-    """Whether the length-``length`` pair with these row bitmasks is a
-    generator, by mask arithmetic."""
-    if length == 1:
-        return top == bottom
-    masks = _generator_masks(k, length)
-    if masks is None:
-        return False
-    stars, fill, last = masks
-    # the rows agree on the stars and differ everywhere else, in either order
-    return top ^ bottom == fill | last and top & ~stars in (fill, last)
-
-
 def is_generator(word: MonoidWord) -> bool:
-    """Membership in the generator family."""
+    """Membership in the generator family: a pair of length 1 with equal
+    rows, or a pair of length (j+1)k+1 that is ``_generator_rows`` of its own
+    star columns (positions k, 2k, ..., jk, equal in both rows) in either
+    row order."""
     if len(word.rows) != 2:
         return False
-    return _is_generator_piece(word.k, *_row_masks(word.rows), word.length)
+    k, length = word.k, word.length
+    if length == 1:
+        return word.rows[0] == word.rows[1]
+    blocks, rem = divmod(length - 1, k)
+    if rem or blocks < 1:
+        return False
+    pair = _generator_rows(k, word.rows[0][k : k * blocks : k])
+    return word.rows in (pair, pair[::-1])
 
 
-def generator_census_series(k: int, max_len: int, symbolic: bool = True) -> list:
+def generator_census_series(k: int, max_len: int) -> list:
     """[G_1, ..., G_max_len]: per length, the sum of t^{ones} over generators."""
     t = TPoly.t()
     census: list = [0] * (max_len + 1)
     for g in generators(k, max_len):
-        term = t ** g.ones_count if symbolic else 1
-        census[g.length] = census[g.length] + term
+        census[g.length] = census[g.length] + t**g.ones_count
     return census[1:]
 
 
@@ -270,7 +241,7 @@ def transfer_series(k: int, t, n_max: int) -> list:
 
     ``t`` may be 1 (plain counts), any int, or a TPoly for symbolic weights.
     """
-    census = generator_census_series(k, n_max, symbolic=True)
+    census = generator_census_series(k, n_max)
     if isinstance(t, int):
         census = [c.evaluate(t) if isinstance(c, TPoly) else c for c in census]
     return RationalFunc([1], [1] + [-g for g in census]).series(n_max + 1)

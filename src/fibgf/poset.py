@@ -345,54 +345,56 @@ def _check_n_max(n_max: int):
         raise ValueError(f"need n_max >= 0, got {n_max}")
 
 
+def _is_next_row(prev, row, r: int, i: int) -> bool:
+    """Whether row = prev * (1 + x^r + ... + x^{(i-1) r}), as coefficient
+    arrays; the product array lives only for this call."""
+    import numpy as np
+
+    product = np.zeros(row.shape[0], dtype=row.dtype)
+    for s in range(i):
+        product[s * r : s * r + prev.shape[0]] += prev
+    return np.array_equal(product, row)
+
+
 def frontier_grow(i: int, b: int, n_max: int) -> dict:
     """Grow P_{ib} to rank n_max; verify its counting identities.
 
-    Returns rank sizes q, the chain-count rows (one numpy array per rank:
-    int64, or exact Python ints when i**n_max, which bounds every count,
-    reaches 2**63) and the derived r_n sequence; no element of the poset is
-    kept.  Raises InvariantError if q_n - q_{n-1} is not divisible by i - 1,
-    if q_n != i q_{n-1} - (i-1) q_{n-b}, or if a chain-count row differs from
-    the product prod_j (1 + x^{r_j} + ... + x^{(i-1) r_j}); and
-    ResourceLimitError(limit_n=n) when the rows and the step to rank n would
-    pass the RGF_MAX_MEM_MB cap, and ValueError for a negative n_max.
+    Returns the rank sizes q and the derived r_n = (q_n - q_{n-1}) / (i - 1).
+    No element and no chain-count row outlives its rank: each row, read off
+    ``FrontierAutomaton.counts`` (int64, or exact Python ints when i**n_max,
+    which bounds every count, reaches 2**63), is checked against the row
+    before it times 1 + x^{r_n} + ... + x^{(i-1) r_n} and then dropped, so
+    row n equals prod_{j<=n} (1 + x^{r_j} + ... + x^{(i-1) r_j}).  Raises
+    InvariantError if q_n != i q_{n-1} - (i-1) q_{n-b} (q_n = i^n below b;
+    the recurrence makes q rise and i - 1 divide q_n - q_{n-1}) or if a row
+    breaks the product identity, with detail n; ResourceLimitError(limit_n=n)
+    when the step to rank n would pass the RGF_MAX_MEM_MB cap, which charges
+    the previous row, two candidate-sized rows (the step's children and the
+    new row, or the new row and its check) and the step's two gap arrays;
+    and ValueError for a negative n_max.
     """
     import numpy as np
-
-    from .stream import _shift_add_blocks
 
     _check_n_max(n_max)
     dtype = np.int64 if i**n_max < 2**63 else object
     automaton = FrontierAutomaton(i, b, dtype)
     count_bytes = 8 if dtype is np.int64 else PYOBJ_BYTES_PER_COEFF
-    rows = [automaton.counts]
-    kept = 1
+    q, r = [1], []
+    prev = automaton.counts
     for n in range(1, n_max + 1):
         candidates = automaton.size * i
-        _check_frontier_cap(n, (kept + candidates) * count_bytes + candidates * automaton.gaps.itemsize)
+        _check_frontier_cap(
+            n, (automaton.size + 2 * candidates) * count_bytes + 2 * candidates * automaton.gaps.itemsize
+        )
         automaton.step()
-        rows.append(automaton.counts)
-        kept += automaton.size
-    q = [row.shape[0] for row in rows]
-    recurrence_ok = all(q[n] == i * q[n - 1] - (i - 1) * q[n - b] for n in range(b, n_max + 1))
-    seeds_ok = all(q[n] == i**n for n in range(0, min(b, n_max + 1)))
-    if not (recurrence_ok and seeds_ok):
-        raise InvariantError("rank sizes fail the q-recurrence")
-    r: list[int] = []
-    for n in range(1, n_max + 1):
-        diff = q[n] - q[n - 1]
-        if diff % (i - 1) != 0:
-            raise InvariantError(f"q_{n} - q_{n - 1} not divisible by {i - 1}", detail=n)
-        r.append(diff // (i - 1))
-    # the product of the first n factors has q_n coefficients
-    product = np.zeros(q[n_max], dtype=dtype)
-    product[0] = 1
-    for n in range(1, n_max + 1):
-        for _ in _shift_add_blocks(product, q[n - 1], [(1, s * r[n - 1]) for s in range(1, i)]):
-            pass
-        if not np.array_equal(product[: q[n]], rows[n]):
+        q.append(automaton.size)
+        if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):
+            raise InvariantError("rank sizes fail the q-recurrence", detail=n)
+        r.append((q[n] - q[n - 1]) // (i - 1))
+        if not _is_next_row(prev, automaton.counts, r[-1], i):
             raise InvariantError("chain-count row differs from the product identity", detail=n)
-    return {"q": q, "r": r, "chain_counts": rows}
+        prev = automaton.counts
+    return {"q": q, "r": r}
 
 
 def frontier_poset(i: int, b: int, n_max: int) -> PosetSlice:

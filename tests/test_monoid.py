@@ -9,8 +9,6 @@ from fibgf.checks import run_check
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.monoid import (
     MonoidWord,
-    _is_generator_piece,
-    _row_masks,
     _weights,
     balanced_cut_positions,
     class_power_sums,
@@ -31,11 +29,15 @@ from fibgf.stats import CorrSpec, corr_series
 
 def reference_count(word):
     """Factorizations into generators, trying a piece (of a generator's length
-    1 + jk) that ends at every position, balanced cut or not."""
+    1 + jk) that ends at every position, balanced cut or not.  It reads
+    ``is_generator`` through the module, so a patch of it applies here too."""
     ways = [1] + [0] * word.length
     for stop in range(1, word.length + 1):
         for start in range(stop - 1, -1, -word.k):
-            if ways[start] and is_generator(MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)):
+            if not ways[start]:
+                continue
+            piece = MonoidWord(tuple(row[start:stop] for row in word.rows), word.k)
+            if fibgf.monoid.is_generator(piece):
                 ways[stop] += ways[start]
     return ways[word.length]
 
@@ -101,16 +103,13 @@ def test_generators_all_balanced_and_recognized():
             atoms = {w.rows for w in enumerate_elements(k, 2, n) if balanced_cut_positions(w) == [n]}
             assert atoms == {g.rows for g in generators(k, n) if g.length == n}, (k, n)
             assert all(is_generator(MonoidWord(rows, k)) for rows in atoms)
-    # the pairs the mask test accepts are exactly the generators the census counts
+    # the pairs is_generator accepts are exactly the generators the census
+    # counts, over every pair of rows of each length
     for k in (2, 3, 4):
-        for length in range(1, 10):
-            accepted = [
-                (top, bottom)
-                for top in range(1 << length)
-                for bottom in range(1 << length)
-                if _is_generator_piece(k, top, bottom, length)
-            ]
-            census = sorted(tuple(_row_masks(g.rows)) for g in generators(k, length) if g.length == length)
+        for length in range(1, 9):
+            rows = list(iproduct((0, 1), repeat=length))
+            accepted = [(top, bottom) for top in rows for bottom in rows if is_generator(MonoidWord((top, bottom), k))]
+            census = sorted(g.rows for g in generators(k, length) if g.length == length)
             assert accepted == census, (k, length)
     assert not is_generator(MonoidWord(((1, 1, 0), (0, 0, 1), (1, 1, 0)), 2))
     assert not is_generator(MonoidWord(((), ()), 2))
@@ -150,7 +149,7 @@ def test_factorization_examples():
 
 def test_free_factorize_cuts_at_every_balanced_position(monkeypatch):
     # were every segment a generator, 000/000 would factor as 1+1+1 and as one piece
-    monkeypatch.setattr(fibgf.monoid, "_is_generator_piece", lambda *args: True)
+    monkeypatch.setattr(fibgf.monoid, "is_generator", lambda word: True)
     w = MonoidWord(((0, 0, 0), (0, 0, 0)), 2)
     assert reference_count(w) == 2
     assert [p.rows for p in free_factorize(w)] == [((0,), (0,))] * 3

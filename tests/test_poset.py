@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fibgf.stream
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
@@ -129,16 +128,52 @@ def test_frontier_examples():
     assert g32["r"] == [2 ** (j - 1) for j in range(1, 11)]
 
 
-def test_frontier_chain_counts_match_products(monkeypatch):
-    # frontier_grow also checks each row against the product it builds in blocks
-    for chunk in (fibgf.stream.CHUNK, 3):
-        monkeypatch.setattr(fibgf.stream, "CHUNK", chunk)
-        g23 = frontier_grow(2, 3, 16)
-        for n in range(1, 17):
-            assert g23["chain_counts"][n].tolist() == build_product(fibonacci_product_spec(n)).dense_coefficients()
-        g32 = frontier_grow(3, 2, 9)
-        for n in range(1, 10):
-            assert g32["chain_counts"][n].tolist() == build_product(stern_product_spec(n)).dense_coefficients()
+def test_frontier_chain_counts_match_products():
+    # the automaton's rows are the Fibonacci products at (2, 3), the Stern ones at (3, 2)
+    for (i, b), product_spec, depth in (((2, 3), fibonacci_product_spec, 16), ((3, 2), stern_product_spec, 9)):
+        auto = FrontierAutomaton(i, b)
+        for n in range(1, depth + 1):
+            auto.step()
+            assert auto.counts.tolist() == build_product(product_spec(n)).dense_coefficients(), (i, b, n)
+
+
+def test_frontier_grow_rejects_a_corrupted_row(monkeypatch):
+    # each row is checked against the row before it times the rank's factor
+    real_step = FrontierAutomaton.step
+
+    def step(self):
+        two_parents = real_step(self)
+        if self.rank == 5:
+            self.counts[2] += 1
+        return two_parents
+
+    monkeypatch.setattr(FrontierAutomaton, "step", step)
+    for i, b in ((2, 3), (3, 2), (3, 3)):
+        with pytest.raises(InvariantError) as err:
+            frontier_grow(i, b, 8)
+        assert err.value.detail == 5, (i, b)
+    frontier_grow(2, 3, 4)  # the ranks before it pass
+
+
+def test_phi_rgf_reports_the_first_wrong_factor(monkeypatch):
+    # the rows equal the products exactly while r_j is the product's exponent
+    import fibgf.checks
+
+    real = fibgf.checks.frontier_grow
+    for pair, j, want in (
+        ((3, 2), 6, {"pair": [3, 2], "n": 6, "rows": "differ from the doubling product"}),
+        ((2, 3), 4, {"pair": [2, 3], "n": 4}),
+    ):
+
+        def perturbed(i, b, n_max, pair=pair, j=j):
+            grown = real(i, b, n_max)
+            if (i, b) == pair:
+                grown["r"][j - 1] += 1
+            return grown
+
+        monkeypatch.setattr(fibgf.checks, "frontier_grow", perturbed)
+        rep = fibgf.checks.run_check("verify", "phi-rgf", nmax=10)
+        assert (rep.status, rep.details) == ("fail", want), pair
 
 
 def test_frontier_gap_bounds():
@@ -150,13 +185,14 @@ def test_frontier_gap_bounds():
         FrontierAutomaton(i=1, b=3)
 
 
-def test_pascal_chain_counts_are_binomials(monkeypatch):
-    # C(66, 33) > 2^63: the rows must switch to exact Python ints
-    for chunk in (fibgf.stream.CHUNK, 3):
-        monkeypatch.setattr(fibgf.stream, "CHUNK", chunk)
-        g22 = frontier_grow(2, 2, 70)
-        for n in range(0, 71):
-            assert g22["chain_counts"][n].tolist() == [comb(n, k) for k in range(n + 1)]
+def test_pascal_chain_counts_are_binomials():
+    # C(66, 33) > 2^63: the rows must be exact Python ints
+    auto = FrontierAutomaton(2, 2, object)
+    for n in range(1, 71):
+        auto.step()
+        assert auto.counts.tolist() == [comb(n, k) for k in range(n + 1)], n
+    # 2^70 >= 2^63, so frontier_grow checks these rows on the object path too
+    assert frontier_grow(2, 2, 70)["q"] == list(range(1, 72))
 
 
 def _reference_frontier(i, b, n_max):
@@ -193,14 +229,14 @@ def test_array_automaton_matches_per_element_reference(i, b, n_max):
     grown = frontier_grow(i, b, n_max)
     counts = poset.chain_counts()
     assert grown["q"] == poset.rank_sizes() == [1] + [len(parents) for parents, _, _ in ref]
-    assert grown["chain_counts"][0].tolist() == counts[0] == [1]
     auto = FrontierAutomaton(i=i, b=b)
+    assert auto.counts.tolist() == counts[0] == [1]
     for n, (parents, order, gaps) in enumerate(ref, 1):
         auto.step()
         assert auto.gaps.tolist() == gaps, n
         assert poset.parents[n] == parents, n
         assert poset.child_order[n - 1] == order, n
-        assert grown["chain_counts"][n].tolist() == counts[n], n
+        assert auto.counts.tolist() == counts[n], n
 
 
 def test_frontier_cap_names_limiting_rank(monkeypatch):
