@@ -38,7 +38,7 @@ from .sequences import (
     prec_compare,
     zeckendorf,
 )
-from .stats import CorrSpec, coefficient_value_predicate, corr_series, corr_sum, residue_count, residue_series
+from .stats import CorrSpec, corr_series, corr_sum, residue_count, residue_series
 from .symfun import SymExpansion, ep_monomial, tilde_q, verify_forgotten_expansion, verify_powersum_expansion
 from .triangle import GroupedRow, a_vector, first_row, next_row, triangle_rows, verify_m_recurrence
 
@@ -69,7 +69,6 @@ __all__ = [
     "check_drx_pattern",
     "check_even_part",
     "closed_form",
-    "coefficient_value_predicate",
     "corr_series",
     "corr_sum",
     "enumerate_elements",

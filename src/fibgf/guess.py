@@ -2,8 +2,8 @@
 
 ``guess_rational`` finds the smallest-denominator rational function whose
 power series matches an integer (or rational) sequence, by one exact
-Berlekamp-Massey pass and verification on withheld trailing terms.  No
-floating point anywhere.
+Berlekamp-Massey pass whose degree bound counts only the terms before the
+withheld trailing ones.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .polynomials import TPoly
 
 def _strip(seq) -> tuple:
     cs = list(seq)
-    while cs and (cs[-1] == 0 if not isinstance(cs[-1], TPoly) else cs[-1].is_zero()):
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -61,7 +61,7 @@ class RationalFunc:
         """First n_terms power-series coefficients, exactly."""
         d0 = self.den[0]
         is_unit = d0 == 1 or d0 == -1
-        if (isinstance(d0, TPoly) and d0.is_zero()) or d0 == 0:
+        if not d0:
             raise ValueError("denominator constant term must be invertible")
         out: list = []
         for k in range(n_terms):
@@ -84,9 +84,6 @@ class RationalFunc:
         if not isinstance(other, RationalFunc):
             return NotImplemented
         return self.same_function(other)
-
-    def __hash__(self):
-        return hash((self.integer_pair()))
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.num + self.den)
@@ -116,25 +113,6 @@ class RationalFunc:
             den = tuple(-v for v in den)
         return num, den
 
-    def reduced(self) -> "RationalFunc":
-        """Cancel the gcd over Q[x] and normalize den(0) = 1 (numeric only)."""
-        num = [Fraction(c) for c in self.num]
-        den = [Fraction(c) for c in self.den]
-        if num:
-            g = _poly_gcd(num, den)
-            if len(g) > 1:
-                num = _poly_divexact(num, g)
-                den = _poly_divexact(den, g)
-        d0 = den[0]
-        if d0 == 0:
-            raise ValueError("reduced denominator has zero constant term")
-        num = [c / d0 for c in num]
-        den = [c / d0 for c in den]
-        ints = all(c.denominator == 1 for c in num + den)
-        if ints:
-            return RationalFunc([int(c) for c in num], [int(c) for c in den])
-        return RationalFunc(num, den)
-
     def specialize_t(self, t_value: int) -> "RationalFunc":
         def sp(c):
             return c.evaluate(t_value) if isinstance(c, TPoly) else c
@@ -163,44 +141,6 @@ class RationalFunc:
             return int(c)
 
         return cls([dec(c) for c in data["num"]], [dec(c) for c in data["den"]])
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - 1 - db
-        f = a[-1] / lb
-        q[k] = f
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    while b and any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a and a[-1] != 0:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a or [Fraction(1)]
-
-
-def _poly_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _poly_divmod(list(a), list(b))
-    if any(r):
-        raise ArithmeticError("not an exact polynomial division")
-    return q
 
 
 def _berlekamp_massey(u: list[Fraction], l_max: int):
@@ -243,9 +183,26 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
     finds the smallest one.  The fit is accepted only when its degree is at
     most ``den_max`` and the terms before the final ``holdout`` determine it
     (2d <= M and d <= M - 2, where M = len(seq) - num_extra - holdout); the
-    held-out terms then verify it.  With ``holdout >= 1`` the fit is unique.
-    With ``holdout = 0`` and 2d + num_extra = len(seq) it is not: another
-    fit of the same degrees may reproduce every term too.
+    pass reads the held-out terms too, so a held-out term that needs a longer
+    recurrence than that bound returns None.  With ``holdout >= 1`` the fit
+    is unique.  With ``holdout = 0`` and 2d + num_extra = len(seq) it is not:
+    another fit of the same degrees may reproduce every term too.
+
+    The fit is returned as BM leaves it: it needs neither a series check nor
+    a gcd.  Write e = num_extra, u' = seq[e + 1:] and (c, L) for the
+    connection polynomial (c(0) = 1, deg c <= L) and length that BM returns.
+
+    It reproduces every term.  BM's invariant: after reading u'_0..u'_i,
+    (c, L) generates all of them, so sum_j c_j u'_(i-j) = 0 for every
+    L <= i; and BM reads all of u', holdout included.  The numerator
+    (c * seq)[:L + e + 1] matches the first L + e + 1 terms by construction;
+    past them the series follows c's recurrence, and so, by the invariant,
+    does ``seq``.
+
+    It is reduced.  num = c * seq[:e + 1] + x^(e+1) P' with
+    P' = (c * u') mod x^L, and c(0) = 1, so gcd(num, c) = gcd(P', c).  A
+    common factor g with g(0) = 1 would make (c/g, L - deg g) a shorter
+    recurrence generating u', against BM's minimal L.
     """
     if den_max < 0 or holdout < 0 or num_extra < 0:
         raise ValueError("den_max, num_extra, holdout must be nonnegative")
@@ -261,10 +218,10 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
         return None
     den, length = found
     num_len = length + num_extra + 1
-    rf = RationalFunc(_pmul(den, values[:num_len])[:num_len], den)
-    if rf.series(n_terms) != values:
-        return None
-    return rf.reduced()
+    num = _pmul(den, values[:num_len])[:num_len]
+    if all(c.denominator == 1 for c in (*num, *den)):
+        return RationalFunc([int(c) for c in num], [int(c) for c in den])
+    return RationalFunc([Fraction(c) for c in num], den)
 
 
 def series_expand(rf: RationalFunc, n_terms: int) -> list:

@@ -48,9 +48,6 @@ class TPoly:
     def degree(self) -> int:
         return len(self.c) - 1  # -1 for the zero polynomial
 
-    def is_zero(self) -> bool:
-        return not self.c
-
     def __bool__(self) -> bool:
         return bool(self.c)
 

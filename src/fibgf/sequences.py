@@ -9,7 +9,6 @@ Z[phi] with phi = (1+sqrt(5))/2, ordered exactly by the real embedding.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from functools import total_ordering
 from math import isqrt
@@ -20,15 +19,14 @@ class RecurrentSeq:
     """An integer sequence f_1, f_2, ... defined by a linear recurrence.
 
     ``coeffs`` = (c_1, ..., c_d) means f_{i+1} = c_1 f_i + ... + c_d f_{i-d+1}
-    for i >= d, and ``init`` = (f_1, ..., f_d).  Terms are memoized; produced
-    values are immutable and the cache only grows, so concurrent readers are
-    safe under the growth lock.
+    for i >= d, and ``init`` = (f_1, ..., f_d).  Terms are memoized in a list
+    that only grows; it takes no lock, as the package grows no sequence from
+    two threads.
     """
 
     coeffs: tuple[int, ...]
     init: tuple[int, ...]
     _memo: list[int] = field(default_factory=list, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != len(self.init) or not self.coeffs:
@@ -44,11 +42,8 @@ class RecurrentSeq:
         if i < 1:
             raise ValueError(f"sequence index must be >= 1, got {i}")
         memo = self._memo
-        if i > len(memo):
-            with self._lock:
-                while len(memo) < i:
-                    nxt = sum(c * memo[-1 - j] for j, c in enumerate(self.coeffs))
-                    memo.append(nxt)
+        while len(memo) < i:
+            memo.append(sum(c * memo[-1 - j] for j, c in enumerate(self.coeffs)))
         return memo[i - 1]
 
     def terms(self, n: int) -> list[int]:

@@ -139,9 +139,3 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
 
     build_product(full, callback=count)
     return out
-
-
-def coefficient_value_predicate(p: CoeffPoly, allowed) -> bool:
-    """True iff every nonzero coefficient lies in ``allowed``."""
-    allowed = set(allowed)
-    return all(c in allowed for c in p._list if c)

@@ -189,7 +189,7 @@ def _det(mat) -> TPoly:
         return mat[0][0]
     total = TPoly()
     for j in range(n):
-        if mat[0][j].is_zero():
+        if not mat[0][j]:
             continue
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         term = mat[0][j] * _det(minor)

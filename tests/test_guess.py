@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibgf.catalog import MULTI_INDEX_ALPHAS, closed_form
 from fibgf.guess import (
@@ -115,10 +117,65 @@ def test_guess_scale_equivariance():
     assert sn == tuple(7 * x for x in bn)
 
 
-def test_reduced_cancels_common_factors():
-    rf = RationalFunc([1, 1], [1, 0, -1])  # (1+x)/((1+x)(1-x))
-    red = rf.reduced()
-    assert red.integer_pair() == ((1,), (1, -1))
+def test_rational_func_is_unhashable():
+    # equality is cross-multiplication, which no hash of the coefficients can follow
+    a, b = RationalFunc([1], [1, -1]), RationalFunc([1, 1], [1, 0, -1])
+    assert a == b
+    for rf in (a, b):
+        with pytest.raises(TypeError):
+            hash(rf)
+
+
+def _euclid_gcd_degree(a, b) -> int:
+    """Degree of gcd(a, b) over Q, by Euclid on Fraction coefficient lists."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        while len(a) >= len(b):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= f * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+@st.composite
+def fit_inputs(draw):
+    """A rational series, sometimes with noise added, and fit parameters."""
+    d = draw(st.integers(0, 5))
+    den = [1] + draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    if d:
+        den[d] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=d + 3))
+    num[0] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    n_terms = draw(st.integers(2 * d + 4, 30))
+    seq = series_expand(RationalFunc(num, den), n_terms)
+    for _ in range(draw(st.integers(0, 2))):
+        seq[draw(st.integers(0, n_terms - 1))] += draw(st.integers(-5, 5))
+    num_extra = draw(st.integers(0, 3))
+    holdout = draw(st.integers(0, 4))
+    den_max = max(0, d + draw(st.integers(-1, 3)))
+    return seq, den_max, num_extra, holdout
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(fit_inputs())
+def test_guess_fit_reproduces_every_term_and_is_reduced(args):
+    seq, den_max, num_extra, holdout = args
+    if len(seq) < 2 + num_extra + holdout:
+        return
+    got = guess_rational(seq, den_max=den_max, num_extra=num_extra, holdout=holdout)
+    if got is None:
+        return
+    assert got.den[0] == 1 and got.den_degree <= den_max
+    assert series_expand(got, len(seq)) == seq
+    assert _euclid_gcd_degree(got.num, got.den) <= 0
 
 
 def test_even_part():
@@ -181,7 +238,7 @@ def test_catalog_phi_forms():
 
 
 def test_vk2n_reduces_to_cubic_at_unit_weight():
-    assert closed_form("vk2n", k=2, t=1).reduced().same_function(closed_form("thm1"))
+    assert closed_form("vk2n", k=2, t=1).same_function(closed_form("thm1"))
 
 
 def test_catalog_identities_across_families():

@@ -29,7 +29,6 @@ from fibgf.polynomials import (
 from fibgf.sequences import RecurrentSeq, fibonacci
 from fibgf.stats import (
     CorrSpec,
-    coefficient_value_predicate,
     corr_series,
     corr_sum,
     residue_count,
@@ -372,14 +371,6 @@ def test_kbonacci_residues_leave_numpy_unloaded():
         "sys.exit('numpy' in sys.modules)"
     )
     assert _fresh_python(code) == 0
-
-
-def test_value_predicate():
-    assert coefficient_value_predicate(build_product(fibonacci_product_spec(3, t=-1)), {-1, 1})
-    # a constant TPoly weight reads its coefficients as the ints they equal
-    assert coefficient_value_predicate(build_product(fibonacci_product_spec(3, t=TPoly((-1,)))), {-1, 1})
-    assert not coefficient_value_predicate(build_product(fibonacci_product_spec(3)), {-1, 1})
-    assert coefficient_value_predicate(build_product(fibonacci_product_spec(0)), {1})
 
 
 def test_residue_counts_span_chunks(monkeypatch):
