@@ -164,6 +164,7 @@ def cmd_verify(args) -> int:
     if args.name == "all":
         if args.nmax is not None:
             raise ValueError("verify all takes no --nmax; every check runs at its own defaults")
+        import numpy  # noqa: F401  (loaded here, so that no check's elapsed_ms carries its import)
         failed = False
         for name in sorted(VERIFY_CHECKS):
             rep = _run_or_error(name)

@@ -199,9 +199,6 @@ class CoeffPoly:
     def one(cls) -> CoeffPoly:
         return cls([1])
 
-    def is_zero(self) -> bool:
-        return not self._list
-
     @property
     def degree(self) -> int:
         """Degree, or -1 for the zero polynomial."""

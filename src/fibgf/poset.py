@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from . import stream
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
 from .sequences import fibonacci, prec_compare
@@ -189,32 +190,30 @@ def label_sequence_checks(sequences: dict[int, list[int]], n_max: int) -> dict:
     for every n < n_max, and which reading direction of S(n) is sorted under
     each Zeckendorf sentinel convention.
     """
-    direction_pairs = []
-    for d1 in ("forward", "reversed"):
-        for d2 in ("forward", "reversed"):
-            good = True
-            for n in range(1, n_max):
-                s = sequences[n] if d1 == "forward" else sequences[n][::-1]
-                s2 = sequences[n + 1] if d2 == "forward" else sequences[n + 1][::-1]
-                if not _is_subsequence(s, s2):
-                    good = False
-                    break
-            if good:
-                direction_pairs.append((d1, d2))
-    order_matches = {}
-    for parity in ("odd", "even"):
-        for direction in ("forward", "reversed"):
-            good = True
-            for n in range(1, n_max + 1):
-                s = sequences[n] if direction == "forward" else sequences[n][::-1]
-                if any(prec_compare(s[i], s[i + 1], sentinel_parity=parity) != -1 for i in range(len(s) - 1)):
-                    good = False
-                    break
-            if good:
-                order_matches[(parity, direction)] = True
+    directions = ("forward", "reversed")
+
+    def read(n: int, direction: str) -> list[int]:
+        return sequences[n] if direction == "forward" else sequences[n][::-1]
+
+    direction_pairs = [
+        (d1, d2)
+        for d1 in directions
+        for d2 in directions
+        if all(_is_subsequence(read(n, d1), read(n + 1, d2)) for n in range(1, n_max))
+    ]
+    order_matches = [
+        (parity, d)
+        for parity in ("even", "odd")
+        for d in directions
+        if all(
+            prec_compare(x, y, sentinel_parity=parity) == -1
+            for n in range(1, n_max + 1)
+            for x, y in zip(read(n, d), read(n, d)[1:])
+        )
+    ]
     return {
         "subsequence_direction_pairs": direction_pairs,
-        "order_consistent": sorted(order_matches),
+        "order_consistent": order_matches,
         "status": "pass" if direction_pairs and order_matches else "fail",
     }
 
@@ -298,9 +297,9 @@ class FrontierAutomaton:
     from its left.  A countdown of 0 means the last child of u - 1 and the
     first child of u are one shared child, which closes the 2b-gon.
 
-    ``counts`` has the given numpy dtype: int64, or ``object`` for exact
-    Python ints where a chain count may reach 2^63.  ``gaps`` has the
-    narrowest signed dtype that holds b (int8 for b <= 128).
+    ``counts`` has the given numpy dtype (int64 by default; ``frontier_grow``
+    takes the narrowest that holds i**n_max, ``object`` past uint64).
+    ``gaps`` has the narrowest signed dtype that holds b (int8 for b <= 128).
     """
 
     def __init__(self, i: int, b: int, dtype=None):
@@ -318,25 +317,32 @@ class FrontierAutomaton:
 
     def step(self):
         """Advance one rank; return the bool mask of new elements that cover
-        two elements (their first parent and the next one)."""
+        two elements (their first parent and the next one).  The new rank is
+        sized first (i children per element, less one per countdown of 1),
+        then written in blocks of ``stream.CHUNK`` old elements."""
         import numpy as np
 
-        i, b = self.i, self.b
-        children = np.repeat(self.counts, i)
-        # gaps[c - 1] sits before candidate child c = u i + s
-        gaps = np.full(children.shape[0] - 1, b - 1, dtype=self.gaps.dtype)
-        gaps[i - 1 :: i] = self.gaps - 1
-        shared = np.flatnonzero(gaps == 0)
-        # candidate u i merges into u i - 1, the last child of u - 1
-        children[shared] += children[shared + 1]
-        self.counts = np.delete(children, shared + 1)
-        self.gaps = np.delete(gaps, shared)
-        if self.gaps.size and (self.gaps.min() < 1 or self.gaps.max() > b - 1):
-            raise InvariantError("gap countdown out of range", detail=self.rank + 1)
-        self.rank += 1
-        two_parents = np.zeros(self.size, dtype=bool)
-        # shared candidates are >= i apart, so j deletions precede the j-th
-        two_parents[shared - np.arange(shared.shape[0])] = True
+        n, i, b, chunk = self.size, self.i, self.b, stream.CHUNK
+        size = n * i - sum(int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1)) for lo in range(0, n, chunk))
+        counts, two_parents = np.zeros(size, self.counts.dtype), np.zeros(size, bool)
+        gaps = np.full(size, b - 1, self.gaps.dtype)  # gaps[k] sits before child k; gaps[0] is unused
+        out = 0  # new index of the block's first child
+        for lo in range(0, n, chunk):
+            block = self.counts[lo : lo + chunk]
+            # the countdown before u's first child; 0 makes it the last child of u - 1
+            before = np.full(block.shape[0], b - 1, dtype=gaps.dtype)
+            before[int(lo == 0) :] = self.gaps[max(lo - 1, 0) : lo + chunk - 1] - 1
+            if before.min() < 0 or before.max() > b - 1:
+                raise InvariantError("gap countdown out of range", detail=self.rank + 1)
+            shared = before == 0
+            first = out + np.arange(block.shape[0]) * i - np.cumsum(shared)  # new index of u's first child
+            for s in range(1, i):
+                counts[first + s] = block
+            counts[first] += block  # a shared child adds to a written last child, maybe of the block before
+            gaps[first] = np.where(shared, b - 1, before)
+            two_parents[first[shared]] = True
+            out = int(first[-1]) + i
+        self.counts, self.gaps, self.rank = counts, gaps[1:], self.rank + 1
         return two_parents
 
 
@@ -347,13 +353,18 @@ def _check_n_max(n_max: int):
 
 def _is_next_row(prev, row, r: int, i: int) -> bool:
     """Whether row = prev * (1 + x^r + ... + x^{(i-1) r}), as coefficient
-    arrays; the product array lives only for this call."""
+    arrays, compared one block of ``stream.CHUNK`` entries at a time."""
     import numpy as np
 
-    product = np.zeros(row.shape[0], dtype=row.dtype)
-    for s in range(i):
-        product[s * r : s * r + prev.shape[0]] += prev
-    return np.array_equal(product, row)
+    for lo in range(0, row.shape[0], stream.CHUNK):
+        block = row[lo : lo + stream.CHUNK]
+        product = np.zeros(block.shape[0], dtype=row.dtype)
+        for shift in [s * r for s in range(i)]:
+            src = prev[max(lo - shift, 0) : max(lo + block.shape[0] - shift, 0)]
+            product[max(shift - lo, 0) :][: src.shape[0]] += src
+        if not np.array_equal(product, block):
+            return False
+    return True
 
 
 def frontier_grow(i: int, b: int, n_max: int) -> dict:
@@ -361,31 +372,32 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
 
     Returns the rank sizes q and the derived r_n = (q_n - q_{n-1}) / (i - 1).
     No element and no chain-count row outlives its rank: each row, read off
-    ``FrontierAutomaton.counts`` (int64, or exact Python ints when i**n_max,
-    which bounds every count, reaches 2**63), is checked against the row
-    before it times 1 + x^{r_n} + ... + x^{(i-1) r_n} and then dropped, so
-    row n equals prod_{j<=n} (1 + x^{r_j} + ... + x^{(i-1) r_j}).  Raises
-    InvariantError if q_n != i q_{n-1} - (i-1) q_{n-b} (q_n = i^n below b;
-    the recurrence makes q rise and i - 1 divide q_n - q_{n-1}) or if a row
-    breaks the product identity, with detail n; ResourceLimitError(limit_n=n)
-    when the step to rank n would pass the RGF_MAX_MEM_MB cap, which charges
-    the previous row, two candidate-sized rows (the step's children and the
-    new row, or the new row and its check) and the step's two gap arrays;
-    and ValueError for a negative n_max.
+    ``FrontierAutomaton.counts`` (of the narrowest dtype that holds i**n_max,
+    which bounds every count: uint32 at (3, 3) and n_max = 14, exact Python
+    ints past uint64), is checked against the row before it times 1 +
+    x^{r_n} + ... + x^{(i-1) r_n} and then dropped, so row n equals
+    prod_{j<=n} (1 + x^{r_j} + ... + x^{(i-1) r_j}).  Raises InvariantError
+    if q_n != i q_{n-1} - (i-1) q_{n-b} (q_n = i^n below b; the recurrence
+    makes q rise and i - 1 divide q_n - q_{n-1}) or if a row breaks the
+    product identity, with detail n; ResourceLimitError(limit_n=n) when the
+    step to rank n would pass the RGF_MAX_MEM_MB cap, which charges the
+    previous and the new row, both gap arrays, the two-parent mask and one
+    block's temporaries; and ValueError for a negative n_max.
     """
     import numpy as np
 
     _check_n_max(n_max)
-    dtype = np.int64 if i**n_max < 2**63 else object
+    dtype = np.min_scalar_type(i**n_max)
     automaton = FrontierAutomaton(i, b, dtype)
-    count_bytes = 8 if dtype is np.int64 else PYOBJ_BYTES_PER_COEFF
+    count_bytes = PYOBJ_BYTES_PER_COEFF if dtype == object else dtype.itemsize
+    gap_bytes = automaton.gaps.itemsize
     q, r = [1], []
     prev = automaton.counts
     for n in range(1, n_max + 1):
-        candidates = automaton.size * i
-        _check_frontier_cap(
-            n, (automaton.size + 2 * candidates) * count_bytes + 2 * candidates * automaton.gaps.itemsize
-        )
+        candidates, chunk = automaton.size * i, stream.CHUNK
+        # a step block holds four int64 index arrays and two countdown arrays; a check block, one row block
+        block = min(chunk, automaton.size) * (4 * 8 + 2 * gap_bytes) + min(chunk, candidates) * count_bytes
+        _check_frontier_cap(n, (automaton.size + candidates) * (count_bytes + gap_bytes) + candidates + block)
         automaton.step()
         q.append(automaton.size)
         if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +148,22 @@ def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
         ("zz-fails", "fail"),
     ]
     assert reports[1]["details"] == {"error": "ResourceLimitError: over the cap"}
+
+
+def test_verify_all_loads_numpy_before_its_first_check():
+    # numpy's import (about 150 ms) would otherwise land in the elapsed_ms of
+    # the first check that needs it, in a fresh `fibgf verify all`
+    code = (
+        "import sys, fibgf.cli\n"
+        "def first_check(kind, name, **params):\n"
+        "    sys.exit(0 if 'numpy' in sys.modules else 1)\n"
+        "fibgf.cli.run_check = first_check\n"
+        "fibgf.cli.main(['verify', 'all', '--json'])\n"
+        "sys.exit(2)\n"
+    )
+    src = str(Path(fibgf.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_invariant_error_is_a_fail_report(monkeypatch, capsys):

@@ -1,11 +1,15 @@
+import tracemalloc
 from functools import partial
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibgf.stream
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
@@ -222,21 +226,45 @@ def _reference_frontier(i, b, n_max):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(i=st.integers(2, 4), b=st.integers(2, 5), n_max=st.integers(0, 7))
-def test_array_automaton_matches_per_element_reference(i, b, n_max):
+@given(
+    i=st.integers(2, 4),
+    b=st.integers(2, 5),
+    n_max=st.integers(0, 7),
+    chunk=st.sampled_from((1, 2, 3, 7, fibgf.stream.CHUNK)),
+    exact=st.booleans(),
+)
+def test_array_automaton_matches_per_element_reference(i, b, n_max, chunk, exact):
+    # blocks of a few old elements put shared children on block boundaries;
+    # the counts are exact ints or of the narrowest dtype frontier_grow takes
+    dtype = np.dtype(object) if exact else np.min_scalar_type(i**n_max)
     ref = _reference_frontier(i, b, n_max)
-    poset = frontier_poset(i, b, n_max)
-    grown = frontier_grow(i, b, n_max)
-    counts = poset.chain_counts()
-    assert grown["q"] == poset.rank_sizes() == [1] + [len(parents) for parents, _, _ in ref]
-    auto = FrontierAutomaton(i=i, b=b)
-    assert auto.counts.tolist() == counts[0] == [1]
-    for n, (parents, order, gaps) in enumerate(ref, 1):
-        auto.step()
-        assert auto.gaps.tolist() == gaps, n
-        assert poset.parents[n] == parents, n
-        assert poset.child_order[n - 1] == order, n
-        assert auto.counts.tolist() == counts[n], n
+    with patch.object(fibgf.stream, "CHUNK", chunk):
+        poset = frontier_poset(i, b, n_max)
+        grown = frontier_grow(i, b, n_max)
+        auto = FrontierAutomaton(i, b, dtype)
+        counts = poset.chain_counts()
+        assert grown["q"] == poset.rank_sizes() == [1] + [len(parents) for parents, _, _ in ref]
+        assert auto.counts.tolist() == counts[0] == [1]
+        for n, (parents, order, gaps) in enumerate(ref, 1):
+            two_parents = auto.step()
+            assert auto.gaps.tolist() == gaps, n
+            assert poset.parents[n] == parents, n
+            assert poset.child_order[n - 1] == order, n
+            assert two_parents.tolist() == [len(ps) == 2 for ps in parents], n
+            assert auto.counts.dtype == dtype and auto.counts.tolist() == counts[n], n
+
+
+def test_frontier_grow_holds_two_rows():
+    # rank 14 of P_{3,3} has 1,605,717 elements: its uint32 row and the row
+    # before, both gap arrays, the mask and one block come to about 15 MB;
+    # full-length int64 children and product temporaries would pass 38 MB
+    tracemalloc.start()
+    try:
+        frontier_grow(3, 3, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 10**6, peak
 
 
 def test_frontier_cap_names_limiting_rank(monkeypatch):
