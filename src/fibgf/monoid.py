@@ -284,11 +284,6 @@ def word_classes(n: int, cap: int = 14) -> list[int]:
     return sorted(sizes.values())
 
 
-def class_power_sums(n: int, r: int, cap: int = 14) -> int:
-    """sum of size^r over the rewrite classes of {a,b}^n."""
-    return sum(s**r for s in word_classes(n, cap=cap))
-
-
 def _move_targets(bits: tuple[int, ...]) -> list[tuple[int, ...]]:
     out = []
     for p in range(len(bits) - 2):

@@ -3,15 +3,15 @@
 ``PosetSlice`` stores one graded poset truncated to finitely many ranks, as
 parent-index tuples per element (rank 0 is the bottom element).  The planar
 posets P_{ib}, where every element has ``i`` covers and consecutive covers
-close a 2b-gon, are grown by a frontier automaton, which records every
-element's children in left-to-right planar order; that order drives the
-alternating edge labeling.  The poset the grouped weight triangle generates
-is P_{2,3}: ``frontier_poset(2, 3, n)``.
+close a 2b-gon, are grown by a frontier automaton, whose countdowns alone
+give every cover.  Indices run in planar left-to-right order within a rank;
+that order drives the alternating edge labeling.  The poset the grouped
+weight triangle generates is P_{2,3}: ``frontier_poset(2, 3, n)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import stream
@@ -25,12 +25,10 @@ class PosetSlice:
     """Ranks 0..depth of a graded poset with a single bottom element.
 
     ``parents[n][k]`` is the tuple of rank-(n-1) indices covered by element k
-    of rank n; ``child_order[n][j]`` lists the rank-(n+1) children of element
-    j of rank n in planar left-to-right order (absent for the last rank).
+    of rank n.  Within a rank, index order is planar left-to-right order.
     """
 
     parents: list[list[tuple[int, ...]]]
-    child_order: list[list[tuple[int, ...]]] = field(default_factory=list)
 
     @property
     def depth(self) -> int:
@@ -48,7 +46,8 @@ class PosetSlice:
         return counts
 
     def children(self, n: int) -> list[list[int]]:
-        """Unordered children lists (rank n -> rank n+1 indices)."""
+        """Children lists (rank n -> rank n+1 indices), each in index order,
+        which is planar left-to-right order."""
         out: list[list[int]] = [[] for _ in self.parents[n]]
         for k, ps in enumerate(self.parents[n + 1]):
             for p in ps:
@@ -75,9 +74,10 @@ class PosetSlice:
         return "\n".join(lines)
 
 
-# Footprint of one PosetSlice element, its parent tuple and child-order slot
-# (tracemalloc peak per element: 176-191 bytes on P_ib with 8k-250k elements).
-POSET_ELEMENT_BYTES = 200
+# Footprint of one PosetSlice element: its list slot and its parent tuple,
+# which an element's one-parent children share (tracemalloc peak per element:
+# 39-78 bytes on P_ib with 8k-514k elements, the most on P_{2,3}).
+POSET_ELEMENT_BYTES = 90
 
 
 def _check_frontier_cap(n: int, nbytes: int):
@@ -109,7 +109,7 @@ def _assign_sigma(poset: PosetSlice, n_max: int, convention) -> list[list[int]] 
         label_value = fibonacci(n + 2)
         next_sigma: list[int | None] = [None] * len(poset.parents[n + 1])
         zero_first = _phase_starts_with_zero(convention, n)
-        for j, child_pair in enumerate(poset.child_order[n]):
+        for j, child_pair in enumerate(poset.children(n)):
             labels = (0, label_value) if zero_first else (label_value, 0)
             for child, lab in zip(child_pair, labels):
                 value = sigma[n][j] + lab
@@ -315,16 +315,15 @@ class FrontierAutomaton:
     def size(self) -> int:
         return self.counts.shape[0]
 
-    def step(self):
-        """Advance one rank; return the bool mask of new elements that cover
-        two elements (their first parent and the next one).  The new rank is
-        sized first (i children per element, less one per countdown of 1),
-        then written in blocks of ``stream.CHUNK`` old elements."""
+    def step(self) -> None:
+        """Advance one rank.  The new rank is sized first (i children per
+        element, less one per countdown of 1), then written in blocks of
+        ``stream.CHUNK`` old elements."""
         import numpy as np
 
         n, i, b, chunk = self.size, self.i, self.b, stream.CHUNK
         size = n * i - sum(int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1)) for lo in range(0, n, chunk))
-        counts, two_parents = np.zeros(size, self.counts.dtype), np.zeros(size, bool)
+        counts = np.zeros(size, self.counts.dtype)
         gaps = np.full(size, b - 1, self.gaps.dtype)  # gaps[k] sits before child k; gaps[0] is unused
         out = 0  # new index of the block's first child
         for lo in range(0, n, chunk):
@@ -340,10 +339,8 @@ class FrontierAutomaton:
                 counts[first + s] = block
             counts[first] += block  # a shared child adds to a written last child, maybe of the block before
             gaps[first] = np.where(shared, b - 1, before)
-            two_parents[first[shared]] = True
             out = int(first[-1]) + i
         self.counts, self.gaps, self.rank = counts, gaps[1:], self.rank + 1
-        return two_parents
 
 
 def _check_n_max(n_max: int):
@@ -381,8 +378,8 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     makes q rise and i - 1 divide q_n - q_{n-1}) or if a row breaks the
     product identity, with detail n; ResourceLimitError(limit_n=n) when the
     step to rank n would pass the RGF_MAX_MEM_MB cap, which charges the
-    previous and the new row, both gap arrays, the two-parent mask and one
-    block's temporaries; and ValueError for a negative n_max.
+    previous and the new row, both gap arrays and one block's temporaries;
+    and ValueError for a negative n_max.
     """
     import numpy as np
 
@@ -397,7 +394,7 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
         candidates, chunk = automaton.size * i, stream.CHUNK
         # a step block holds four int64 index arrays and two countdown arrays; a check block, one row block
         block = min(chunk, automaton.size) * (4 * 8 + 2 * gap_bytes) + min(chunk, candidates) * count_bytes
-        _check_frontier_cap(n, (automaton.size + candidates) * (count_bytes + gap_bytes) + candidates + block)
+        _check_frontier_cap(n, (automaton.size + candidates) * (count_bytes + gap_bytes) + block)
         automaton.step()
         q.append(automaton.size)
         if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):
@@ -412,35 +409,28 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
 def frontier_poset(i: int, b: int, n_max: int) -> PosetSlice:
     """P_{ib} on ranks 0..n_max as a PosetSlice, from the frontier automaton.
 
-    New element k sits at candidate position c = k + (two-parent elements
-    before k), so its first parent is c // i; a two-parent element also
-    covers the next one.  P_{2,3} is the triangle poset.  Raises
-    ResourceLimitError(limit_n=n) when the elements up to rank n would pass
-    the RGF_MAX_MEM_MB cap, and ValueError for a negative n_max.
+    Old element u gets i consecutive children; where the countdown before u
+    is 1, u's first child is also the last child of u - 1 and covers both.
+    P_{2,3} is the triangle poset.  Raises ResourceLimitError(limit_n=n) when
+    the elements up to rank n would pass the RGF_MAX_MEM_MB cap, and
+    ValueError for a negative n_max.
     """
-    import numpy as np
-
     _check_n_max(n_max)
     automaton = FrontierAutomaton(i, b)
     parents: list[list[tuple[int, ...]]] = [[()]]
-    child_order: list[list[tuple[int, ...]]] = []
     kept = 1
     for n in range(1, n_max + 1):
-        size = automaton.size
-        _check_frontier_cap(n, (kept + size * i) * POSET_ELEMENT_BYTES)
-        two = automaton.step()
-        first = (np.arange(two.shape[0]) + np.cumsum(two) - two) // i
-        rank_parents: list[tuple[int, ...]] = []
-        order: list[list[int]] = [[] for _ in range(size)]
-        for k, (p, shared) in enumerate(zip(first.tolist(), two.tolist())):
-            rank_parents.append((p, p + 1) if shared else (p,))
-            order[p].append(k)
-            if shared:
-                order[p + 1].append(k)
-        parents.append(rank_parents)
-        child_order.append([tuple(o) for o in order])
-        kept += len(rank_parents)
-    return PosetSlice(parents=parents, child_order=child_order)
+        _check_frontier_cap(n, (kept + automaton.size * i) * POSET_ELEMENT_BYTES)
+        rank: list[tuple[int, ...]] = [(0,)] * i
+        for u, gap in enumerate(automaton.gaps.tolist(), 1):
+            both = gap == 1
+            if both:
+                rank[-1] += (u,)
+            rank += [(u,)] * (i - both)
+        automaton.step()
+        parents.append(rank)
+        kept += len(rank)
+    return PosetSlice(parents=parents)
 
 
 # -- upho self-similarity ------------------------------------------------------

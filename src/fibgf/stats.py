@@ -1,4 +1,4 @@
-"""Coefficient statistics: correlation power sums, residue counts, predicates.
+"""Coefficient statistics: correlation power sums and residue counts.
 
 ``corr_sum`` computes sum_k prod_j c(k+j)^alpha_j exactly over Z or Z[t];
 window cells beyond the degree are exact zeros and annihilate the product.

@@ -11,7 +11,6 @@ from fibgf.monoid import (
     MonoidWord,
     _weights,
     balanced_cut_positions,
-    class_power_sums,
     closed_form_census_series,
     enumerate_elements,
     free_factorize,
@@ -276,12 +275,6 @@ def test_word_classes_match_coefficients():
     for n in range(1, 12):
         coeffs = sorted(build_product(fibonacci_product_spec(n)).coefficient_sequence())
         assert word_classes(n) == coeffs
-
-
-def test_class_power_sums_match_corr():
-    for r in (1, 2, 3):
-        vr = corr_series(fibonacci_product_spec(0), CorrSpec((r,)), 11)
-        assert [class_power_sums(n, r) for n in range(1, 12)] == vr[1:]
 
 
 def test_move_connectivity_examples():

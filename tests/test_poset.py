@@ -13,6 +13,7 @@ import fibgf.stream
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
+    POSET_ELEMENT_BYTES,
     FrontierAutomaton,
     PosetSlice,
     flag_vectors,
@@ -146,10 +147,9 @@ def test_frontier_grow_rejects_a_corrupted_row(monkeypatch):
     real_step = FrontierAutomaton.step
 
     def step(self):
-        two_parents = real_step(self)
+        real_step(self)
         if self.rank == 5:
             self.counts[2] += 1
-        return two_parents
 
     monkeypatch.setattr(FrontierAutomaton, "step", step)
     for i, b in ((2, 3), (3, 2), (3, 3)):
@@ -246,25 +246,36 @@ def test_array_automaton_matches_per_element_reference(i, b, n_max, chunk, exact
         assert grown["q"] == poset.rank_sizes() == [1] + [len(parents) for parents, _, _ in ref]
         assert auto.counts.tolist() == counts[0] == [1]
         for n, (parents, order, gaps) in enumerate(ref, 1):
-            two_parents = auto.step()
+            assert auto.step() is None
             assert auto.gaps.tolist() == gaps, n
             assert poset.parents[n] == parents, n
-            assert poset.child_order[n - 1] == order, n
-            assert two_parents.tolist() == [len(ps) == 2 for ps in parents], n
+            assert [tuple(c) for c in poset.children(n - 1)] == order, n
             assert auto.counts.dtype == dtype and auto.counts.tolist() == counts[n], n
 
 
 def test_frontier_grow_holds_two_rows():
     # rank 14 of P_{3,3} has 1,605,717 elements: its uint32 row and the row
-    # before, both gap arrays, the mask and one block come to about 15 MB;
-    # full-length int64 children and product temporaries would pass 38 MB
+    # before, both gap arrays and one block come to about 13 MB; full-length
+    # int64 children and product temporaries would pass 38 MB
     tracemalloc.start()
     try:
         frontier_grow(3, 3, 14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 10**6, peak
+    assert peak < 14 * 10**6, peak
+
+
+def test_poset_elements_are_charged_by_size():
+    # the cap charges POSET_ELEMENT_BYTES per element; the build stays under it
+    tracemalloc.start()
+    try:
+        poset = frontier_poset(2, 3, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elements = sum(poset.rank_sizes())
+    assert peak < POSET_ELEMENT_BYTES * elements, (peak, elements)
 
 
 def test_frontier_cap_names_limiting_rank(monkeypatch):
@@ -286,9 +297,11 @@ def test_negative_depth_is_rejected():
 
 def _production_rule_poset(n_max):
     """The triangle poset from the production rule read off the marks: each new
-    entry covers the entries it is summed from.  Returns (parents, child_order)."""
+    entry covers the entries it is summed from.  Returns (parents, children):
+    children[n][j] lists the rank-(n+1) children of element j of rank n in
+    planar left-to-right order."""
     parents: list[list[tuple[int, ...]]] = [[()], [(0,), (0,)]]
-    child_order: list[list[tuple[int, ...]]] = [[(0, 1)]]
+    children: list[list[tuple[int, ...]]] = [[(0, 1)]]
     marks = "fl"
     for _ in range(1, n_max):
         last = len(marks) - 1
@@ -308,17 +321,17 @@ def _production_rule_poset(n_max):
             for p in covers:
                 order[p].append(child)
         parents.append(rank_parents)
-        child_order.append([tuple(o) for o in order])
+        children.append([tuple(o) for o in order])
         marks = "".join(m for _, m in produced)
-    return parents, child_order
+    return parents, children
 
 
 def test_triangle_poset_is_the_production_rule_poset():
-    parents, child_order = _production_rule_poset(18)
+    parents, children = _production_rule_poset(18)
     for n in range(0, 19):
         poset = frontier_poset(2, 3, n)
         assert poset.parents == parents[: n + 1], n
-        assert poset.child_order == child_order[:n], n
+        assert [[tuple(c) for c in poset.children(k)] for k in range(n)] == children[:n], n
     counts = PosetSlice(parents=parents).chain_counts()
     for n, row in enumerate(triangle_rows(18, 1), 1):
         assert counts[n] == list(row.entries), n
