@@ -17,7 +17,7 @@ from itertools import combinations
 from . import stream
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
-from .sequences import fibonacci, prec_compare
+from .sequences import fibonacci, prec_compare_reps, zeckendorf
 
 
 @dataclass
@@ -201,12 +201,13 @@ def label_sequence_checks(sequences: dict[int, list[int]], n_max: int) -> dict:
         for d2 in directions
         if all(_is_subsequence(read(n, d1), read(n + 1, d2)) for n in range(1, n_max))
     ]
+    reps = {x: zeckendorf(x) for x in {x for n in range(1, n_max + 1) for x in sequences[n]}}
     order_matches = [
         (parity, d)
         for parity in ("even", "odd")
         for d in directions
         if all(
-            prec_compare(x, y, sentinel_parity=parity) == -1
+            prec_compare_reps(reps[x], reps[y], sentinel_parity=parity) == -1
             for n in range(1, n_max + 1)
             for x, y in zip(read(n, d), read(n, d)[1:])
         )
@@ -298,8 +299,10 @@ class FrontierAutomaton:
     first child of u are one shared child, which closes the 2b-gon.
 
     ``counts`` has the given numpy dtype (int64 by default; ``frontier_grow``
-    takes the narrowest that holds i**n_max, ``object`` past uint64).
-    ``gaps`` has the narrowest signed dtype that holds b (int8 for b <= 128).
+    takes the narrowest that holds i**n_max, ``object`` past uint64).  Every
+    count at rank n is at most i**n, so ``step`` raises OverflowError before
+    a fixed-width dtype could wrap.  ``gaps`` has the narrowest signed dtype
+    that holds b (int8 for b <= 128).
     """
 
     def __init__(self, i: int, b: int, dtype=None):
@@ -322,6 +325,9 @@ class FrontierAutomaton:
         import numpy as np
 
         n, i, b, chunk = self.size, self.i, self.b, stream.CHUNK
+        dtype = self.counts.dtype
+        if dtype.kind in "iu" and i ** (self.rank + 1) > np.iinfo(dtype).max:
+            raise OverflowError(f"chain counts at rank {self.rank + 1} may pass {dtype}; pass dtype=object")
         size = n * i - sum(int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1)) for lo in range(0, n, chunk))
         counts = np.zeros(size, self.counts.dtype)
         gaps = np.full(size, b - 1, self.gaps.dtype)  # gaps[k] sits before child k; gaps[0] is unused

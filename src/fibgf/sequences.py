@@ -122,9 +122,14 @@ def prec_compare(m: int, n: int, sentinel_parity: str = "odd") -> int:
     Zeckendorf index of n is even" come out true.  ``sentinel_parity="even"``
     uses the literal F_0 = 0 sentinel (even, index 0) instead.
     """
+    return prec_compare_reps(zeckendorf(m), zeckendorf(n), sentinel_parity)
+
+
+def prec_compare_reps(zm: list[int], zn: list[int], sentinel_parity: str = "odd") -> int:
+    """``prec_compare`` on Zeckendorf representations already computed, so
+    that a caller comparing many labels expands each label once."""
     if sentinel_parity not in ("odd", "even"):
         raise ValueError("sentinel_parity must be 'odd' or 'even'")
-    zm, zn = zeckendorf(m), zeckendorf(n)
     if zm == zn:
         return 0
     if sentinel_parity == "odd":

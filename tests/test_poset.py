@@ -86,6 +86,18 @@ def test_label_sequence_checks(poset13):
     assert ("odd", "reversed") in [tuple(t) for t in checks["order_consistent"]]
 
 
+def test_label_checks_expand_each_label_once(poset13, monkeypatch):
+    import fibgf.poset
+
+    sequences = sigma_labels(poset13, 13)["sequences"]
+    calls = []
+    real = fibgf.poset.zeckendorf
+    monkeypatch.setattr(fibgf.poset, "zeckendorf", lambda n: calls.append(n) or real(n))
+    checks = label_sequence_checks(sequences, 13)
+    assert sorted(calls) == sorted({x for n in range(1, 14) for x in sequences[n]})
+    assert [tuple(t) for t in checks["order_consistent"]] == [("odd", "reversed")]
+
+
 def test_order_matches_prec(poset13):
     res = sigma_labels(poset13, 11)
     for n in range(1, 12):
@@ -197,6 +209,24 @@ def test_pascal_chain_counts_are_binomials():
         assert auto.counts.tolist() == [comb(n, k) for k in range(n + 1)], n
     # 2^70 >= 2^63, so frontier_grow checks these rows on the object path too
     assert frontier_grow(2, 2, 70)["q"] == list(range(1, 72))
+
+
+def test_fixed_width_counts_refuse_to_wrap():
+    # int64 would read 7.99e18 at rank 70, where C(70, 35) = 1.12e20: the
+    # step to rank 63, the first whose bound 2^63 passes int64, refuses
+    auto = FrontierAutomaton(2, 2)
+    for _ in range(62):
+        auto.step()
+    assert auto.counts.max() == comb(62, 31)
+    with pytest.raises(OverflowError):
+        for _ in range(8):
+            auto.step()
+    assert auto.rank == 62
+    narrow = FrontierAutomaton(3, 2, np.uint8)  # 3^5 = 243 fits, 3^6 does not
+    for _ in range(5):
+        narrow.step()
+    with pytest.raises(OverflowError):
+        narrow.step()
 
 
 def _reference_frontier(i, b, n_max):

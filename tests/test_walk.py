@@ -1,17 +1,29 @@
 """The difference walk against the expanded product, on random small specs."""
 
+import tracemalloc
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibgf.checks
+import fibgf.walk
 from fibgf.catalog import closed_form
+from fibgf.errors import ResourceLimitError
 from fibgf.guess import series_expand
-from fibgf.polynomials import CoeffPoly, ProductSpec, TPoly, build_product, kbonacci_product_spec
-from fibgf.sequences import RecurrentSeq
+from fibgf.polynomials import (
+    CoeffPoly,
+    ProductSpec,
+    TPoly,
+    build_product,
+    fibonacci_product_spec,
+    kbonacci_product_spec,
+    stern_product_spec,
+)
+from fibgf.sequences import RecurrentSeq, kbonacci
 from fibgf.stats import CorrSpec, corr_series
-from fibgf.walk import _Walk
+from fibgf.walk import BASIS_STATE_BYTES, _BasisWalk, _Walk, basis_walk_applies
 
 T = TPoly.t()
 
@@ -38,6 +50,31 @@ def specs(draw, symbolic=True):
     return ProductSpec(exponent_seq=seq, n=0, h=h, a=a, offset=draw(st.integers(0, 2)), prefactor=prefactor)
 
 
+@st.composite
+def _basis_candidates(draw):
+    order = draw(st.integers(1, 3))
+    if order == 1:
+        coeffs = (draw(st.integers(2, 3)),)
+    else:  # Brauer's condition: c_1 >= ... >= c_d >= 1
+        coeffs = tuple(sorted(draw(st.lists(st.integers(1, 2), min_size=order, max_size=order)), reverse=True))
+    seq = RecurrentSeq(coeffs=coeffs, init=tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order))))
+    h = draw(st.integers(1, 3))
+    a = [0] * h
+    j = draw(st.integers(0, h - 1))
+    a[j] = draw(st.sampled_from([1, -1, 2, -3]))
+    if draw(st.booleans()):
+        a[j] = a[j] * T ** draw(st.integers(1, 2))
+    prefactor = None
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+        prefactor = CoeffPoly(coeffs, base=draw(st.integers(0, 2)))
+    return ProductSpec(exponent_seq=seq, n=0, h=h, a=tuple(a), offset=draw(st.integers(0, 5)), prefactor=prefactor)
+
+
+# specs the basis walk takes: Brauer recurrences, one term per factor, and
+# exponents that rise from the first factor on
+basis_specs = _basis_candidates().filter(basis_walk_applies)
+
 # up to three offsets, a leading zero offset included, at most four rows
 alphas = st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda a: 0 < sum(a) <= 4).map(tuple)
 
@@ -49,12 +86,35 @@ def test_walk_matches_pure_engine(spec, alpha, n_max):
     assert corr_series(spec, CorrSpec(alpha), n_max) == want
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=basis_specs, alpha=alphas, n_max=st.integers(0, 6))
+def test_basis_walk_matches_pure_engine(spec, alpha, n_max):
+    want = corr_series(spec, CorrSpec(alpha), n_max, engine="pure")
+    assert fibgf.walk.corr_walk_series(spec, alpha, n_max) == want
+
+
+def _level_series(spec, alpha, n_max):
+    walk = _Walk(spec, alpha)
+    return [walk.value(n) for n in range(n_max + 1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=basis_specs, alpha=alphas, n_max=st.integers(7, 20))
+def test_basis_walk_matches_level_walk(spec, alpha, n_max):
+    assert _BasisWalk(spec, alpha, n_max).series() == _level_series(spec, alpha, n_max)
+
+
 def _unpruned_series(spec, alpha, n_max):
+    big = 1 << 64
+    if basis_walk_applies(spec):
+        walk = _BasisWalk(spec, alpha, n_max)
+        # a slack no pair difference reaches: every state is alive at every level
+        walk.bounds = [big] * len(walk.bounds)
+        return walk.series()
     walk = _Walk(spec, alpha)
     while len(walk.factors) <= n_max:
         walk._add_factor()
     # a slack no spread reaches: only the final all-equal test remains
-    big = 1 << 64
     walk.slack = [big] * len(walk.slack)
     return [walk.value(n) for n in range(n_max + 1)]
 
@@ -63,6 +123,77 @@ def _unpruned_series(spec, alpha, n_max):
 @given(spec=specs(), alpha=alphas, n_max=st.integers(0, 3))
 def test_pruning_drops_no_tuple(spec, alpha, n_max):
     assert corr_series(spec, CorrSpec(alpha), n_max) == _unpruned_series(spec, alpha, n_max)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=basis_specs, alpha=alphas, n_max=st.integers(0, 3))
+def test_basis_pruning_drops_no_tuple(spec, alpha, n_max):
+    assert corr_series(spec, CorrSpec(alpha), n_max) == _unpruned_series(spec, alpha, n_max)
+
+
+def test_basis_walk_routing():
+    # the presets, the depth probe and conj-hpn's prefactor instance take the basis walk
+    hpn_prefactor = ProductSpec(exponent_seq=kbonacci(2), n=0, offset=1, prefactor=CoeffPoly([1, 1]))
+    basis = [kbonacci_product_spec(k, 0, t=t) for k in (2, 3, 4, 5) for t in (1, T)]
+    basis += [fibonacci_product_spec(0, t=-1), hpn_prefactor]
+    # runs of equal exponents, non-Brauer recurrences, and factors of two terms take the level walk
+    controls = [RecurrentSeq(c, (1,) * len(c)) for c in ((1, 0, 1), (0, 1, 1), (0, 1), (1,), (1, 2))]
+    level = [ProductSpec(exponent_seq=seq, n=0, offset=2 if seq.order == 3 else 0) for seq in controls]
+    level += [ProductSpec(exponent_seq=kbonacci(k), n=0) for k in (2, 3, 4, 5)]
+    level += [
+        stern_product_spec(0),
+        ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(0, 1, 1)),
+        ProductSpec(exponent_seq=kbonacci(2), n=0, h=2, a=(1, 1)),
+    ]
+    assert [basis_walk_applies(spec) for spec in basis] == [True] * len(basis)
+    assert [basis_walk_applies(spec) for spec in level] == [False] * len(level)
+    calls = []
+    real = _BasisWalk.series
+
+    def counted(walk):
+        calls.append(walk.spec)
+        return real(walk)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BasisWalk, "series", counted)
+        for spec in basis + level:
+            corr_series(spec, CorrSpec((2,)), 4)
+    assert calls == basis
+
+
+def test_basis_walk_cap_names_limiting_n(monkeypatch):
+    # a wide prefactor keeps hundreds of states alive: the breadth-first
+    # build passes the cap at a depth, and every n below it runs
+    spec = replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 8))
+    assert basis_walk_applies(spec)
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    with pytest.raises(ResourceLimitError) as err:
+        corr_series(spec, CorrSpec((4,)), 30)
+    assert err.value.limit_n is not None
+    reach = err.value.limit_n - 1
+    assert 0 < reach < 30
+    assert corr_series(spec, CorrSpec((4,)), reach) == corr_series(spec, CorrSpec((4,)), reach, engine="pure")
+
+
+def test_basis_states_are_charged_by_size():
+    # wide prefactors keep hundreds of states alive; with six rows or
+    # symbolic weights, what the automaton, its pair masks and its two
+    # tables hold stays under the charge (tracemalloc read 1,900-3,000
+    # bytes a state on these)
+    cases = (
+        (replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 5)), (6,), 12),
+        (replace(fibonacci_product_spec(0, t=T), prefactor=CoeffPoly([1] * 8)), (4,), 8),
+    )
+    for spec, alpha, n_max in cases:
+        tracemalloc.start()
+        try:
+            walk = _BasisWalk(spec, alpha, n_max)
+            walk.series()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walk.stored > 100, alpha
+        assert peak < walk.stored * BASIS_STATE_BYTES, (alpha, peak, walk.stored)
 
 
 def test_deep_square_sums_match_closed_forms():
