@@ -91,17 +91,23 @@ def zeckendorf(n: int) -> list[int]:
 
     The summand 1 is always represented as F_2.  Greedy on the largest
     Fibonacci number <= n; the result is the unique such representation.
+    What is left after taking F_i is below F_{i-1}, so the search for the
+    next summand goes down from i - 2: one pass over the indices.
     """
     if n < 0:
         raise ValueError("zeckendorf is defined for nonnegative integers")
+    i = 2
+    while fibonacci(i + 1) <= n:
+        i += 1
     indices: list[int] = []
     remaining = n
     while remaining > 0:
-        i = 2
-        while fibonacci(i + 1) <= remaining:
-            i += 1
-        indices.append(i)
-        remaining -= fibonacci(i)
+        if fibonacci(i) <= remaining:
+            indices.append(i)
+            remaining -= fibonacci(i)
+            i -= 2
+        else:
+            i -= 1
     indices.reverse()
     return indices
 
