@@ -18,6 +18,7 @@ small-depth oracle of the walk, the carry automaton and the residue stream.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from operator import add
 
@@ -143,6 +144,10 @@ class TPoly:
         for coef in reversed(self.c):
             acc = acc * v + coef
         return acc
+
+    def __sizeof__(self) -> int:
+        # the coefficient tuple and its ints, so sys.getsizeof sees the whole value
+        return object.__sizeof__(self) + sys.getsizeof(self.c) + sum(map(sys.getsizeof, self.c))
 
     def __repr__(self) -> str:
         return f"TPoly({list(self.c)})"

@@ -19,23 +19,30 @@ Rows that share an offset are interchangeable, so a state is, per offset, the
 sorted tuple of rows taken relative to the first row; a run of m equal rows
 spreads over a factor's terms with multinomial weights.  The prefactor, read
 last, is the leaf: every row takes one of its terms and all rows must end
-equal.
+equal.  Leading zero offsets of alpha are stripped, and the terms with k < 0
+that this adds are subtracted again, read from the product truncated below
+x^top.  Two walks write the rows.
 
-Rows are written in the recurrence basis.  Let f_{m+d} = c_1 f_{m+d-1} + ...
-+ c_d f_m be the exponent recurrence, j_0 the first j with a_j != 0, and
-g_m = f_{m+offset+j_0}, so that the term a_j of factor i sits at g_{i+s} with
-s = j - j_0.  With factors 1..i unread (level i) a row is integer coordinates
-in the basis B_i = (g_{i+1}, ..., g_{i+d}) plus a constant that carries its
-offset.  Reading factor i rebases v to B_{i-1} by v'_0 = c_d v_{d-1},
-v'_p = v_{p-1} + c_{d-p} v_{d-1}, then adds the vector of the term the row
-takes: the unit vector s for s < d, and past that the recurrence's
-combination of the d vectors before it.  The step, and so the state set, is
-the same at every level (a transfer matrix, Stanley EC1 4.7), so one
-successor map per state serves the whole series.  Terms with equal exponents
-stay separate vectors: a state's liveness is decided on the ints of its rows,
-which tuples that swap such terms share, and their weights sum to the
-combined coefficient, so a combination that cancels is kept or dropped whole
-and weighs 0 either way.
+The level walk (``_LevelWalk``) writes each row as an int, its exponent sum
+so far minus its offset, relative to the least row.  Its states depend on
+the level (the number of factors unread), so it keeps one table per level,
+and v(n) is the completion weight of the start state with n factors unread.
+
+The basis walk (``_BasisWalk``) writes rows in the recurrence basis.  Let
+f_{m+d} = c_1 f_{m+d-1} + ... + c_d f_m be the exponent recurrence, j_0 the
+first j with a_j != 0, and g_m = f_{m+offset+j_0}, so that the term a_j of
+factor i sits at g_{i+s} with s = j - j_0.  With factors 1..i unread (level
+i) a row is integer coordinates in the basis B_i = (g_{i+1}, ..., g_{i+d})
+plus a constant that carries its offset.  Reading factor i rebases v to
+B_{i-1} by v'_0 = c_d v_{d-1}, v'_p = v_{p-1} + c_{d-p} v_{d-1}, then adds
+the vector of the term the row takes: the unit vector s for s < d, and past
+that the recurrence's combination of the d vectors before it.  The step, and
+so the state set, is the same at every level (a transfer matrix, Stanley EC1
+4.7), so one successor map per state serves the whole series.  Terms with
+equal exponents stay separate vectors: a state's liveness is decided on the
+ints of its rows, which tuples that swap such terms share, and their weights
+sum to the combined coefficient, so a combination that cancels is kept or
+dropped whole and weighs 0 either way.
 
 For a pair difference g of two rows, a bitmask over the levels 0..N records
 where |g.B_i + g_c| is within S_i; a state is alive at the levels where all
@@ -43,38 +50,53 @@ its pair masks agree.  A successor is kept only if it is alive one level
 below a level where its parent is alive and can be reached from the start.
 That is exact: a successor dropped that way has no completion at any level
 where its weight would be used, and a state that is dead at a level has none
-there either, so its table entry there is 0.  Leading zero offsets are
-stripped, and the terms with k < 0 that this adds are subtracted again, read
-from the product truncated below x^top.
+there either, so its table entry there is 0.  A new successor needed only at
+levels whose basis vectors span fewer than d dimensions (one level, or the
+first levels of k-bonacci at offset 0, where the exponents repeat) is kept as
+its class: those levels and its rows' ints at each, relative to the first
+row.  Its first member stands for it.  That is exact too, because the ints of
+a level fix the ints one level down, so the members' successors agree
+wherever the class is used; without it, k = 5 at offset 0 with alpha (7,)
+keeps 221,636 states to depth 20 where 598 classes suffice.
 
-For single-term factors over a Pisot recurrence (Brauer's condition
-c_1 >= ... >= c_d >= 1 with c_1 + ... + c_d >= 2 suffices) the live states
-stay finitely many as the depth grows (Frougny, Math. Systems Theory 25,
-1992).  Elsewhere the state set can grow with the depth, and without a
-contracting second root it can far outgrow the distinct row sums of each
-level, because a vector state keeps apart tuples whose rows differ only at
-levels where they are not used; the charge against RGF_MAX_MEM_MB, which
-counts states and successor links, stops it.
+The basis walk runs when the recurrence meets Brauer's condition
+c_1 >= ... >= c_d >= 1 with c_1 + ... + c_d >= 2: its root is then a Pisot
+number, and for single-term factors the live states stay finitely many as
+the depth grows (Frougny, Math. Systems Theory 25, 1992).  Elsewhere the
+level walk runs: without a contracting second root (periodic and other
+non-Pisot recurrences), or with a weakly contracting one (f_{i+1} = f_i +
+f_{i-3}), vector states alive at many levels far outnumber the level walk's
+(level, state) pairs.
 """
 
 from __future__ import annotations
 
 from math import factorial
 from operator import add, mul, sub
+from sys import getsizeof
 
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .polynomials import ProductSpec
 
-# Estimated bytes per stored state (key tuple, alive mask, depth and table
-# entries, its share of the memoised pair masks) and per successor link
-# (edge entry and weight): tracemalloc read 0.3-0.92 of this charge on
-# automata of 90-10,000 states with wide prefactors, windows of two and three
-# terms (13-50 links a state) and up to six rows, but 1.85 of it with
-# symbolic weights on a three-term window at depth 14, whose table values
-# grow with the depth.
+# Estimated bytes per stored state of the level walk (key tuple, table entry,
+# value, successor map): tracemalloc measured 130-700 on integer power sums
+# up to depth 200.
+LEVEL_STATE_BYTES = 400
+# The same for the basis walk per state (key tuple, alive mask, depth, two
+# table slots, its share of the memoised pair masks) and per successor link
+# (edge entry); the link weights and the values of the two live tables are
+# charged apart by ``_value_bytes``, as they are made.
 STATE_BYTES = 4000
 LINK_BYTES = 500
+
+
+def _value_bytes(values) -> int:
+    """The charge for weights or table values: twice their size, which
+    covers the temporaries of their products and sums and the freed tuples
+    the allocator keeps for reuse (charged once, tracemalloc read 1.09 of
+    the whole charge on a Z[t] three-term window at depth 14)."""
+    return 2 * sum(map(getsizeof, values))
 
 
 def _compositions(m: int, parts: int):
@@ -88,6 +110,24 @@ def _compositions(m: int, parts: int):
             yield (first,) + rest
 
 
+def _rank(vectors: list[tuple]) -> int:
+    """The rank of integer vectors, by fraction-free elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col]
+            if f:
+                rows[k] = [x * top[col] - y * f for x, y in zip(rows[k], top)]
+        rank += 1
+    return rank
+
+
 def _group_sort(rows, sizes) -> list:
     """The rows sorted within each offset group, groups in order."""
     out: list = []
@@ -98,21 +138,150 @@ def _group_sort(rows, sizes) -> list:
     return out
 
 
-class _BasisWalk:
-    """The walk to depth n_max: rows in the recurrence basis, one successor
-    map per state for every level.  ``alpha`` has its leading zeros stripped
-    here."""
+class _Rows:
+    """What both walks share: the row groups of an alpha whose first offset
+    is 0, the prefactor leaf and the charge against RGF_MAX_MEM_MB."""
 
     def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
         self.spec = spec
         self.n_max = n_max
         active = [j for j, a in enumerate(alpha) if a]
-        self.lead = active[0]
-        self.top = active[-1] - self.lead
         self.sizes = [alpha[j] for j in active]
-        self.offsets = [j - self.lead for j in active for _ in range(alpha[j])]
+        self.offsets = [j for j in active for _ in range(alpha[j])]
         self.prefactor = {0: 1} if spec.prefactor is None else dict(spec.prefactor.items())
         self.ends = (min(self.prefactor), max(self.prefactor)) if self.prefactor else (0, 0)
+        self.stored = 0  # estimated bytes kept
+
+    def _charge(self, size: int, n: int) -> None:
+        self.stored += size
+        if self.stored > max_mem_bytes():
+            raise ResourceLimitError(
+                f"difference walk needs {self.stored} bytes at n = {n}, over the RGF_MAX_MEM_MB cap",
+                limit_n=n,
+            )
+
+    def _leaf(self, vals):
+        """The weight of the ways rows with int values ``vals`` each take a
+        prefactor term and all end at one value K: sum over K of
+        prod_p P[K - vals_p].  Equal rows that end equal took the same term,
+        so no multinomial weight arises."""
+        if not self.prefactor:
+            return 0
+        low, high = self.ends
+        total = 0
+        for k in range(max(vals) + low, min(vals) + high + 1):
+            weight = 1
+            for x in vals:
+                c = self.prefactor.get(k - x)
+                if c is None:
+                    break
+                weight = weight * c
+            else:
+                total = total + weight
+        return total
+
+
+class _LevelWalk(_Rows):
+    """The level walk: int rows, one table of states per level."""
+
+    def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
+        super().__init__(spec, alpha, n_max)
+        self.start = tuple(self.offsets[-1] - j for j in self.offsets)
+        self.factors: list = [None]  # factor i >= 1: its terms with the 1, as (weight, exponent)
+        self.slack = [self.ends[1] - self.ends[0]]
+        self.spreads: dict[tuple, list] = {}
+        self.tables: list[dict[tuple, object]] = [{}]
+
+    def _add_factor(self) -> None:
+        terms = [(1, 0)] + self.spec.factor_terms(len(self.factors))
+        self.factors.append(terms)
+        self.slack.append(self.slack[-1] + terms[-1][1])
+        self.tables.append({})
+
+    def _spread_run(self, i: int, m: int) -> list[tuple]:
+        """The ways m equal rows read factor i: (added exponents, ascending; weight)."""
+        cached = self.spreads.get((i, m))
+        if cached is None:
+            terms = self.factors[i]
+            cached = []
+            for counts in _compositions(m, len(terms)):
+                weight = factorial(m)
+                for count in counts:
+                    weight //= factorial(count)
+                added: tuple[int, ...] = ()
+                for (c, e), count in zip(terms, counts):
+                    if count:
+                        weight = weight * c**count
+                        added += (e,) * count
+                cached.append((added, weight))
+            self.spreads[i, m] = cached
+        return cached
+
+    def _successors(self, state: tuple, i: int) -> dict[tuple, object]:
+        """Weighted states after reading factor i >= 1, pruned by the slack below it."""
+        limit = self.slack[i - 1]
+        partial = [((), 1, None, None)]  # (values, weight, least, largest)
+        pos = 0
+        for size in self.sizes:
+            stop = pos + size
+            while pos < stop:
+                v = state[pos]
+                run = pos + 1
+                while run < stop and state[run] == v:
+                    run += 1
+                grown = []
+                for added, weight in self._spread_run(i, run - pos):
+                    low, high = v + added[0], v + added[-1]
+                    vals = tuple(v + e for e in added)
+                    for prev, w, lo, hi in partial:
+                        lo = low if lo is None else min(lo, low)
+                        hi = high if hi is None else max(hi, high)
+                        if hi - lo <= limit:
+                            grown.append((prev + vals, w * weight, lo, hi))
+                partial = grown
+                pos = run
+        out: dict[tuple, object] = {}
+        for vals, w, lo, _ in partial:
+            key = tuple(x - lo for x in _group_sort(vals, self.sizes))
+            out[key] = out[key] + w if key in out else w
+        return out
+
+    def value(self, n: int):
+        """v(n): the completion weight of the start state with n factors unread."""
+        while len(self.factors) <= n:
+            self._add_factor()
+        if self.start[0] > self.slack[n]:  # the start state's spread
+            return 0
+        pending = []
+        need = [self.start]
+        i = n
+        while need:
+            self._charge(LEVEL_STATE_BYTES * len(need), n)
+            if not i:
+                self.tables[0].update((state, self._leaf(state)) for state in need)
+                break
+            level = {state: self._successors(state, i) for state in need}
+            pending.append((i, level))
+            below = self.tables[i - 1]
+            need = {s for succ in level.values() for s in succ if s not in below}
+            i -= 1
+        for i, level in reversed(pending):
+            table, below = self.tables[i], self.tables[i - 1]
+            for state, succ in level.items():
+                table[state] = sum(w * below[nxt] for nxt, w in succ.items())
+        return self.tables[n][self.start]
+
+    def series(self) -> list:
+        """[v(0), ..., v(n_max)]."""
+        return [self.value(n) for n in range(self.n_max + 1)]
+
+
+class _BasisWalk(_Rows):
+    """The basis walk to depth n_max: rows in the recurrence basis, one
+    successor map per state for every level."""
+
+    def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
+        super().__init__(spec, alpha, n_max)
         seq = spec.exponent_seq
         self.d = d = seq.order
         self.rev = seq.coeffs[::-1]  # c_d, ..., c_1
@@ -137,15 +306,8 @@ class _BasisWalk:
         self.masks: dict[tuple, int] = {}
         self.alive: dict[tuple, int] = {}
         self.spreads: dict[int, list] = {}
-        self.stored = 0  # estimated bytes of the states and links kept
-
-    def _charge(self, size: int, n: int) -> None:
-        self.stored += size
-        if self.stored > max_mem_bytes():
-            raise ResourceLimitError(
-                f"difference walk needs {self.stored} bytes at n = {n}, over the RGF_MAX_MEM_MB cap",
-                limit_n=n,
-            )
+        self.thin: dict[int, list[int] | None] = {}  # per used-level mask, its levels if they span < d dimensions
+        self.rows: dict[tuple, tuple] = {}  # per reduced state, the vector state that stands for it
 
     def _pair_mask(self, g: tuple) -> int:
         """Bit i set when the rows g apart can still end equal at level i."""
@@ -216,13 +378,45 @@ class _BasisWalk:
                 partial = grown
                 pos = run
         out: dict[tuple, object] = {}
+        alive = self.alive
         for rows, _, w, mask in partial:
             ordered = _group_sort(rows, self.sizes)
             origin = ordered[0]
             key = tuple(tuple(map(sub, row, origin)) for row in ordered)
+            if key not in alive:
+                levels = self._thin_levels(mask & window)
+                if levels is None:
+                    alive[key] = mask
+                else:
+                    key = self._reduce(key, mask & window, levels)
             out[key] = out[key] + w if key in out else w
-            self.alive[key] = mask
         return out
+
+    def _thin_levels(self, used: int) -> list[int] | None:
+        """The levels of ``used`` if their basis vectors span fewer than d
+        dimensions, else None."""
+        if used in self.thin:
+            return self.thin[used]
+        levels = [i for i in range(used.bit_length()) if used >> i & 1]
+        thin = levels if len(levels) < self.d or _rank([self.basis[i] for i in levels]) < self.d else None
+        self.thin[used] = thin
+        return thin
+
+    def _reduce(self, key: tuple, used: int, levels: list[int]) -> tuple:
+        """The class of the vector state ``key`` needed only at the levels of
+        ``used``: (used, its rows as ints at each of those levels, sorted per
+        group and taken relative to the first row).  The first member stands
+        for the class."""
+        ints = []
+        for i in levels:
+            base = self.basis[i]
+            vals = _group_sort([sum(map(mul, row, base)) + row[-1] for row in key], self.sizes)
+            ints.append(tuple(x - vals[0] for x in vals))
+        reduced = (used, tuple(ints))
+        if reduced not in self.alive:
+            self.alive[reduced] = used
+            self.rows[reduced] = key
+        return reduced
 
     def _start_mask(self) -> int:
         """The levels where the start state is alive: all pairs of its rows."""
@@ -231,54 +425,6 @@ class _BasisWalk:
             for p in self.start[:q]:
                 mask &= self._pair_mask(tuple(map(sub, row, p)))
         return mask
-
-    def _leaf(self, vals):
-        """The weight of the ways rows with int values ``vals`` each take a
-        prefactor term and all end at one value K: sum over K of
-        prod_p P[K - vals_p].  Equal rows that end equal took the same term,
-        so no multinomial weight arises."""
-        if not self.prefactor:
-            return 0
-        low, high = self.ends
-        total = 0
-        for k in range(max(vals) + low, min(vals) + high + 1):
-            weight = 1
-            for x in vals:
-                c = self.prefactor.get(k - x)
-                if c is None:
-                    break
-                weight = weight * c
-            else:
-                total = total + weight
-        return total
-
-    def _low_terms(self) -> list:
-        """Per n, the terms with -lead <= k < 0 that stripping the leading zero
-        offsets adds: prod_j c_n(k' + j)^alpha_j over k' < lead, read from
-        the product truncated to degree lead + top - 1."""
-        if not self.lead:
-            return [0] * (self.n_max + 1)
-        prefactor = self.spec.prefactor
-        width = self.lead + self.top
-        low = [1] + [0] * (width - 1) if prefactor is None else [prefactor.coeff(k) for k in range(width)]
-        groups = list(zip(dict.fromkeys(self.offsets), self.sizes))
-        out = []
-        for n in range(self.n_max + 1):
-            if n:
-                terms = self.spec.factor_terms(n)
-                for k in range(width - 1, 0, -1):
-                    for c, e in terms:
-                        if e > k:
-                            break
-                        low[k] = low[k] + c * low[k - e]
-            total = 0
-            for k in range(self.lead):
-                term = 1
-                for j, size in groups:
-                    term = term * low[k + j] ** size
-                total = total + term
-            out.append(total)
-        return out
 
     def series(self) -> list:
         """[v(0), ..., v(n_max)]: build the automaton breadth-first, then
@@ -296,39 +442,94 @@ class _BasisWalk:
             for state in frontier:
                 # the levels where the state is alive and reachable, one below
                 window = (self.alive[state] & ((2 << (n_max - t)) - 1)) >> 1
-                edges[state] = succ = self._expand(state, window) if window else {}
-                # links are used from depth t + 1 on
-                self._charge(LINK_BYTES * len(succ), t + 1)
+                edges[state] = succ = self._expand(self.rows.get(state, state), window) if window else {}
+                # links are used from depth t + 1 on; a weight is charged by its size
+                self._charge(LINK_BYTES * len(succ) + _value_bytes(succ.values()), t + 1)
                 for nxt in succ:
                     if nxt not in depth:
                         depth[nxt] = t + 1
                         found.append(nxt)
             frontier = found
             t += 1
+        needed: list[list] = [[] for _ in range(n_max + 1)]  # per level, the states used there
+        for state, t in depth.items():
+            used = self.alive[state] & ((2 << (n_max - t)) - 1)
+            while used:
+                bit = used & -used
+                needed[bit.bit_length() - 1].append(state)
+                used ^= bit
         out = []
         below: dict[tuple, object] = {}
         base = self.basis[0]
-        for i, low in enumerate(self._low_terms()):
-            bit = 1 << i
-            table = dict.fromkeys(depth, 0)
-            for state, t in depth.items():
-                if t <= n_max - i and self.alive[state] & bit:
-                    if i:
-                        table[state] = sum(w * below[nxt] for nxt, w in edges[state].items())
-                    else:  # the leaf: the rows as ints read the prefactor
-                        table[state] = self._leaf([sum(map(mul, row, base)) + row[-1] for row in state])
-            out.append(table[start] - low)
+        held = charged = 0  # bytes of the values in the last table; of the two tables, charged
+        for i in range(n_max + 1):
+            if i:
+                table = {s: sum(w * below.get(nxt, 0) for nxt, w in edges[s].items()) for s in needed[i]}
+            else:  # the leaf: the rows as ints read the prefactor
+                table = {
+                    s: self._leaf([sum(map(mul, row, base)) + row[-1] for row in self.rows.get(s, s)])
+                    for s in needed[0]
+                }
+            size = _value_bytes(table.values())
+            if size + held > charged:
+                self._charge(size + held - charged, i)
+                charged = size + held
+            held = size
+            out.append(table.get(start, 0))
             below = table
         return out
+
+
+def _low_terms(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
+    """Per n, the terms with -lead <= k < 0 that stripping alpha's lead
+    leading zero offsets adds: prod_j c_n(k' + j)^alpha_j over k' < lead,
+    read from the product truncated below x^(lead + top)."""
+    active = [j for j, a in enumerate(alpha) if a]
+    lead = active[0]
+    if not lead:
+        return [0] * (n_max + 1)
+    prefactor = spec.prefactor
+    width = active[-1]
+    low = [1] + [0] * (width - 1) if prefactor is None else [prefactor.coeff(k) for k in range(width)]
+    out = []
+    for n in range(n_max + 1):
+        if n:
+            terms = spec.factor_terms(n)
+            for k in range(width - 1, 0, -1):
+                for c, e in terms:
+                    if e > k:
+                        break
+                    low[k] = low[k] + c * low[k - e]
+        total = 0
+        for k in range(lead):
+            term = 1
+            for j in active:
+                term = term * low[k + j - lead] ** alpha[j]
+            total = total + term
+        out.append(total)
+    return out
+
+
+def basis_walk_applies(spec: ProductSpec) -> bool:
+    """Whether ``corr_walk_series`` runs the basis walk on ``spec``: the
+    recurrence meets Brauer's condition c_1 >= ... >= c_d >= 1 with
+    c_1 + ... + c_d >= 2."""
+    c = spec.exponent_seq.coeffs
+    return c[-1] >= 1 and sum(c) >= 2 and all(x >= y for x, y in zip(c, c[1:]))
 
 
 def corr_walk_series(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
     """[v(0), ..., v(n_max)] for the window exponents ``alpha``, exactly.
 
-    Raises ``ResourceLimitError`` with ``limit_n`` = the first breadth-first
-    depth whose states or successor links would push the stored estimate
-    over the ``RGF_MAX_MEM_MB`` cap; every n below it runs.
+    Runs the basis walk where ``basis_walk_applies`` and the level walk
+    elsewhere.  Raises ``ResourceLimitError`` with ``limit_n`` = the first n
+    (for the basis walk, the first breadth-first depth, or the first level
+    whose table values pass it) that would push the stored estimate over the
+    ``RGF_MAX_MEM_MB`` cap; every n below it runs.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    return _BasisWalk(spec, tuple(alpha), n_max).series()
+    alpha = tuple(alpha)
+    lead = next(j for j, a in enumerate(alpha) if a)
+    walk = (_BasisWalk if basis_walk_applies(spec) else _LevelWalk)(spec, alpha[lead:], n_max)
+    return list(map(sub, walk.series(), _low_terms(spec, alpha, n_max)))

@@ -2,7 +2,6 @@
 
 import tracemalloc
 from dataclasses import replace
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from fibgf.polynomials import (
 )
 from fibgf.sequences import RecurrentSeq, kbonacci
 from fibgf.stats import CorrSpec, corr_series
-from fibgf.walk import _BasisWalk, _compositions, _group_sort
+from fibgf.walk import _BasisWalk, _LevelWalk, basis_walk_applies
 
 T = TPoly.t()
 
@@ -110,152 +109,83 @@ def test_basis_walk_matches_pure_engine(spec, alpha, n_max):
     assert fibgf.walk.corr_walk_series(spec, alpha, n_max) == want
 
 
-class _LevelWalk:
-    """The level walk, the deep reference: each row is an int, its exponent
-    sum so far minus its offset, relative to the least row, and the states
-    depend on the level (the number of factors unread), so there is one
-    table per level.  A row of offset 0 ends with k = its sum >= 0; when the
-    first active offset is positive, the state instead carries min(least row
-    value, 0), so that k >= 0 can be checked once every factor is read."""
-
-    def __init__(self, spec: ProductSpec, alpha: tuple[int, ...]):
-        self.spec = spec
-        active = [j for j, a in enumerate(alpha) if a]
-        top = active[-1]
-        self.sizes = [alpha[j] for j in active]
-        self.track_min = active[0] > 0
-        self.prefactor = {0: 1} if spec.prefactor is None else dict(spec.prefactor.items())
-        start = tuple(top - j for j in active for _ in range(alpha[j]))
-        self.start = start + (-top,) if self.track_min else start
-        self.factors: list = [None]  # factor i >= 1: its terms with the 1, as (weight, exponent)
-        self.slack = [max(self.prefactor) - min(self.prefactor) if self.prefactor else 0]
-        self.tables: list[dict[tuple, object]] = [{}]
-        self.spreads: dict[tuple, list] = {}
-
-    def _add_factor(self) -> None:
-        terms = [(1, 0)] + self.spec.factor_terms(len(self.factors))
-        self.factors.append(terms)
-        self.slack.append(self.slack[-1] + terms[-1][1])
-        self.tables.append({})
-
-    def _spread_run(self, i: int, m: int) -> list[tuple]:
-        """The ways m equal rows read factor i: (added exponents, ascending; weight)."""
-        cached = self.spreads.get((i, m))
-        if cached is None:
-            terms = self.factors[i]
-            cached = []
-            for counts in _compositions(m, len(terms)):
-                weight = factorial(m)
-                for count in counts:
-                    weight //= factorial(count)
-                added: tuple[int, ...] = ()
-                for (c, e), count in zip(terms, counts):
-                    if count:
-                        weight = weight * c**count
-                        added += (e,) * count
-                cached.append((added, weight))
-            self.spreads[i, m] = cached
-        return cached
-
-    def _successors(self, state: tuple, i: int) -> dict[tuple, object]:
-        """Weighted states after reading factor i >= 1, pruned by the slack below it."""
-        limit = self.slack[i - 1]
-        partial = [((), 1, None, None)]  # (values, weight, least, largest)
-        pos = 0
-        for size in self.sizes:
-            stop = pos + size
-            while pos < stop:
-                v = state[pos]
-                run = pos + 1
-                while run < stop and state[run] == v:
-                    run += 1
-                grown = []
-                for added, weight in self._spread_run(i, run - pos):
-                    low, high = v + added[0], v + added[-1]
-                    vals = tuple(v + e for e in added)
-                    for prev, w, lo, hi in partial:
-                        lo = low if lo is None else min(lo, low)
-                        hi = high if hi is None else max(hi, high)
-                        if hi - lo <= limit:
-                            grown.append((prev + vals, w * weight, lo, hi))
-                partial = grown
-                pos = run
-        out: dict[tuple, object] = {}
-        for vals, w, lo, _ in partial:
-            key = tuple(x - lo for x in _group_sort(vals, self.sizes))
-            if self.track_min:
-                key += (min(state[-1] + lo, 0),)
-            out[key] = out[key] + w if key in out else w
-        return out
-
-    def _end(self, state: tuple):
-        """The rows of a level-0 state read the prefactor and end at one value
-        K: sum over K of prod_p P[K - x_p], with K >= -l for a carried least
-        value l."""
-        vals, floor = (state[:-1], -state[-1]) if self.track_min else (state, None)
-        if not self.prefactor:
-            return 0
-        low, high = max(vals) + min(self.prefactor), min(vals) + max(self.prefactor)
-        if floor is not None:
-            low = max(low, floor)
-        total = 0
-        for k in range(low, high + 1):
-            weight = 1
-            for x in vals:
-                weight = weight * self.prefactor.get(k - x, 0)
-            total = total + weight
-        return total
-
-    def value(self, n: int):
-        """v(n): the completion weight of the start state with n factors unread."""
-        while len(self.factors) <= n:
-            self._add_factor()
-        if self.start[0] > self.slack[n]:  # the start state's spread
-            return 0
-        pending = []
-        need = [self.start]
-        i = n
-        while need:
-            if not i:
-                self.tables[0].update((state, self._end(state)) for state in need)
-                break
-            level = {state: self._successors(state, i) for state in need}
-            pending.append((i, level))
-            below = self.tables[i - 1]
-            need = {s for succ in level.values() for s in succ if s not in below}
-            i -= 1
-        for i, level in reversed(pending):
-            table, below = self.tables[i], self.tables[i - 1]
-            for state, succ in level.items():
-                table[state] = sum(w * below[nxt] for nxt, w in succ.items())
-        return self.tables[n][self.start]
-
-
-def _level_series(spec, alpha, n_max):
-    walk = _LevelWalk(spec, alpha)
-    return [walk.value(n) for n in range(n_max + 1)]
+def _walk_series(walk, spec, alpha, n_max):
+    """What ``corr_walk_series`` returns, from the given walk class."""
+    lead = next(j for j, a in enumerate(alpha) if a)
+    series = walk(spec, alpha[lead:], n_max).series()
+    return [v - low for v, low in zip(series, fibgf.walk._low_terms(spec, alpha, n_max))]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(spec=window_specs(), alpha=alphas.filter(lambda a: sum(a) <= 3), n_max=st.integers(6, 9))
 def test_basis_walk_matches_level_walk(spec, alpha, n_max):
-    # without a contracting second root, vector states outnumber the level
-    # walk's int states: at most three rows keep the automaton small
-    assert _BasisWalk(spec, alpha, n_max).series() == _level_series(spec, alpha, n_max)
+    # the basis walk is exact on every spec, but without a contracting second
+    # root its vector states outnumber the level walk's int states: at most
+    # three rows keep the automaton small
+    want = _walk_series(_LevelWalk, spec, alpha, n_max)
+    assert _walk_series(_BasisWalk, spec, alpha, n_max) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spec=pisot_specs(), alpha=alphas, n_max=st.integers(7, 20))
+def test_pisot_basis_walk_matches_level_walk(spec, alpha, n_max):
+    # single terms over Brauer recurrences, offsets up to 5, up to four rows, deep
+    assert basis_walk_applies(spec)
+    assert corr_series(spec, CorrSpec(alpha), n_max) == _walk_series(_LevelWalk, spec, alpha, n_max)
+
+
+def test_basis_walk_routing():
+    # Brauer recurrences take the basis walk: the presets, the depth probe,
+    # k-bonacci at offset 0, Stern, the windows and a prefactor instance
+    hpn_prefactor = ProductSpec(exponent_seq=kbonacci(2), n=0, offset=1, prefactor=CoeffPoly([1, 1]))
+    basis = [kbonacci_product_spec(k, 0, t=t) for k in (2, 3, 4, 5) for t in (1, T)]
+    basis += [fibonacci_product_spec(0, t=-1), hpn_prefactor, stern_product_spec(0)]
+    basis += [ProductSpec(exponent_seq=kbonacci(k), n=0) for k in (2, 3, 4, 5)]
+    basis += [ProductSpec(exponent_seq=kbonacci(2), n=0, h=h, a=(0, 1, 1)[3 - h :]) for h in (2, 3)]
+    # the others take the level walk: periodic, constant and other non-Pisot
+    # recurrences, and Pisot ones outside Brauer's condition
+    controls = [RecurrentSeq(c, (1,) * len(c)) for c in ((1, 0, 1), (0, 1, 1), (0, 1), (1,), (1, 2), (0, 2))]
+    level = [ProductSpec(exponent_seq=seq, n=0, offset=2 if seq.order == 3 else 0) for seq in controls]
+    level += [ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0, h=2, a=(1, 1))]
+    assert [basis_walk_applies(spec) for spec in basis] == [True] * len(basis)
+    assert [basis_walk_applies(spec) for spec in level] == [False] * len(level)
+    calls = []
+    real = _BasisWalk.series
+
+    def counted(walk):
+        calls.append(walk.spec)
+        return real(walk)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_BasisWalk, "series", counted)
+        for spec in basis + level:
+            corr_series(spec, CorrSpec((2,)), 4)
+    assert calls == basis
+
+
+def test_reduced_states_collapse_equal_exponents():
+    # k = 5 at offset 0 opens with five factors (1 + x): vector states needed
+    # only at those levels are kept as their rows' ints there, so the
+    # automaton stays near the level walk's size
+    spec = ProductSpec(exponent_seq=kbonacci(5), n=0)
+    walk = _BasisWalk(spec, (7,), 20)
+    assert walk.series() == _walk_series(_LevelWalk, spec, (7,), 20)
+    assert len(walk.alive) < 1000
+    assert walk.rows
 
 
 def test_named_specs_match_level_walk():
-    # the windows, controls and offsets the program walks, at the depths it walks them
-    controls = [ProductSpec(exponent_seq=RecurrentSeq(c, (1, 1, 1)), n=0, offset=2) for c in ((1, 0, 1), (0, 1, 1))]
+    # the windows and offsets the program now walks in the basis, at the
+    # depths it walks them (the criterion-17 controls are not Brauer and keep
+    # the level walk)
     cases = [
         (stern_product_spec(0), 18),
         (ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(0, 1, 1)), 36),
         (ProductSpec(exponent_seq=kbonacci(2), n=0, h=2, a=(1, 1)), 30),
     ]
-    cases += [(spec, 200) for spec in controls]
     cases += [(ProductSpec(exponent_seq=kbonacci(k), n=0), 28) for k in (2, 3, 4, 5)]
     for spec, n_max in cases:
-        assert corr_series(spec, CorrSpec((2,)), n_max) == _level_series(spec, (2,), n_max), spec
+        assert corr_series(spec, CorrSpec((2,)), n_max) == _walk_series(_LevelWalk, spec, (2,), n_max), spec
     # f_1 = f_2: the first factor's terms cancel, the others differ in sign
     cancelling = ProductSpec(exponent_seq=kbonacci(2), n=0, h=2, a=(1, -1))
     want = corr_series(cancelling, CorrSpec((2,)), 14, engine="pure")
@@ -263,10 +193,13 @@ def test_named_specs_match_level_walk():
 
 
 def _unpruned_series(spec, alpha, n_max):
-    walk = _BasisWalk(spec, alpha, n_max)
-    # a slack no pair difference reaches: every state is alive at every level
-    walk.bounds = [1 << 64] * len(walk.bounds)
-    return walk.series()
+    class Unpruned(_BasisWalk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            # a slack no pair difference reaches: every state is alive at every level
+            self.bounds = [1 << 64] * len(self.bounds)
+
+    return _walk_series(Unpruned, spec, alpha, n_max)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -285,6 +218,7 @@ def test_basis_walk_cap_names_limiting_n(monkeypatch):
     # a wide prefactor keeps hundreds of states alive: the breadth-first
     # build passes the cap at a depth, and every n below it runs
     spec = replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 8))
+    assert basis_walk_applies(spec)
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     with pytest.raises(ResourceLimitError) as err:
         corr_series(spec, CorrSpec((4,)), 30)
@@ -296,13 +230,16 @@ def test_basis_walk_cap_names_limiting_n(monkeypatch):
 
 def test_basis_states_are_charged_by_size():
     # wide prefactors keep hundreds of states alive; with six rows, symbolic
-    # weights or a three-term window (101 states, 1,403 links), what the
+    # weights or a three-term window over Z[t] (101 states, 1,403 links,
+    # weights and table values that grow with the depth), what the
     # automaton, its pair masks and its two tables hold stays under the
-    # charge per state and per successor link
+    # charge per state and per successor link plus twice the size of the
+    # weights and table values
+    window = ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(T, T, T))
     cases = (
         (replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 5)), (6,), 12),
         (replace(fibonacci_product_spec(0, t=T), prefactor=CoeffPoly([1] * 8)), (4,), 8),
-        (ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(1, 1, 1)), (3,), 14),
+        (window, (3,), 14),
     )
     for spec, alpha, n_max in cases:
         tracemalloc.start()
