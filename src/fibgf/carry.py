@@ -25,11 +25,11 @@ k in class 0.
 A state is (R, carries) with the factors below it unread.  Its completion,
 the sparse map class -> number of k-suffixes, depends only on the state and
 the factors below, never on n, so one table per factor index is shared by
-the whole series, as in the level walk of ``walk``.  Linear-recurrence
-digit systems are finite-state (Frougny, Math. Systems Theory 25, 1992), so
-for the presets the tables stay small.  Recurrences whose carries grow
-without bound run into the work budget or the RGF_MAX_MEM_MB cap; each state
-is charged for its carries, successors and classes.
+the whole series, as in ``walk``.  Linear-recurrence digit systems are
+finite-state (Frougny, Math. Systems Theory 25, 1992), so for the presets
+the tables stay small.  Recurrences whose carries grow without bound run into
+the work budget or the RGF_MAX_MEM_MB cap; each state is charged for its
+carries, successors and classes.
 """
 
 from __future__ import annotations
