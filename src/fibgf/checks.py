@@ -24,6 +24,7 @@ from .monoid import (
     word_classes,
 )
 from .polynomials import (
+    CoeffPoly,
     ProductSpec,
     TPoly,
     build_product,
@@ -235,15 +236,23 @@ def check_runs(nmax: int = 18):
 
 
 def check_golden(nmax: int = 16):
-    products = []
-    build_product(fibonacci_product_spec(nmax), callback=lambda i, p: products.append(p.coefficient_sequence()))
-    for n, series in enumerate(golden_partials(nmax)):
-        gs, ps = series.coefficient_sequence(), products[n]
-        if gs != ps:
-            return "fail", {"n": n}
-        if len(gs) != fibonacci(n + 3) - 1:
-            return "fail", {"n": n, "nonzero_count": len(gs)}
-    return "pass", {"nmax": nmax}
+    """Each Z[phi] partial of ``golden_partials`` has the coefficients of the
+    Fibonacci partial product of the same n, compared as the product grows."""
+    golden = golden_partials(nmax)
+    failure = None
+
+    def compare(n: int, product: CoeffPoly) -> None:
+        nonlocal failure
+        gs = next(golden).coefficient_sequence()
+        if failure is not None:
+            return
+        if gs != product.coefficient_sequence():
+            failure = {"n": n}
+        elif len(gs) != fibonacci(n + 3) - 1:
+            failure = {"n": n, "nonzero_count": len(gs)}
+
+    build_product(fibonacci_product_spec(nmax), callback=compare)
+    return ("fail", failure) if failure is not None else ("pass", {"nmax": nmax})
 
 
 def _first_factor_mismatch(spec: ProductSpec, i: int, r: list[int]) -> int | None:
@@ -535,8 +544,6 @@ def scan_conj_hpn(depth: int = 36, den_max: int = 10, holdout: int = 6):
     if fit2 is None:
         return "inconclusive", {"instance": "h2", "fit": None}
     extra["two_term_window"] = fit2.to_json_dict()
-    from .polynomials import CoeffPoly
-
     pref = ProductSpec(exponent_seq=kbonacci(2), n=0, h=1, a=(1,), offset=1, prefactor=CoeffPoly([1, 1]))
     seq3 = corr_series(pref, CorrSpec((2,)), 30)
     fit3 = guess_rational(seq3, den_max=10, holdout=holdout)

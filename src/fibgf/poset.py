@@ -298,11 +298,18 @@ class FrontierAutomaton:
     from its left.  A countdown of 0 means the last child of u - 1 and the
     first child of u are one shared child, which closes the 2b-gon.
 
+    ``blocks`` is the one step kernel: it yields the next rank block by
+    block, and ``step`` collects the blocks into the new frontier.
+
     ``counts`` has the given numpy dtype (int64 by default; ``frontier_grow``
-    takes the narrowest that holds i**n_max, ``object`` past uint64).  Every
-    count at rank n is at most i**n, so ``step`` raises OverflowError before
-    a fixed-width dtype could wrap.  ``gaps`` has the narrowest signed dtype
-    that holds b (int8 for b <= 128).
+    takes the narrowest that holds i * 2**(n_max - 1), ``object`` past
+    uint64).  A child has at most two parents: only a shared child has two,
+    and as both the last child of u - 1 and the first of u it cannot also be
+    shared with u + 1 (u has i >= 2 children).  So a count at rank n is at
+    most twice the largest at rank n - 1, that is at most 2**n, and
+    ``blocks`` raises OverflowError before a fixed-width dtype could pass
+    that bound.  ``gaps`` has the narrowest signed dtype that holds b (int8
+    for b <= 128).
     """
 
     def __init__(self, i: int, b: int, dtype=None):
@@ -318,34 +325,80 @@ class FrontierAutomaton:
     def size(self) -> int:
         return self.counts.shape[0]
 
-    def step(self) -> None:
-        """Advance one rank.  The new rank is sized first (i children per
-        element, less one per countdown of 1), then written in blocks of
-        ``stream.CHUNK`` old elements."""
+    def next_size(self) -> int:
+        """The size of the next rank: i children per element, less one per
+        countdown of 1, counted one block of ``stream.CHUNK`` at a time."""
+        import numpy as np
+
+        chunk = stream.CHUNK
+        shared = sum(int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1)) for lo in range(0, self.size, chunk))
+        return self.size * self.i - shared
+
+    def blocks(self):
+        """Yield the next rank as (start, counts, gaps) blocks in index order,
+        one per ``stream.CHUNK`` old elements: the block's children from new
+        index ``start`` on, and the countdown before each (b - 1 before child
+        0, which has none).  The last child of a block that is also the first
+        child of the next block's first element is held back and opens that
+        block, so every yielded count is complete."""
         import numpy as np
 
         n, i, b, chunk = self.size, self.i, self.b, stream.CHUNK
         dtype = self.counts.dtype
-        if dtype.kind in "iu" and i ** (self.rank + 1) > np.iinfo(dtype).max:
+        if dtype.kind in "iu" and 2 ** (self.rank + 1) > np.iinfo(dtype).max:
             raise OverflowError(f"chain counts at rank {self.rank + 1} may pass {dtype}; pass dtype=object")
-        size = n * i - sum(int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1)) for lo in range(0, n, chunk))
-        counts = np.zeros(size, self.counts.dtype)
-        gaps = np.full(size, b - 1, self.gaps.dtype)  # gaps[k] sits before child k; gaps[0] is unused
-        out = 0  # new index of the block's first child
+        start, held = 0, None  # held: the count so far of a child held back for the next block
         for lo in range(0, n, chunk):
-            block = self.counts[lo : lo + chunk]
             # the countdown before u's first child; 0 makes it the last child of u - 1
-            before = np.full(block.shape[0], b - 1, dtype=gaps.dtype)
+            before = np.full(min(chunk, n - lo), b - 1, dtype=self.gaps.dtype)
             before[int(lo == 0) :] = self.gaps[max(lo - 1, 0) : lo + chunk - 1] - 1
             if before.min() < 0 or before.max() > b - 1:
                 raise InvariantError("gap countdown out of range", detail=self.rank + 1)
-            shared = before == 0
-            first = out + np.arange(block.shape[0]) * i - np.cumsum(shared)  # new index of u's first child
-            for s in range(1, i):
-                counts[first + s] = block
-            counts[first] += block  # a shared child adds to a written last child, maybe of the block before
-            gaps[first] = np.where(shared, b - 1, before)
-            out = int(first[-1]) + i
+            counts, gaps = self._children(self.counts[lo : lo + chunk], before, held)
+            if lo + chunk < n and self.gaps[lo + chunk - 1] == 1:
+                held, counts, gaps = counts[-1], counts[:-1], gaps[:-1]
+            yield start, counts, gaps
+            start += counts.shape[0]
+
+    def _children(self, block, before, held):
+        """The children of a block of old elements in index order, and the
+        countdown before each.  A countdown of 0 before the block's first
+        element makes its first child the ``held`` one.  Apart from
+        ``blocks`` so that the index array is freed before a block is
+        yielded."""
+        import numpy as np
+
+        i, b = self.i, self.b
+        shared = before == 0
+        # the index of u's first child, counted from the held child on, is i - shared[u] past u - 1's
+        # first: one int64 array, shifted in place to each later sibling and back
+        first = np.subtract(i, shared, dtype=np.int64)
+        np.cumsum(first, out=first)
+        first -= first[0]
+        counts = np.zeros(int(first[-1]) + i, block.dtype)
+        if shared[0]:
+            counts[0] = held
+        for _ in range(1, i):
+            first += 1
+            counts[first] = block
+        first -= i - 1
+        counts[first] += block  # a shared child adds to a written last child
+        gaps = np.full(counts.shape[0], b - 1, before.dtype)
+        gaps[first] = np.where(shared, b - 1, before)  # a shared child keeps its left sibling's countdown
+        return counts, gaps
+
+    def step(self, blocks=None) -> None:
+        """Advance one rank: collect ``blocks`` (by default ``self.blocks()``;
+        ``frontier_grow`` passes them through its row check) into arrays
+        sized for the new rank."""
+        import numpy as np
+
+        size = self.next_size()
+        counts = np.empty(size, self.counts.dtype)
+        gaps = np.empty(size, self.gaps.dtype)  # gaps[k] sits before child k; gaps[0] is unused
+        for start, block_counts, block_gaps in self.blocks() if blocks is None else blocks:
+            counts[start : start + block_counts.shape[0]] = block_counts
+            gaps[start : start + block_gaps.shape[0]] = block_gaps
         self.counts, self.gaps, self.rank = counts, gaps[1:], self.rank + 1
 
 
@@ -354,61 +407,80 @@ def _check_n_max(n_max: int):
         raise ValueError(f"need n_max >= 0, got {n_max}")
 
 
-def _is_next_row(prev, row, r: int, i: int) -> bool:
-    """Whether row = prev * (1 + x^r + ... + x^{(i-1) r}), as coefficient
-    arrays, compared one block of ``stream.CHUNK`` entries at a time."""
+def _checked_blocks(automaton: FrontierAutomaton, r: int):
+    """Pass on the automaton's next-rank blocks, each checked against the
+    current row times 1 + x^r + ... + x^{(i-1) r}; InvariantError with the
+    new rank as detail if a block differs or the blocks do not end where
+    that product does."""
     import numpy as np
 
-    for lo in range(0, row.shape[0], stream.CHUNK):
-        block = row[lo : lo + stream.CHUNK]
-        product = np.zeros(block.shape[0], dtype=row.dtype)
-        for shift in [s * r for s in range(i)]:
-            src = prev[max(lo - shift, 0) : max(lo + block.shape[0] - shift, 0)]
-            product[max(shift - lo, 0) :][: src.shape[0]] += src
-        if not np.array_equal(product, block):
-            return False
-    return True
+    prev, n = automaton.counts, automaton.rank + 1
+    shifts = [s * r for s in range(automaton.i)]
+
+    def is_product(start, counts) -> bool:  # a function, so the product is freed before the yield
+        product = np.zeros(counts.shape[0], dtype=counts.dtype)
+        for shift in shifts:
+            src = prev[max(start - shift, 0) : max(start + counts.shape[0] - shift, 0)]
+            product[max(shift - start, 0) :][: src.shape[0]] += src
+        return np.array_equal(product, counts)
+
+    end = 0
+    for start, counts, gaps in automaton.blocks():
+        if start != end or not is_product(start, counts):
+            raise InvariantError("chain-count row differs from the product identity", detail=n)
+        end = start + counts.shape[0]
+        yield start, counts, gaps
+    if end != prev.shape[0] + shifts[-1]:
+        raise InvariantError("chain-count row differs from the product identity", detail=n)
 
 
 def frontier_grow(i: int, b: int, n_max: int) -> dict:
     """Grow P_{ib} to rank n_max; verify its counting identities.
 
     Returns the rank sizes q and the derived r_n = (q_n - q_{n-1}) / (i - 1).
-    No element and no chain-count row outlives its rank: each row, read off
-    ``FrontierAutomaton.counts`` (of the narrowest dtype that holds i**n_max,
-    which bounds every count: uint32 at (3, 3) and n_max = 14, exact Python
-    ints past uint64), is checked against the row before it times 1 +
-    x^{r_n} + ... + x^{(i-1) r_n} and then dropped, so row n equals
-    prod_{j<=n} (1 + x^{r_j} + ... + x^{(i-1) r_j}).  Raises InvariantError
-    if q_n != i q_{n-1} - (i-1) q_{n-b} (q_n = i^n below b; the recurrence
-    makes q rise and i - 1 divide q_n - q_{n-1}) or if a row breaks the
-    product identity, with detail n; ResourceLimitError(limit_n=n) when the
-    step to rank n would pass the RGF_MAX_MEM_MB cap, which charges the
-    previous and the new row, both gap arrays and one block's temporaries;
-    and ValueError for a negative n_max.
+    No element and no chain-count row outlives its rank: each rank streams
+    out of ``FrontierAutomaton.blocks`` and every block is checked against
+    the row before it times 1 + x^{r_n} + ... + x^{(i-1) r_n} as it passes,
+    so row n equals prod_{j<=n} (1 + x^{r_j} + ... + x^{(i-1) r_j}).  A rank
+    is stored only when another step follows, so the last rank is never
+    held whole.  The counts take the narrowest dtype that holds
+    i * 2**(n_max - 1) (uint16 at (3, 3) and n_max = 14, exact Python ints
+    past uint64): a count at rank n is at most 2**n, since a child has at
+    most two parents, so a sum of i shifted entries of row n - 1 cannot
+    wrap, whatever row n holds.  Raises InvariantError if q_n != i q_{n-1} -
+    (i-1) q_{n-b} (q_n = i^n below b; the recurrence makes q rise and i - 1
+    divide q_n - q_{n-1}) or if a row breaks the product identity, with
+    detail n; ResourceLimitError(limit_n=n) when rank n would pass the
+    RGF_MAX_MEM_MB cap, which charges the previous row, the new row unless
+    it is the last, their gap arrays and one block's temporaries; and
+    ValueError for a negative n_max.
     """
     import numpy as np
 
     _check_n_max(n_max)
-    dtype = np.min_scalar_type(i**n_max)
+    dtype = np.min_scalar_type(i * 2**n_max // 2)  # i * 2**(n_max - 1) as an int, also at n_max = 0
     automaton = FrontierAutomaton(i, b, dtype)
     count_bytes = PYOBJ_BYTES_PER_COEFF if dtype == object else dtype.itemsize
     gap_bytes = automaton.gaps.itemsize
     q, r = [1], []
-    prev = automaton.counts
     for n in range(1, n_max + 1):
-        candidates, chunk = automaton.size * i, stream.CHUNK
-        # a step block holds four int64 index arrays and two countdown arrays; a check block, one row block
-        block = min(chunk, automaton.size) * (4 * 8 + 2 * gap_bytes) + min(chunk, candidates) * count_bytes
-        _check_frontier_cap(n, (automaton.size + candidates) * (count_bytes + gap_bytes) + block)
-        automaton.step()
-        q.append(automaton.size)
+        q.append(automaton.next_size())
+        old = min(stream.CHUNK, q[n - 1])
+        # a block's temporaries: per old element, an int64 child index, three countdown arrays and a
+        # mask; per child, its count and countdown, the same for the block before, which is still
+        # referenced while this one is built, the check's product and its comparison
+        block = old * (8 + 3 * gap_bytes + 1) + old * i * (3 * count_bytes + 2 * gap_bytes + 1)
+        kept = q[n - 1] + (q[n] if n < n_max else 0)
+        _check_frontier_cap(n, kept * (count_bytes + gap_bytes) + block)
         if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):
             raise InvariantError("rank sizes fail the q-recurrence", detail=n)
         r.append((q[n] - q[n - 1]) // (i - 1))
-        if not _is_next_row(prev, automaton.counts, r[-1], i):
-            raise InvariantError("chain-count row differs from the product identity", detail=n)
-        prev = automaton.counts
+        rows = _checked_blocks(automaton, r[-1])
+        if n < n_max:
+            automaton.step(rows)
+        else:
+            for _ in rows:
+                pass
     return {"q": q, "r": r}
 
 

@@ -81,21 +81,28 @@ def triangle_rows(n_max: int, t=1):
 def verify_rows_match_product(n_max: int, t=1) -> None:
     """Check entries of row n = coefficients of the weighted product, n <= n_max.
 
-    Raises InvariantError carrying the first mismatching exponent.
+    Each row is compared with its partial product inside the
+    ``build_product`` callback, as the product grows, so no partial product
+    outlives its row.  Raises InvariantError carrying the first mismatching
+    exponent, or the row index when the lengths differ.
     """
-    partials: dict[int, CoeffPoly] = {}
-    build_product(fibonacci_product_spec(n_max, t=t), callback=lambda i, p: partials.__setitem__(i, p))
-    for row in triangle_rows(n_max, t):
-        coeffs = partials[row.index].dense_coefficients()
+    rows = triangle_rows(n_max, t)
+
+    def compare(n: int, partial: CoeffPoly) -> None:
+        if n == 0:
+            return  # the empty product has no row
+        row = next(rows)
+        coeffs = partial.dense_coefficients()
         if len(coeffs) != len(row.entries):
             raise InvariantError(
                 f"row {row.index} has {len(row.entries)} entries, product has {len(coeffs)}",
                 detail=row.index,
             )
-        if list(row.entries) == coeffs:
-            continue
-        k = next(k for k, (a, b) in enumerate(zip(row.entries, coeffs)) if a != b)
-        raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
+        if list(row.entries) != coeffs:
+            k = next(k for k, (a, b) in enumerate(zip(row.entries, coeffs)) if a != b)
+            raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
+
+    build_product(fibonacci_product_spec(n_max, t=t), callback=compare)
 
 
 def format_row(row: GroupedRow) -> str:

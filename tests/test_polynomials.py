@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import (
     CoeffPoly,
+    GoldenSeries,
     ProductSpec,
     TPoly,
     build_product,
@@ -209,6 +210,25 @@ def test_golden_matches_product_coefficients():
         assert golden_series(n).coefficient_sequence() == build_product(
             fibonacci_product_spec(n)
         ).coefficient_sequence()
+
+
+def test_check_golden_reports_the_first_wrong_partial(monkeypatch):
+    # each golden partial is compared with the product partial of the same n as the product grows
+    import fibgf.checks
+
+    real = fibgf.checks.golden_partials
+
+    def perturbed(n_max):
+        for n, series in enumerate(real(n_max)):
+            if n == 5:
+                (e, c), *rest = series.terms
+                series = GoldenSeries(((e, c + 1), *rest))
+            yield series
+
+    monkeypatch.setattr(fibgf.checks, "golden_partials", perturbed)
+    rep = fibgf.checks.run_check("verify", "golden", nmax=16)
+    assert (rep.status, rep.details) == ("fail", {"n": 5})
+    assert fibgf.checks.run_check("verify", "golden", nmax=4).status == "pass"
 
 
 def test_golden_partials_match_golden_series():

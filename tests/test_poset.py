@@ -155,20 +155,32 @@ def test_frontier_chain_counts_match_products():
 
 
 def test_frontier_grow_rejects_a_corrupted_row(monkeypatch):
-    # each row is checked against the row before it times the rank's factor
-    real_step = FrontierAutomaton.step
+    # every streamed block is checked against the row before it times the
+    # rank's factor, on stored ranks and on the never-stored last rank alike
+    real_blocks = FrontierAutomaton.blocks
 
-    def step(self):
-        real_step(self)
-        if self.rank == 5:
-            self.counts[2] += 1
+    def corrupt(bad_rank):
+        def blocks(self):
+            for start, counts, gaps in real_blocks(self):
+                if self.rank + 1 == bad_rank and start <= 2 < start + counts.shape[0]:
+                    counts[2 - start] += 1
+                yield start, counts, gaps
 
-    monkeypatch.setattr(FrontierAutomaton, "step", step)
-    for i, b in ((2, 3), (3, 2), (3, 3)):
-        with pytest.raises(InvariantError) as err:
-            frontier_grow(i, b, 8)
-        assert err.value.detail == 5, (i, b)
-    frontier_grow(2, 3, 4)  # the ranks before it pass
+        return blocks
+
+    def drop_last(self):  # a rank 8 that ends a block early
+        blocks = list(real_blocks(self))
+        yield from blocks[:-1] if self.rank + 1 == 8 else blocks
+
+    for chunk in (1, 2, 3, 7):
+        monkeypatch.setattr(fibgf.stream, "CHUNK", chunk)
+        for blocks, bad_rank in ((corrupt(5), 5), (corrupt(8), 8), (drop_last, 8)):
+            monkeypatch.setattr(FrontierAutomaton, "blocks", blocks)
+            for i, b in ((2, 3), (3, 2), (3, 3)):
+                with pytest.raises(InvariantError) as err:
+                    frontier_grow(i, b, 8)
+                assert err.value.detail == bad_rank, (chunk, bad_rank, i, b)
+            frontier_grow(2, 3, bad_rank - 1)  # the ranks before it pass
 
 
 def test_phi_rgf_reports_the_first_wrong_factor(monkeypatch):
@@ -222,8 +234,8 @@ def test_fixed_width_counts_refuse_to_wrap():
         for _ in range(8):
             auto.step()
     assert auto.rank == 62
-    narrow = FrontierAutomaton(3, 2, np.uint8)  # 3^5 = 243 fits, 3^6 does not
-    for _ in range(5):
+    narrow = FrontierAutomaton(3, 2, np.uint8)  # 2^7 = 128 fits, 2^8 does not
+    for _ in range(7):
         narrow.step()
     with pytest.raises(OverflowError):
         narrow.step()
@@ -266,7 +278,7 @@ def _reference_frontier(i, b, n_max):
 def test_array_automaton_matches_per_element_reference(i, b, n_max, chunk, exact):
     # blocks of a few old elements put shared children on block boundaries;
     # the counts are exact ints or of the narrowest dtype frontier_grow takes
-    dtype = np.dtype(object) if exact else np.min_scalar_type(i**n_max)
+    dtype = np.dtype(object) if exact else np.min_scalar_type(i * 2**n_max // 2)
     ref = _reference_frontier(i, b, n_max)
     with patch.object(fibgf.stream, "CHUNK", chunk):
         poset = frontier_poset(i, b, n_max)
@@ -284,16 +296,37 @@ def test_array_automaton_matches_per_element_reference(i, b, n_max, chunk, exact
 
 
 def test_frontier_grow_holds_two_rows():
-    # rank 14 of P_{3,3} has 1,605,717 elements: its uint32 row and the row
-    # before, both gap arrays and one block come to about 13 MB; full-length
-    # int64 children and product temporaries would pass 38 MB
+    # rank 14 of P_{3,3} has 1,605,717 elements and is never stored: its
+    # uint16 blocks stream past the check, so only rank 13's row and gaps
+    # (1.8 MB), or ranks 12 and 13 during the step before, and one block's
+    # temporaries are alive; a stored uint32 rank 14 alone would take 6.4 MB
     tracemalloc.start()
     try:
         frontier_grow(3, 3, 14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 10**6, peak
+    assert peak < 6 * 10**6, peak
+
+
+EDGES = [(4, b, 7) for b in range(2, 6)] + [(2, b, 16) for b in range(2, 6)] + [(3, 2, 16)]
+
+
+@pytest.mark.parametrize("i, b, n_max", EDGES)
+def test_counts_at_the_dtype_edge_match_exact_ints(i, b, n_max):
+    # the check's bound i * 2^(n_max - 1) first passes uint8 at (4, b, 7), where
+    # the counts' own bound 2^7 still fits it, and uint16 at (2, b, 16) and
+    # (3, 2, 16); i = 4 passes uint16 at (4, b, 15), whose last rank has at
+    # least 21.5M elements
+    dtype = np.min_scalar_type(i * 2**n_max // 2)
+    assert dtype.itemsize == 2 * np.min_scalar_type(i * 2 ** (n_max - 1) // 2).itemsize
+    narrow, exact = FrontierAutomaton(i, b, dtype), FrontierAutomaton(i, b, object)
+    for n in range(1, n_max + 1):
+        narrow.step()
+        exact.step()
+        assert narrow.counts.tolist() == exact.counts.tolist(), n
+    grown = frontier_grow(i, b, n_max)
+    assert grown["q"][-1] == exact.size
 
 
 def test_poset_elements_are_charged_by_size():

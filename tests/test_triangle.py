@@ -1,10 +1,14 @@
 import re
+import tracemalloc
 
 import pytest
 
+import fibgf.triangle
+from fibgf.errors import InvariantError
 from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec
 from fibgf.sequences import fibonacci
 from fibgf.triangle import (
+    GroupedRow,
     a_vector,
     expected_charpoly,
     first_row,
@@ -133,6 +137,35 @@ def test_rows_match_product_all_weights():
 
 def test_rows_match_product_symbolic_deep():
     verify_rows_match_product(22, t=TPoly.t())
+
+
+def test_rows_match_product_rejects_a_corrupted_row(monkeypatch):
+    # each row is compared as its partial product is built: row 7 off at exponent 3
+    real = fibgf.triangle.next_row
+
+    def corrupted(row, t=1):
+        out = real(row, t)
+        if out.index != 7:
+            return out
+        return GroupedRow(out.entries[:3] + (out.entries[3] + 1,) + out.entries[4:], out.marks, out.index)
+
+    monkeypatch.setattr(fibgf.triangle, "next_row", corrupted)
+    verify_rows_match_product(6, t=3)
+    with pytest.raises(InvariantError) as err:
+        verify_rows_match_product(10, t=3)
+    assert err.value.detail == 3
+
+
+def test_rows_match_product_keeps_no_partials():
+    # hnfn's rows at t = 2^21: keeping every partial product peaks at 7.5 MB;
+    # compared as the product grows, one partial and one row are alive
+    tracemalloc.start()
+    try:
+        verify_rows_match_product(20, t=2**21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 10**6, peak
 
 
 def _as_tpoly(v):
