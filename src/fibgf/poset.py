@@ -78,6 +78,9 @@ class PosetSlice:
 # which an element's one-parent children share (tracemalloc peak per element:
 # 39-78 bytes on P_ib with 8k-514k elements, the most on P_{2,3}).
 POSET_ELEMENT_BYTES = 90
+# What a frontier_grow step holds besides its arrays (frames, array headers,
+# numpy's cache of small freed buffers): tracemalloc read up to 12 KB.
+FRONTIER_STEP_BYTES = 32 * 1024
 
 
 def _check_frontier_cap(n: int, nbytes: int):
@@ -452,7 +455,8 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     divide q_n - q_{n-1}) or if a row breaks the product identity, with
     detail n; ResourceLimitError(limit_n=n) when rank n would pass the
     RGF_MAX_MEM_MB cap, which charges the previous row, the new row unless
-    it is the last, their gap arrays and one block's temporaries; and
+    it is the last, their gap arrays, and the block arrays that are alive
+    together (one block's at their most, and the block before it); and
     ValueError for a negative n_max.
     """
     import numpy as np
@@ -466,12 +470,19 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     for n in range(1, n_max + 1):
         q.append(automaton.next_size())
         old = min(stream.CHUNK, q[n - 1])
-        # a block's temporaries: per old element, an int64 child index, three countdown arrays and a
-        # mask; per child, its count and countdown, the same for the block before, which is still
-        # referenced while this one is built, the check's product and its comparison
-        block = old * (8 + 3 * gap_bytes + 1) + old * i * (3 * count_bytes + 2 * gap_bytes + 1)
+        kids = min(old * i, q[n])
+        # a block's arrays alive together: the countdowns before its old elements and its counts;
+        # while it is built, per old element an int64 child index and a mask, then either the
+        # fancy-indexed sum's counts or the children's countdowns and np.where's; while it is
+        # checked, per child its countdown, the product and the comparison; past the first block,
+        # the block before, referenced until this one is yielded
+        built = old * 9 + max(old * count_bytes, (kids + old) * gap_bytes)
+        checked = kids * (gap_bytes + count_bytes + 1)
+        block = old * gap_bytes + kids * count_bytes + max(built, checked)
+        if q[n - 1] > stream.CHUNK:
+            block += kids * (count_bytes + gap_bytes)
         kept = q[n - 1] + (q[n] if n < n_max else 0)
-        _check_frontier_cap(n, kept * (count_bytes + gap_bytes) + block)
+        _check_frontier_cap(n, kept * (count_bytes + gap_bytes) + block + FRONTIER_STEP_BYTES)
         if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):
             raise InvariantError("rank sizes fail the q-recurrence", detail=n)
         r.append((q[n] - q[n - 1]) // (i - 1))

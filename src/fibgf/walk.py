@@ -50,14 +50,7 @@ its pair masks agree.  A successor is kept only if it is alive one level
 below a level where its parent is alive and can be reached from the start.
 That is exact: a successor dropped that way has no completion at any level
 where its weight would be used, and a state that is dead at a level has none
-there either, so its table entry there is 0.  A new successor needed only at
-levels whose basis vectors span fewer than d dimensions (one level, or the
-first levels of k-bonacci at offset 0, where the exponents repeat) is kept as
-its class: those levels and its rows' ints at each, relative to the first
-row.  Its first member stands for it.  That is exact too, because the ints of
-a level fix the ints one level down, so the members' successors agree
-wherever the class is used; without it, k = 5 at offset 0 with alpha (7,)
-keeps 221,636 states to depth 20 where 598 classes suffice.
+there either, so its table entry there is 0.
 
 The basis walk runs when the recurrence meets Brauer's condition
 c_1 >= ... >= c_d >= 1 with c_1 + ... + c_d >= 2: its root is then a Pisot
@@ -66,7 +59,13 @@ the depth grows (Frougny, Math. Systems Theory 25, 1992).  Elsewhere the
 level walk runs: without a contracting second root (periodic and other
 non-Pisot recurrences), or with a weakly contracting one (f_{i+1} = f_i +
 f_{i-3}), vector states alive at many levels far outnumber the level walk's
-(level, state) pairs.
+(level, state) pairs.  The basis walk also hands a spec off to the level
+walk, and is dropped, when a new state is alive and reachable at fewer than
+d levels: with a wide prefactor, equal exponents (the first factors of
+k-bonacci at offset 0) or a window, many vector states then share one int
+state per level, and the level walk keeps fewer.  A state first reached
+within d steps of depth n_max is such a state, so shallow series take the
+level walk, which is cheap there.
 """
 
 from __future__ import annotations
@@ -110,22 +109,20 @@ def _compositions(m: int, parts: int):
             yield (first,) + rest
 
 
-def _rank(vectors: list[tuple]) -> int:
-    """The rank of integer vectors, by fraction-free elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for k in range(rank + 1, len(rows)):
-            f = rows[k][col]
-            if f:
-                rows[k] = [x * top[col] - y * f for x, y in zip(rows[k], top)]
-        rank += 1
-    return rank
+def _spreads(m: int, weights: list):
+    """The ways m equal rows spread over terms of the given weights: per way,
+    the term index of each row, ascending, and the multinomial weight
+    m! / prod count! * prod w^count."""
+    for counts in _compositions(m, len(weights)):
+        weight = factorial(m)
+        for count in counts:
+            weight //= factorial(count)
+        taken: tuple[int, ...] = ()
+        for t, (w, count) in enumerate(zip(weights, counts)):
+            if count:
+                weight = weight * w**count
+                taken += (t,) * count
+        yield taken, weight
 
 
 def _group_sort(rows, sizes) -> list:
@@ -203,17 +200,7 @@ class _LevelWalk(_Rows):
         cached = self.spreads.get((i, m))
         if cached is None:
             terms = self.factors[i]
-            cached = []
-            for counts in _compositions(m, len(terms)):
-                weight = factorial(m)
-                for count in counts:
-                    weight //= factorial(count)
-                added: tuple[int, ...] = ()
-                for (c, e), count in zip(terms, counts):
-                    if count:
-                        weight = weight * c**count
-                        added += (e,) * count
-                cached.append((added, weight))
+            cached = [(tuple(terms[t][1] for t in taken), w) for taken, w in _spreads(m, [c for c, _ in terms])]
             self.spreads[i, m] = cached
         return cached
 
@@ -276,6 +263,10 @@ class _LevelWalk(_Rows):
         return [self.value(n) for n in range(self.n_max + 1)]
 
 
+class _HandOff(Exception):
+    """The basis walk gives up its spec: the level walk keeps fewer states."""
+
+
 class _BasisWalk(_Rows):
     """The basis walk to depth n_max: rows in the recurrence basis, one
     successor map per state for every level."""
@@ -306,8 +297,6 @@ class _BasisWalk(_Rows):
         self.masks: dict[tuple, int] = {}
         self.alive: dict[tuple, int] = {}
         self.spreads: dict[int, list] = {}
-        self.thin: dict[int, list[int] | None] = {}  # per used-level mask, its levels if they span < d dimensions
-        self.rows: dict[tuple, tuple] = {}  # per reduced state, the vector state that stands for it
 
     def _pair_mask(self, g: tuple) -> int:
         """Bit i set when the rows g apart can still end equal at level i."""
@@ -327,23 +316,10 @@ class _BasisWalk(_Rows):
         cached = self.spreads.get(m)
         if cached is None:
             vectors = [(0,) * (self.d + 1)] + [vec for vec, _ in self.terms]
-            weights = [1] + [w for _, w in self.terms]
             cached = []
-            for counts in _compositions(m, len(vectors)):
-                weight = factorial(m)
-                for count in counts:
-                    weight //= factorial(count)
-                taken: tuple[int, ...] = ()
-                for t, count in enumerate(counts):
-                    if count:
-                        weight = weight * weights[t] ** count
-                        taken += (t,) * count
+            for taken, weight in _spreads(m, [1] + [w for _, w in self.terms]):
                 fresh = tuple(dict.fromkeys(taken))
-                mask = -1
-                for q, t in enumerate(fresh):
-                    for u in fresh[:q]:
-                        mask &= self._pair_mask(tuple(map(sub, vectors[t], vectors[u])))
-                cached.append((taken, fresh, weight, mask))
+                cached.append((taken, fresh, weight, self._rows_mask([vectors[t] for t in fresh])))
             self.spreads[m] = cached
         return cached
 
@@ -384,45 +360,22 @@ class _BasisWalk(_Rows):
             origin = ordered[0]
             key = tuple(tuple(map(sub, row, origin)) for row in ordered)
             if key not in alive:
-                levels = self._thin_levels(mask & window)
-                if levels is None:
-                    alive[key] = mask
-                else:
-                    key = self._reduce(key, mask & window, levels)
+                self._hand_off(mask & window)
+                alive[key] = mask
             out[key] = out[key] + w if key in out else w
         return out
 
-    def _thin_levels(self, used: int) -> list[int] | None:
-        """The levels of ``used`` if their basis vectors span fewer than d
-        dimensions, else None."""
-        if used in self.thin:
-            return self.thin[used]
-        levels = [i for i in range(used.bit_length()) if used >> i & 1]
-        thin = levels if len(levels) < self.d or _rank([self.basis[i] for i in levels]) < self.d else None
-        self.thin[used] = thin
-        return thin
+    def _hand_off(self, used: int) -> None:
+        """Raise ``_HandOff`` for a new state alive and reachable at fewer than
+        d levels (the set bits of ``used``)."""
+        if used.bit_count() < self.d:
+            raise _HandOff
 
-    def _reduce(self, key: tuple, used: int, levels: list[int]) -> tuple:
-        """The class of the vector state ``key`` needed only at the levels of
-        ``used``: (used, its rows as ints at each of those levels, sorted per
-        group and taken relative to the first row).  The first member stands
-        for the class."""
-        ints = []
-        for i in levels:
-            base = self.basis[i]
-            vals = _group_sort([sum(map(mul, row, base)) + row[-1] for row in key], self.sizes)
-            ints.append(tuple(x - vals[0] for x in vals))
-        reduced = (used, tuple(ints))
-        if reduced not in self.alive:
-            self.alive[reduced] = used
-            self.rows[reduced] = key
-        return reduced
-
-    def _start_mask(self) -> int:
-        """The levels where the start state is alive: all pairs of its rows."""
+    def _rows_mask(self, rows) -> int:
+        """The AND of the pair masks of all pairs of ``rows``."""
         mask = -1
-        for q, row in enumerate(self.start):
-            for p in self.start[:q]:
+        for q, row in enumerate(rows):
+            for p in rows[:q]:
                 mask &= self._pair_mask(tuple(map(sub, row, p)))
         return mask
 
@@ -431,7 +384,7 @@ class _BasisWalk(_Rows):
         fill the tables level by level, keeping two at a time."""
         n_max = self.n_max
         start = self.start
-        self.alive[start] = self._start_mask()
+        self.alive[start] = self._rows_mask(start)
         depth = {start: 0}
         edges: dict[tuple, dict] = {}
         frontier = [start]
@@ -442,7 +395,7 @@ class _BasisWalk(_Rows):
             for state in frontier:
                 # the levels where the state is alive and reachable, one below
                 window = (self.alive[state] & ((2 << (n_max - t)) - 1)) >> 1
-                edges[state] = succ = self._expand(self.rows.get(state, state), window) if window else {}
+                edges[state] = succ = self._expand(state, window) if window else {}
                 # links are used from depth t + 1 on; a weight is charged by its size
                 self._charge(LINK_BYTES * len(succ) + _value_bytes(succ.values()), t + 1)
                 for nxt in succ:
@@ -466,10 +419,7 @@ class _BasisWalk(_Rows):
             if i:
                 table = {s: sum(w * below.get(nxt, 0) for nxt, w in edges[s].items()) for s in needed[i]}
             else:  # the leaf: the rows as ints read the prefactor
-                table = {
-                    s: self._leaf([sum(map(mul, row, base)) + row[-1] for row in self.rows.get(s, s)])
-                    for s in needed[0]
-                }
+                table = {s: self._leaf([sum(map(mul, row, base)) + row[-1] for row in s]) for s in needed[0]}
             size = _value_bytes(table.values())
             if size + held > charged:
                 self._charge(size + held - charged, i)
@@ -511,25 +461,37 @@ def _low_terms(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
 
 
 def basis_walk_applies(spec: ProductSpec) -> bool:
-    """Whether ``corr_walk_series`` runs the basis walk on ``spec``: the
+    """Whether ``corr_walk_series`` starts the basis walk on ``spec``: the
     recurrence meets Brauer's condition c_1 >= ... >= c_d >= 1 with
     c_1 + ... + c_d >= 2."""
     c = spec.exponent_seq.coeffs
     return c[-1] >= 1 and sum(c) >= 2 and all(x >= y for x, y in zip(c, c[1:]))
 
 
+def _walk(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
+    """The series of the basis walk, or of the level walk where the basis
+    walk does not apply or hands the spec off."""
+    if basis_walk_applies(spec):
+        try:
+            return _BasisWalk(spec, alpha, n_max).series()
+        except _HandOff:
+            pass
+    return _LevelWalk(spec, alpha, n_max).series()
+
+
 def corr_walk_series(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
     """[v(0), ..., v(n_max)] for the window exponents ``alpha``, exactly.
 
-    Runs the basis walk where ``basis_walk_applies`` and the level walk
-    elsewhere.  Raises ``ResourceLimitError`` with ``limit_n`` = the first n
-    (for the basis walk, the first breadth-first depth, or the first level
-    whose table values pass it) that would push the stored estimate over the
-    ``RGF_MAX_MEM_MB`` cap; every n below it runs.
+    Runs the basis walk where ``basis_walk_applies`` and it does not hand
+    the spec off, and the level walk elsewhere.  Raises
+    ``ResourceLimitError`` with ``limit_n`` = the first n that would push the
+    stored estimate over the ``RGF_MAX_MEM_MB`` cap; every n below it runs.
+    For the basis walk that n is the first breadth-first depth, or the first
+    level whose table values pass the cap, reached before any hand-off; a
+    spec handed off starts its charge again in the level walk.
     """
     if n_max < 0:
         raise ValueError("need n_max >= 0")
     alpha = tuple(alpha)
     lead = next(j for j, a in enumerate(alpha) if a)
-    walk = (_BasisWalk if basis_walk_applies(spec) else _LevelWalk)(spec, alpha[lead:], n_max)
-    return list(map(sub, walk.series(), _low_terms(spec, alpha, n_max)))
+    return list(map(sub, _walk(spec, alpha[lead:], n_max), _low_terms(spec, alpha, n_max)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibgf.poset
 import fibgf.stream
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
@@ -308,6 +309,28 @@ def test_frontier_grow_holds_two_rows():
         tracemalloc.stop()
     assert peak < 6 * 10**6, peak
 
+
+
+@pytest.mark.parametrize("i, b, n_max", [(3, 2, 16), (4, 2, 11), (2, 3, 22)])
+def test_frontier_grow_charges_what_is_alive_together(i, b, n_max, monkeypatch):
+    # the cap's largest charge covers the traced peak, and does not count
+    # twice what is never alive at once (a charge that summed every block
+    # temporary read 2.2-2.3 times the peak at the first two points)
+    charges = []
+    real = fibgf.poset._check_frontier_cap
+
+    def record(n, nbytes):
+        charges.append(nbytes)
+        real(n, nbytes)
+
+    monkeypatch.setattr(fibgf.poset, "_check_frontier_cap", record)
+    tracemalloc.start()
+    try:
+        frontier_grow(i, b, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max(charges) < 2 * peak, (peak, max(charges))
 
 EDGES = [(4, b, 7) for b in range(2, 6)] + [(2, b, 16) for b in range(2, 6)] + [(3, 2, 16)]
 

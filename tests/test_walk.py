@@ -23,9 +23,16 @@ from fibgf.polynomials import (
 )
 from fibgf.sequences import RecurrentSeq, kbonacci
 from fibgf.stats import CorrSpec, corr_series
-from fibgf.walk import _BasisWalk, _LevelWalk, basis_walk_applies
+from fibgf.walk import _BasisWalk, _HandOff, _LevelWalk, basis_walk_applies
 
 T = TPoly.t()
+
+
+class NoHandOff(_BasisWalk):
+    """The basis walk with its hand-off off: it keeps vector states to the end."""
+
+    def _hand_off(self, used):
+        pass
 
 
 @st.composite
@@ -104,9 +111,11 @@ def test_walk_matches_pure_engine(spec, alpha, n_max):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(spec=pisot_specs(), alpha=alphas, n_max=st.integers(0, 6))
 def test_basis_walk_matches_pure_engine(spec, alpha, n_max):
-    # single terms over Brauer recurrences of order up to 3, offsets up to 5
+    # single terms over Brauer recurrences of order up to 3, offsets up to 5;
+    # the basis walk also where the spec hands off
     want = corr_series(spec, CorrSpec(alpha), n_max, engine="pure")
     assert fibgf.walk.corr_walk_series(spec, alpha, n_max) == want
+    assert _walk_series(NoHandOff, spec, alpha, n_max) == want
 
 
 def _walk_series(walk, spec, alpha, n_max):
@@ -119,59 +128,118 @@ def _walk_series(walk, spec, alpha, n_max):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(spec=window_specs(), alpha=alphas.filter(lambda a: sum(a) <= 3), n_max=st.integers(6, 9))
 def test_basis_walk_matches_level_walk(spec, alpha, n_max):
-    # the basis walk is exact on every spec, but without a contracting second
-    # root its vector states outnumber the level walk's int states: at most
-    # three rows keep the automaton small
+    # the basis walk is exact on every spec, even where it would hand off, but
+    # without a contracting second root its vector states outnumber the level
+    # walk's int states: at most three rows keep the automaton small
     want = _walk_series(_LevelWalk, spec, alpha, n_max)
-    assert _walk_series(_BasisWalk, spec, alpha, n_max) == want
+    assert _walk_series(NoHandOff, spec, alpha, n_max) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(spec=pisot_specs(), alpha=alphas, n_max=st.integers(7, 20))
 def test_pisot_basis_walk_matches_level_walk(spec, alpha, n_max):
-    # single terms over Brauer recurrences, offsets up to 5, up to four rows, deep
+    # single terms over Brauer recurrences, offsets up to 5, up to four rows,
+    # deep; the basis walk also where the spec hands off
     assert basis_walk_applies(spec)
-    assert corr_series(spec, CorrSpec(alpha), n_max) == _walk_series(_LevelWalk, spec, alpha, n_max)
+    want = _walk_series(_LevelWalk, spec, alpha, n_max)
+    assert corr_series(spec, CorrSpec(alpha), n_max) == want
+    assert _walk_series(NoHandOff, spec, alpha, n_max) == want
 
 
 def test_basis_walk_routing():
-    # Brauer recurrences take the basis walk: the presets, the depth probe,
-    # k-bonacci at offset 0, Stern, the windows and a prefactor instance
+    # Brauer recurrences start the basis walk: the presets, the depth probe,
+    # k-bonacci at offset 0, Stern, the windows and a prefactor instance; at
+    # depth 12 it finishes all but k-bonacci at offset 0 for k >= 3, whose
+    # equal first exponents hand the spec off to the level walk
     hpn_prefactor = ProductSpec(exponent_seq=kbonacci(2), n=0, offset=1, prefactor=CoeffPoly([1, 1]))
     basis = [kbonacci_product_spec(k, 0, t=t) for k in (2, 3, 4, 5) for t in (1, T)]
     basis += [fibonacci_product_spec(0, t=-1), hpn_prefactor, stern_product_spec(0)]
-    basis += [ProductSpec(exponent_seq=kbonacci(k), n=0) for k in (2, 3, 4, 5)]
+    basis += [ProductSpec(exponent_seq=kbonacci(2), n=0)]
     basis += [ProductSpec(exponent_seq=kbonacci(2), n=0, h=h, a=(0, 1, 1)[3 - h :]) for h in (2, 3)]
+    handed = [ProductSpec(exponent_seq=kbonacci(k), n=0) for k in (3, 4, 5)]
     # the others take the level walk: periodic, constant and other non-Pisot
     # recurrences, and Pisot ones outside Brauer's condition
     controls = [RecurrentSeq(c, (1,) * len(c)) for c in ((1, 0, 1), (0, 1, 1), (0, 1), (1,), (1, 2), (0, 2))]
     level = [ProductSpec(exponent_seq=seq, n=0, offset=2 if seq.order == 3 else 0) for seq in controls]
     level += [ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0, h=2, a=(1, 1))]
-    assert [basis_walk_applies(spec) for spec in basis] == [True] * len(basis)
+    assert [basis_walk_applies(spec) for spec in basis + handed] == [True] * len(basis + handed)
     assert [basis_walk_applies(spec) for spec in level] == [False] * len(level)
-    calls = []
-    real = _BasisWalk.series
+    finished = []
 
-    def counted(walk):
+    def spy(walk_class):
+        real = walk_class.series
+
+        def series(walk):
+            out = real(walk)
+            finished.append((walk_class, walk.spec))
+            return out
+
+        return series
+
+    with pytest.MonkeyPatch.context() as patch:
+        for walk_class in (_BasisWalk, _LevelWalk):
+            patch.setattr(walk_class, "series", spy(walk_class))
+        for spec in basis + handed + level:
+            corr_series(spec, CorrSpec((2,)), 12)
+    assert finished == [(_BasisWalk, spec) for spec in basis] + [(_LevelWalk, spec) for spec in handed + level]
+
+
+def test_equal_exponents_hand_off_to_level_walk():
+    # k = 5 at offset 0 opens with five factors (1 + x): the basis walk meets
+    # a new state used at fewer than five levels and hands the spec off
+    spec = ProductSpec(exponent_seq=kbonacci(5), n=0)
+    with pytest.raises(_HandOff):
+        _BasisWalk(spec, (7,), 20).series()
+    want = corr_series(spec, CorrSpec((7,)), 20, engine="pure")
+    assert _level_walk_run([(spec, (7,), 20)]) == ([want], [spec])
+
+
+def _level_walk_run(cases):
+    """The series of ``cases`` (spec, alpha, n_max), and the specs among them
+    whose series ran the level walk."""
+    calls = []
+    real = _LevelWalk.series
+
+    def series(walk):
         calls.append(walk.spec)
         return real(walk)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_BasisWalk, "series", counted)
-        for spec in basis + level:
-            corr_series(spec, CorrSpec((2,)), 4)
-    assert calls == basis
+        patch.setattr(_LevelWalk, "series", series)
+        values = [corr_series(spec, CorrSpec(alpha), n_max) for spec, alpha, n_max in cases]
+    return values, calls
 
 
-def test_reduced_states_collapse_equal_exponents():
-    # k = 5 at offset 0 opens with five factors (1 + x): vector states needed
-    # only at those levels are kept as their rows' ints there, so the
-    # automaton stays near the level walk's size
-    spec = ProductSpec(exponent_seq=kbonacci(5), n=0)
-    walk = _BasisWalk(spec, (7,), 20)
-    assert walk.series() == _walk_series(_LevelWalk, spec, (7,), 20)
-    assert len(walk.alive) < 1000
-    assert walk.rows
+def test_workload_specs_stay_on_basis_walk():
+    # what the checks, the scans and the depth probe walk never hands off
+    cases = [(kbonacci_product_spec(k, 0, t=t), (r,), 28) for k in (2, 3, 4) for r in range(2, 8) for t in (1, T)]
+    cases += [
+        (stern_product_spec(0), (2,), 18),
+        (ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(0, 1, 1)), (2,), 36),
+        (ProductSpec(exponent_seq=kbonacci(2), n=0, h=2, a=(1, 1)), (2,), 30),
+        (ProductSpec(exponent_seq=kbonacci(2), n=0, offset=1, prefactor=CoeffPoly([1, 1])), (2,), 30),
+        (fibonacci_product_spec(0, t=-1), (2,), 25),
+        (kbonacci_product_spec(4, 0), (2,), 200),
+    ]
+    assert _level_walk_run(cases)[1] == []
+
+
+def test_found_specs_hand_off_and_match_level_walk():
+    # wide prefactors, a tetranacci window and k = 5 at offset 0: many vector
+    # states share one int state per level, so the level walk finishes them
+    cases = [
+        (ProductSpec(exponent_seq=kbonacci(4), n=0, h=2, a=(1, 1), offset=3), (4,), 8),
+        (replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 12)), (2, 0, 2), 8),
+        (ProductSpec(exponent_seq=kbonacci(5), n=0), (7,), 8),
+        (replace(kbonacci_product_spec(3, 0), prefactor=CoeffPoly([1] * 12)), (4,), 8),
+    ]
+    for spec, alpha, n_max in cases:
+        assert basis_walk_applies(spec)
+        with pytest.raises(_HandOff):
+            _BasisWalk(spec, alpha[next(j for j, a in enumerate(alpha) if a) :], n_max).series()
+    values, calls = _level_walk_run(cases)
+    assert calls == [spec for spec, _, _ in cases]
+    assert values == [corr_series(spec, CorrSpec(alpha), n_max, engine="pure") for spec, alpha, n_max in cases]
 
 
 def test_named_specs_match_level_walk():
@@ -193,7 +261,9 @@ def test_named_specs_match_level_walk():
 
 
 def _unpruned_series(spec, alpha, n_max):
-    class Unpruned(_BasisWalk):
+    # unpruned, every state is alive everywhere, so the new states of the last
+    # depths would always hand off
+    class Unpruned(NoHandOff):
         def __init__(self, *args):
             super().__init__(*args)
             # a slack no pair difference reaches: every state is alive at every level
@@ -221,30 +291,40 @@ def test_basis_walk_cap_names_limiting_n(monkeypatch):
     assert basis_walk_applies(spec)
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     with pytest.raises(ResourceLimitError) as err:
-        corr_series(spec, CorrSpec((4,)), 30)
+        _walk_series(NoHandOff, spec, (4,), 30)
     assert err.value.limit_n is not None
     reach = err.value.limit_n - 1
     assert 0 < reach < 30
-    assert corr_series(spec, CorrSpec((4,)), reach) == corr_series(spec, CorrSpec((4,)), reach, engine="pure")
+    assert _walk_series(NoHandOff, spec, (4,), reach) == corr_series(spec, CorrSpec((4,)), reach, engine="pure")
+    # the spec hands off, and the level walk fits the cap
+    assert corr_series(spec, CorrSpec((4,)), 30) == _walk_series(_LevelWalk, spec, (4,), 30)
+    # on the public path: the Z[t] seventh powers of the depth probe's spec
+    probe = kbonacci_product_spec(4, 0, t=T)
+    with pytest.raises(ResourceLimitError) as err:
+        corr_series(probe, CorrSpec((7,)), 200)
+    assert err.value.limit_n is not None
+    reach = err.value.limit_n - 1
+    assert 0 < reach < 200
+    assert corr_series(probe, CorrSpec((7,)), reach)[:9] == corr_series(probe, CorrSpec((7,)), 8, engine="pure")
 
 
 def test_basis_states_are_charged_by_size():
-    # wide prefactors keep hundreds of states alive; with six rows, symbolic
-    # weights or a three-term window over Z[t] (101 states, 1,403 links,
-    # weights and table values that grow with the depth), what the
-    # automaton, its pair masks and its two tables hold stays under the
-    # charge per state and per successor link plus twice the size of the
-    # weights and table values
+    # wide prefactors keep hundreds of states alive (they would hand off, so
+    # they run without it); with six rows, symbolic weights or a three-term
+    # window over Z[t] (101 states, 1,403 links, weights and table values
+    # that grow with the depth), what the automaton, its pair masks and its
+    # two tables hold stays under the charge per state and per successor
+    # link plus twice the size of the weights and table values
     window = ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(T, T, T))
     cases = (
-        (replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 5)), (6,), 12),
-        (replace(fibonacci_product_spec(0, t=T), prefactor=CoeffPoly([1] * 8)), (4,), 8),
-        (window, (3,), 14),
+        (NoHandOff, replace(fibonacci_product_spec(0), prefactor=CoeffPoly([1] * 5)), (6,), 12),
+        (NoHandOff, replace(fibonacci_product_spec(0, t=T), prefactor=CoeffPoly([1] * 8)), (4,), 8),
+        (_BasisWalk, window, (3,), 14),
     )
-    for spec, alpha, n_max in cases:
+    for walk_class, spec, alpha, n_max in cases:
         tracemalloc.start()
         try:
-            walk = _BasisWalk(spec, alpha, n_max)
+            walk = walk_class(spec, alpha, n_max)
             walk.series()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
