@@ -31,7 +31,7 @@ from .polynomials import (
     fibonacci_product_spec,
     golden_partials,
     kbonacci_product_spec,
-    run_decomposition,
+    run_lengths,
     stern_product_spec,
 )
 from .poset import (
@@ -216,22 +216,25 @@ def check_flag_beta(depth: int = 6):
 
 
 def check_runs(nmax: int = 18):
+    """The n-th golden partial has F_{n+1} maximal unit-step runs, whose
+    lengths read the same both ways and, over the first half, are
+    1 + floor(i phi) - floor((i-1) phi).  A run not of length 2 or 3 raises
+    ``InvariantError`` in ``run_lengths``."""
     partials = golden_partials(nmax)
     next(partials)  # n = 0 has no run
+    floors = [floor_times_phi(i) for i in range((fibonacci(nmax + 1) + 1) // 2 + 1)]
+    formula = [1 + f - g for f, g in zip(floors[1:], floors)]
     for n, series in enumerate(partials, 1):
-        rd = run_decomposition(series)
-        lengths = rd.lengths()
-        if rd.count != fibonacci(n + 1):
-            return "fail", {"n": n, "count": rd.count, "want": fibonacci(n + 1)}
-        if any(d not in (2, 3) for d in lengths):
-            return "fail", {"n": n, "lengths": lengths}
+        lengths = run_lengths(series)
+        count = len(lengths)
+        if count != fibonacci(n + 1):
+            return "fail", {"n": n, "count": count, "want": fibonacci(n + 1)}
         if lengths != lengths[::-1]:
             return "fail", {"n": n, "palindrome": False}
-        half = (rd.count + 1) // 2
-        for i in range(1, half + 1):
-            want = 1 + floor_times_phi(i) - floor_times_phi(i - 1)
-            if lengths[i - 1] != want:
-                return "fail", {"n": n, "i": i, "got": lengths[i - 1], "want": want}
+        half = (count + 1) // 2
+        if lengths[:half] != formula[:half]:
+            i = next(i for i, (got, want) in enumerate(zip(lengths, formula), 1) if got != want)
+            return "fail", {"n": n, "i": i, "got": lengths[i - 1], "want": formula[i - 1]}
     return "pass", {"nmax": nmax, "run_count": "F_{n+1}", "formula": "1+floor(i*phi)-floor((i-1)*phi)"}
 
 

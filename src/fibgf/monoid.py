@@ -253,35 +253,32 @@ def word_classes(n: int, cap: int = 14) -> list[int]:
     """Sorted multiset of class sizes of baa <-> abb rewriting on {a,b}^n.
 
     Words are encoded as n-bit integers with bit p = 1 for the letter b at
-    position p (reading left to right).
+    position p (reading left to right).  Each class is walked once, from its
+    smallest word.  A word's windows b a a and a b b at positions p, p+1, p+2
+    are the set bits p of two masks, and XOR with 7 << p rewrites either one
+    into the other.
     """
     if n > cap:
         raise ResourceLimitError(f"word classes capped at n = {cap}", limit_n=n)
-    size = 1 << n
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for w in range(size):
-        for p in range(n - 2):
-            window = (w >> p) & 7
-            if window == 0b001:  # b a a at positions (p, p+1, p+2)
-                union(w, (w ^ 0b001 << p) | (0b110 << p))
-            # the reverse rewrite is covered by the forward one from the other word
-    sizes: dict[int, int] = {}
-    for w in range(size):
-        r = find(w)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values())
+    seen = bytearray(1 << n)
+    starts = (1 << max(n - 2, 0)) - 1  # the positions p with p + 2 < n
+    sizes = []
+    for first in range(1 << n):
+        if seen[first]:
+            continue
+        seen[first] = 1
+        members = [first]
+        for w in members:  # grows as the walk reaches new words
+            windows = (w & ~(w >> 1) & ~(w >> 2) | ~w & w >> 1 & w >> 2) & starts
+            while windows:
+                low = windows & -windows
+                other = w ^ 7 * low
+                if not seen[other]:
+                    seen[other] = 1
+                    members.append(other)
+                windows ^= low
+        sizes.append(len(members))
+    return sorted(sizes)
 
 
 def _move_targets(bits: tuple[int, ...]) -> list[tuple[int, ...]]:

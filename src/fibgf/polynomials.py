@@ -20,7 +20,9 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from operator import add
+from itertools import compress, count, repeat
+from math import isqrt
+from operator import add, and_, eq, mul, not_, sub
 
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
@@ -323,19 +325,39 @@ def _guard_size(n_coeffs: int, at_n: int):
         )
 
 
+# entries per slice add in ``_multiply_dense``: a slice assignment holds one
+# block's new entries besides the row (hnfn's rows hold ints of 400 bits)
+_ADD_BLOCK = 1024
+
+
 def _multiply_dense(coeffs: list, terms: list[tuple]) -> list:
+    """``coeffs`` times 1 + sum aj x^e: each term adds ``coeffs`` shifted by
+    e and scaled by aj as slice adds, one per block of at most
+    ``_ADD_BLOCK`` nonzero entries.  A zero coefficient adds nothing, so an
+    int entry stays an int when a term or a coefficient is a TPoly."""
     shift = terms[-1][1] if terms else 0
     out = list(coeffs) + [0] * shift
+    n = len(coeffs)
+    cuts = [-1, n] if all(coeffs) else [-1, *compress(count(), map(not_, coeffs)), n]
     for aj, e in terms:
-        if isinstance(aj, int) and aj == 1:
-            for idx, c in enumerate(coeffs, e):
-                if c:
-                    out[idx] = out[idx] + c
-        else:
-            for idx, c in enumerate(coeffs, e):
-                if c:
-                    out[idx] = out[idx] + aj * c
+        unit = isinstance(aj, int) and aj == 1
+        for zero, end in zip(cuts, cuts[1:]):
+            for lo in range(zero + 1, end, _ADD_BLOCK):
+                hi = min(lo + _ADD_BLOCK, end)
+                src = coeffs[lo:hi] if unit else map(mul, repeat(aj), coeffs[lo:hi])
+                out[lo + e : hi + e] = map(add, out[lo + e : hi + e], src)
     return out
+
+
+def _partial(dense: list) -> CoeffPoly:
+    """A CoeffPoly on a dense row from x^0, sharing the row when it has no
+    zero at either end: ``_multiply_dense`` reads a row and never changes
+    it, so a partial product needs no copy of its own."""
+    if not (dense and dense[0] and dense[-1]):
+        return CoeffPoly(dense)
+    poly = object.__new__(CoeffPoly)
+    poly.base, poly._list = 0, dense
+    return poly
 
 
 def build_product(spec: ProductSpec, callback=None) -> CoeffPoly:
@@ -349,12 +371,12 @@ def build_product(spec: ProductSpec, callback=None) -> CoeffPoly:
     _guard_size(spec.degree_bound() + 1, spec.n)
     start = CoeffPoly.one() if spec.prefactor is None else spec.prefactor
     acc = start.dense_coefficients()
-    current = CoeffPoly(acc)
+    current = _partial(acc)
     if callback is not None:
         callback(0, current)
     for i in range(1, spec.n + 1):
         acc = _multiply_dense(acc, spec.factor_terms(i))
-        current = CoeffPoly(acc)
+        current = _partial(acc)
         if callback is not None:
             callback(i, current)
     return current
@@ -381,50 +403,86 @@ def stern_product_spec(n: int) -> ProductSpec:
     return ProductSpec(exponent_seq=doubling(), n=n, h=2, a=(1, 1), offset=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GoldenSeries:
-    """A finite series sum c_i x^{e_i} with exponents e_i in Z[phi], ascending."""
+    """A finite series sum c_i x^{e_i} with exponents e_i = a_i + b_i phi in
+    Z[phi], ascending.
 
-    terms: tuple  # of (GoldenInt, int)
+    Kept as three int tuples; ``terms`` builds the (GoldenInt, coefficient)
+    pairs each time it is read.
+    """
+
+    a: tuple  # the exponents' rational parts
+    b: tuple  # the exponents' phi parts
+    coeffs: tuple
+
+    def __init__(self, terms):
+        terms = tuple(terms)
+        self._fill([e.a for e, _ in terms], [e.b for e, _ in terms], [c for _, c in terms])
+
+    def _fill(self, a, b, coeffs) -> None:
+        for name, column in (("a", a), ("b", b), ("coeffs", coeffs)):
+            object.__setattr__(self, name, tuple(column))
+
+    @property
+    def terms(self) -> tuple:
+        """((GoldenInt, int), ...) in exponent order."""
+        return tuple(zip(map(GoldenInt, self.a, self.b), self.coeffs))
 
     def coefficient_sequence(self) -> list[int]:
-        return [c for _, c in self.terms]
+        return list(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+
+def _golden_series(a: list, b: list, coeffs: list) -> GoldenSeries:
+    """A GoldenSeries around int columns already in exponent order."""
+    series = object.__new__(GoldenSeries)
+    series._fill(a, b, coeffs)
+    return series
 
 
 def golden_partials(n_max: int):
     """Yield the expansions of prod_{i=0}^{n-1} (1 + x^{phi^i}) for
-    n = 0..n_max, each from the one before, with exact Z[phi] exponents."""
+    n = 0..n_max, each from the one before, with exact Z[phi] exponents.
+
+    Each exponent a + b phi is kept as the int pair (a, b), b >= 0, and
+    ordered by the int key floor(4 (a + b phi)) = 4a + 2b + isqrt(20 b^2),
+    since 4 b phi = 2b + sqrt(20 b^2).  The key orders the exponents
+    exactly, because two distinct exponents e < e' of a partial differ by
+    more than 1/4.  Both are sums of distinct phi^i, i >= 0, so
+    d = e' - e = sum eps_i phi^i with each eps_i in {-1, 0, 1}.  Its
+    conjugate d* = sum eps_i psi^i, psi = -1/phi, has
+    |d*| < sum_i phi^(-i) = phi^2.  Written d = p + q phi, d has the norm
+    d d* = p^2 + pq - q^2, a nonzero integer since d != 0, so
+    d >= 1 / |d*| > phi^(-2) > 1/4 and floor(4e') >= floor(4e + 1) >
+    floor(4e).  A step shifts a copy of every pair by phi^i, sorts the
+    pairs of both copies by key and adds the coefficients of equal keys,
+    all in bulk list operations.
+    """
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    terms: list[tuple[GoldenInt, int]] = [(GoldenInt(0, 0), 1)]
-    yield GoldenSeries(tuple(terms))
+    a, b, coeffs, keys = [0], [0], [1], [0]
+    yield _golden_series(a, b, coeffs)
     for i in range(n_max):
         shift = phi_power(i)
         sa, sb = shift.a, shift.b
-        shifted = [(GoldenInt(e.a + sa, e.b + sb), c) for e, c in terms]
-        merged: list[tuple[GoldenInt, int]] = []
-        p = q = 0
-        while p < len(terms) and q < len(shifted):
-            ea, ca = terms[p]
-            eb, cb = shifted[q]
-            d = GoldenInt(ea.a - eb.a, ea.b - eb.b).sign()
-            if d < 0:
-                merged.append((ea, ca))
-                p += 1
-            elif d > 0:
-                merged.append((eb, cb))
-                q += 1
-            else:
-                merged.append((ea, ca + cb))
-                p += 1
-                q += 1
-        merged.extend(terms[p:])
-        merged.extend(shifted[q:])
-        terms = merged
-        yield GoldenSeries(tuple(terms))
+        a2 = [x + sa for x in a]
+        b2 = [y + sb for y in b]
+        all_keys = keys + [4 * x + 2 * y + isqrt(20 * y * y) for x, y in zip(a2, b2)]
+        order = sorted(range(len(all_keys)), key=all_keys.__getitem__)
+        keys = list(map(all_keys.__getitem__, order))
+        # equal keys come in pairs, a term and the shifted copy of an equal exponent
+        next_equal = list(map(eq, keys[1:], keys))
+        new = [True, *map(not_, next_equal)]
+        sorted_coeffs = list(map((coeffs + coeffs).__getitem__, order))
+        summed = map(add, sorted_coeffs, [*map(mul, sorted_coeffs[1:], next_equal), 0])
+        coeffs = list(compress(summed, new))
+        keys = list(compress(keys, new))
+        a = list(compress(map((a + a2).__getitem__, order), new))
+        b = list(compress(map((b + b2).__getitem__, order), new))
+        yield _golden_series(a, b, coeffs)
 
 
 def golden_series(n: int) -> GoldenSeries:
@@ -455,6 +513,32 @@ class RunDecomposition:
         return [r.length for r in self.runs]
 
 
+def _run_starts(series: GoldenSeries) -> list[int]:
+    """The index of each maximal run's first term, then the number of terms.
+    A step from one term to the next is a unit step when a rises by 1 and b
+    stays."""
+    a, b = series.a, series.b
+    if not a:
+        return [0]
+    unit = map(and_, map(eq, map(sub, a[1:], a), repeat(1)), map(eq, b[1:], b))
+    return [0, *compress(count(1), map(not_, unit)), len(a)]
+
+
+def run_lengths(series: GoldenSeries) -> list[int]:
+    """The lengths of the maximal runs of unit-step exponents, read off the
+    int pairs.  A run whose length is not 2 or 3 raises ``InvariantError``
+    with its first exponent as detail.  The exponents are taken to increase,
+    as ``golden_partials`` makes them; ``run_decomposition`` checks that too.
+    """
+    starts = _run_starts(series)
+    lengths = list(map(sub, starts[1:], starts))
+    if lengths and not 2 <= min(lengths) <= max(lengths) <= 3:
+        j = next(j for j, length in enumerate(lengths) if length not in (2, 3))
+        s = starts[j]
+        raise InvariantError(f"run of length {lengths[j]}", detail=GoldenInt(series.a[s], series.b[s]))
+    return lengths
+
+
 def run_decomposition(series: GoldenSeries) -> RunDecomposition:
     """Group consecutive unit-step terms into maximal runs.
 
@@ -463,22 +547,12 @@ def run_decomposition(series: GoldenSeries) -> RunDecomposition:
     raises ``InvariantError``.  Note the between-run gap can be smaller than
     1 (already for two factors it is phi - 1), it just cannot equal 1.
     """
-    if not series.terms:
-        return RunDecomposition(())
-    runs = []
-    cur_start, cur_coeffs = series.terms[0][0], [series.terms[0][1]]
-    prev_e = series.terms[0][0]
-    for e, c in series.terms[1:]:
-        if e.a - prev_e.a == 1 and e.b == prev_e.b:  # a unit step
-            cur_coeffs.append(c)
-        else:
-            if (e - prev_e).sign() <= 0:
-                raise InvariantError("exponents not strictly increasing", detail=e)
-            runs.append(Run(cur_start, len(cur_coeffs), tuple(cur_coeffs)))
-            cur_start, cur_coeffs = e, [c]
-        prev_e = e
-    runs.append(Run(cur_start, len(cur_coeffs), tuple(cur_coeffs)))
-    for r in runs:
-        if r.length not in (2, 3):
-            raise InvariantError(f"run of length {r.length}", detail=r.start)
-    return RunDecomposition(tuple(runs))
+    a, b = series.a, series.b
+    starts = _run_starts(series)
+    for s in starts[1:-1]:
+        if GoldenInt(a[s] - a[s - 1], b[s] - b[s - 1]).sign() <= 0:
+            raise InvariantError("exponents not strictly increasing", detail=GoldenInt(a[s], b[s]))
+    lengths = run_lengths(series)
+    return RunDecomposition(
+        tuple(Run(GoldenInt(a[s], b[s]), length, series.coeffs[s : s + length]) for s, length in zip(starts, lengths))
+    )

@@ -328,14 +328,19 @@ class FrontierAutomaton:
     def size(self) -> int:
         return self.counts.shape[0]
 
-    def next_size(self) -> int:
-        """The size of the next rank: i children per element, less one per
-        countdown of 1, counted one block of ``stream.CHUNK`` at a time."""
+    def block_sizes(self) -> list[int]:
+        """The number of children each block of ``blocks`` yields, one block
+        of ``stream.CHUNK`` old elements at a time: i per old element, less
+        one per countdown of 1 after it (its last child is also the next
+        element's first, and is yielded with that one).  Their sum is the
+        size of the next rank."""
         import numpy as np
 
-        chunk = stream.CHUNK
-        shared = sum(int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1)) for lo in range(0, self.size, chunk))
-        return self.size * self.i - shared
+        n, chunk = self.size, stream.CHUNK
+        return [
+            min(chunk, n - lo) * self.i - int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1))
+            for lo in range(0, n, chunk)
+        ]
 
     def blocks(self):
         """Yield the next rank as (start, counts, gaps) blocks in index order,
@@ -396,7 +401,7 @@ class FrontierAutomaton:
         sized for the new rank."""
         import numpy as np
 
-        size = self.next_size()
+        size = sum(self.block_sizes())
         counts = np.empty(size, self.counts.dtype)
         gaps = np.empty(size, self.gaps.dtype)  # gaps[k] sits before child k; gaps[0] is unused
         for start, block_counts, block_gaps in self.blocks() if blocks is None else blocks:
@@ -456,7 +461,8 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     detail n; ResourceLimitError(limit_n=n) when rank n would pass the
     RGF_MAX_MEM_MB cap, which charges the previous row, the new row unless
     it is the last, their gap arrays, and the block arrays that are alive
-    together (one block's at their most, and the block before it); and
+    together (each block's at their most, with the block before it, sized
+    by ``FrontierAutomaton.block_sizes``); and
     ValueError for a negative n_max.
     """
     import numpy as np
@@ -468,19 +474,21 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     gap_bytes = automaton.gaps.itemsize
     q, r = [1], []
     for n in range(1, n_max + 1):
-        q.append(automaton.next_size())
-        old = min(stream.CHUNK, q[n - 1])
-        kids = min(old * i, q[n])
-        # a block's arrays alive together: the countdowns before its old elements and its counts;
-        # while it is built, per old element an int64 child index and a mask, then either the
-        # fancy-indexed sum's counts or the children's countdowns and np.where's; while it is
+        sizes = automaton.block_sizes()
+        q.append(sum(sizes))
+        # per block, the arrays alive together: the countdowns before its old elements and its
+        # counts; while it is built, per old element an int64 child index and a mask, then either
+        # the fancy-indexed sum's counts or the children's countdowns and np.where's; while it is
         # checked, per child its countdown, the product and the comparison; past the first block,
-        # the block before, referenced until this one is yielded
-        built = old * 9 + max(old * count_bytes, (kids + old) * gap_bytes)
-        checked = kids * (gap_bytes + count_bytes + 1)
-        block = old * gap_bytes + kids * count_bytes + max(built, checked)
-        if q[n - 1] > stream.CHUNK:
-            block += kids * (count_bytes + gap_bytes)
+        # the block before, referenced until this one is yielded.  A block's children are its
+        # size in ``sizes`` and the child it may hold back for the next block.
+        block = held = 0
+        for lo, size in zip(range(0, q[n - 1], stream.CHUNK), sizes):
+            old, kids = min(stream.CHUNK, q[n - 1] - lo), size + 1
+            built = old * 9 + max(old * count_bytes, (kids + old) * gap_bytes)
+            checked = kids * (gap_bytes + count_bytes + 1)
+            block = max(block, held + old * gap_bytes + kids * count_bytes + max(built, checked))
+            held = kids * (count_bytes + gap_bytes)
         kept = q[n - 1] + (q[n] if n < n_max else 0)
         _check_frontier_cap(n, kept * (count_bytes + gap_bytes) + block + FRONTIER_STEP_BYTES)
         if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):

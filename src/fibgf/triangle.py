@@ -22,6 +22,7 @@ checks rather than assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
 from operator import mul
 
 from .errors import InvariantError
@@ -130,27 +131,41 @@ MARK_MATRIX = (
 )
 
 
-def a_vector(row: GroupedRow) -> tuple[int, ...]:
-    """(A1, A2, A3, A31, A12, A13, A23): squared and adjacent mark sums."""
-    marks = row.marks
-    vals = row.entries
-    if any(not isinstance(v, int) for v in vals):
-        raise ValueError("mark correlations need integer entries; specialize t")
-    firsts = [v if m == "f" else 0 for v, m in zip(vals, marks)]
-    mids = [v if m == "m" else 0 for v, m in zip(vals, marks)]
-    lasts = [v if m == "l" else 0 for v, m in zip(vals, marks)]
+# bytes.translate tables: a marks byte to 1 where it is the given mark, else to 0
+_MARK_TABLES = {mark: bytes(int(byte == ord(mark)) for byte in range(256)) for mark in "fml"}
 
-    def dot(xs, ys):  # sum x_k y_k over the shorter length
-        return sum(map(mul, xs, ys))
+
+def a_vector(row: GroupedRow) -> tuple[int, ...]:
+    """(A1, A2, A3, A31, A12, A13, A23): squared and adjacent mark sums.
+
+    Each mark has a 0/1 byte mask over the marks string.  A mark's mask
+    picks its entries to square; the AND of x's mask, read as an int, with
+    y's shifted down one byte picks the products of an x entry with the y
+    entry after it.
+    """
+    vals = row.entries
+    if not all(map(isinstance, vals, repeat(int))):
+        raise ValueError("mark correlations need integer entries; specialize t")
+    f, m, l = (row.marks.encode().translate(_MARK_TABLES[mark]) for mark in "fml")
+
+    def squares(mask: bytes) -> int:
+        picked = list(compress(vals, mask))
+        return sum(map(mul, picked, picked))
+
+    products = list(map(mul, vals, vals[1:]))
+    f_int, m_int, l_int = (int.from_bytes(mask, "little") for mask in (f, m, l))
+
+    def pairs(left: int, right: int) -> int:
+        return sum(compress(products, (left & right >> 8).to_bytes(len(f), "little")))
 
     return (
-        dot(firsts, firsts),
-        dot(mids, mids),
-        dot(lasts, lasts),
-        dot(lasts, firsts[1:]),
-        dot(firsts, mids[1:]),
-        dot(firsts, lasts[1:]),
-        dot(mids, lasts[1:]),
+        squares(f),
+        squares(m),
+        squares(l),
+        pairs(l_int, f_int),
+        pairs(f_int, m_int),
+        pairs(f_int, l_int),
+        pairs(m_int, l_int),
     )
 
 
@@ -166,7 +181,7 @@ def verify_m_recurrence(n_max: int) -> dict:
     """
     rows = list(triangle_rows(n_max, t=1))
     vs = [a_vector(r) for r in rows]
-    sq = [sum(v * v for v in r.entries) for r in rows]
+    sq = [sum(map(mul, r.entries, r.entries)) for r in rows]
     failures = []
     for n in range(1, n_max):
         if _mat_vec(MARK_MATRIX, vs[n - 1]) != vs[n]:

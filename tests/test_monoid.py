@@ -2,6 +2,8 @@ from itertools import accumulate
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibgf.checks
 import fibgf.monoid
@@ -269,6 +271,34 @@ def test_word_class_of_the_display_example():
         frontier = nxt
     assert seen == {encode(w) for w in ("baaaa", "abbaa", "ababb")}
     assert 3 in word_classes(n)
+
+
+def _word_classes_by_position(n: int) -> list[int]:
+    """The loop ``word_classes`` replaced, as its reference: union-find over
+    every word and every window position, rewriting each b a a to a b b."""
+    parent = list(range(1 << n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for w in range(1 << n):
+        for p in range(n - 2):
+            if (w >> p) & 7 == 0b001:
+                parent[find(w)] = find((w ^ 0b001 << p) | (0b110 << p))
+    sizes: dict[int, int] = {}
+    for w in range(1 << n):
+        root = find(w)
+        sizes[root] = sizes.get(root, 0) + 1
+    return sorted(sizes.values())
+
+
+@settings(max_examples=11, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10))
+def test_word_classes_match_the_per_position_loop(n):
+    assert word_classes(n) == _word_classes_by_position(n)
 
 
 def test_word_classes_match_coefficients():

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import product as iproduct
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,10 @@ from fibgf.polynomials import (
     golden_series,
     kbonacci_product_spec,
     run_decomposition,
+    run_lengths,
     stern_product_spec,
 )
-from fibgf.sequences import RecurrentSeq, fibonacci, kbonacci
+from fibgf.sequences import GoldenInt, RecurrentSeq, fibonacci, kbonacci, phi_power
 
 
 def test_tpoly_ring_ops():
@@ -104,6 +106,50 @@ def test_build_product_examples():
     assert build_product(fibonacci_product_spec(3)).dense_coefficients() == [1, 1, 1, 2, 1, 1, 1]
     assert build_product(fibonacci_product_spec(4)).dense_coefficients() == [1, 1, 1, 2, 1, 2, 2, 1, 2, 1, 1, 1]
     assert build_product(fibonacci_product_spec(3, t=-1)).dense_coefficients() == [1, -1, -1, 0, 1, 1, -1]
+
+
+def _multiply_dense_by_coefficient(coeffs: list, terms: list) -> list:
+    """The per-coefficient loop ``_multiply_dense`` replaced, as its reference."""
+    shift = terms[-1][1] if terms else 0
+    out = list(coeffs) + [0] * shift
+    for aj, e in terms:
+        for idx, c in enumerate(coeffs, e):
+            if c:
+                out[idx] = out[idx] + (c if isinstance(aj, int) and aj == 1 else aj * c)
+    return out
+
+
+# a coefficient: an int (zero included), a zero TPoly, or a TPoly with a t-term
+_scalars = st.one_of(
+    st.integers(-3, 3),
+    st.just(TPoly()),
+    st.builds(lambda u, v: TPoly((u, v)), st.integers(-2, 2), st.integers(-2, 2).filter(bool)),
+)
+# a factor's terms: ascending distinct exponents, weights 1, other ints or t-weights
+_weights = st.one_of(st.just(1), st.integers(-3, 3).filter(bool), st.sampled_from([TPoly((0, 2)), TPoly((1, -1))]))
+_terms = st.lists(
+    st.tuples(_weights, st.integers(1, 9)),
+    max_size=3,
+    unique_by=lambda term: term[1],
+).map(lambda terms: sorted(terms, key=lambda term: term[1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_scalars, max_size=14), _terms)
+def test_multiply_dense_matches_the_per_coefficient_loop(coeffs, terms):
+    import fibgf.polynomials
+
+    want = _multiply_dense_by_coefficient(coeffs, terms)
+    block = fibgf.polynomials._ADD_BLOCK
+    try:
+        for size in (1, 2, 5, block):  # blocks that end inside, at and past the nonzero stretches
+            fibgf.polynomials._ADD_BLOCK = size
+            got = fibgf.polynomials._multiply_dense(coeffs, terms)
+            assert got == want
+            # a zero coefficient adds nothing, so no int entry turns into a TPoly
+            assert list(map(type, got)) == list(map(type, want))
+    finally:
+        fibgf.polynomials._ADD_BLOCK = block
 
 
 def test_weighted_product_small():
@@ -231,6 +277,21 @@ def test_check_golden_reports_the_first_wrong_partial(monkeypatch):
     assert fibgf.checks.run_check("verify", "golden", nmax=4).status == "pass"
 
 
+def test_check_runs_reports_a_run_of_another_length(monkeypatch):
+    # run_lengths raises on a run not of length 2 or 3, and run_check reports it
+    import fibgf.checks
+
+    four = GoldenSeries((GoldenInt(k, 0), 1) for k in range(4))
+
+    def partials(n_max):
+        yield GoldenSeries(())
+        yield four
+
+    monkeypatch.setattr(fibgf.checks, "golden_partials", partials)
+    rep = fibgf.checks.run_check("verify", "runs", nmax=1)
+    assert (rep.status, rep.details) == ("fail", {"error": "run of length 4", "detail": str(GoldenInt(0, 0))})
+
+
 def test_golden_partials_match_golden_series():
     partials = list(golden_partials(12))
     assert len(partials) == 13
@@ -238,6 +299,58 @@ def test_golden_partials_match_golden_series():
         assert series == golden_series(n)
     with pytest.raises(ValueError):
         next(golden_partials(-1))
+
+
+def _golden_partials_by_sign(n_max: int):
+    """The merge ``golden_partials`` replaced, as its reference: two sorted
+    lists of (GoldenInt, coefficient) merged by the sign of each difference."""
+    terms = [(GoldenInt(0, 0), 1)]
+    yield terms
+    for i in range(n_max):
+        shift = phi_power(i)
+        shifted = [(e + shift, c) for e, c in terms]
+        merged, p, q = [], 0, 0
+        while p < len(terms) and q < len(shifted):
+            (ea, ca), (eb, cb) = terms[p], shifted[q]
+            d = (ea - eb).sign()
+            if d < 0:
+                merged.append((ea, ca))
+                p += 1
+            elif d > 0:
+                merged.append((eb, cb))
+                q += 1
+            else:
+                merged.append((ea, ca + cb))
+                p += 1
+                q += 1
+        terms = merged + terms[p:] + shifted[q:]
+        yield terms
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 14))
+def test_golden_partials_match_the_sign_merge(n_max):
+    got = list(golden_partials(n_max))
+    want = list(_golden_partials_by_sign(n_max))
+    assert len(got) == len(want) == n_max + 1
+    for series, terms in zip(got, want):
+        assert series.terms == tuple(terms)
+        assert series == GoldenSeries(terms)
+
+
+def test_golden_keys_separate_the_closest_exponents():
+    # golden_partials proves that distinct exponents differ by more than
+    # phi^-2 > 1/4; the closest neighbours are phi - 1 apart, and the keys
+    # floor(4 e) = 4a + 2b + isqrt(20 b^2) rise at every step
+    phi_squared = GoldenInt(1, 1)
+    for n in range(2, 15):
+        series = golden_series(n)
+        exps = [e for e, _ in series.terms]
+        closest = min(f - e for e, f in zip(exps, exps[1:]))
+        assert closest == GoldenInt(-1, 1), n
+        assert (closest * phi_squared - 1).sign() > 0, n
+        keys = [4 * a + 2 * b + isqrt(20 * b * b) for a, b in zip(series.a, series.b)]
+        assert all(k < k2 for k, k2 in zip(keys, keys[1:])), n
 
 
 def test_run_decomposition_examples():
@@ -253,6 +366,7 @@ def test_run_lengths_always_2_or_3():
         rd = run_decomposition(golden_series(n))
         assert set(rd.lengths()) <= {2, 3}
         assert rd.count == fibonacci(n + 1)
+        assert run_lengths(golden_series(n)) == rd.lengths()
 
 
 def test_run_decomposition_rejects_bad_series():

@@ -311,11 +311,13 @@ def test_frontier_grow_holds_two_rows():
 
 
 
-@pytest.mark.parametrize("i, b, n_max", [(3, 2, 16), (4, 2, 11), (2, 3, 22)])
+@pytest.mark.parametrize("i, b, n_max", [(3, 2, 16), (4, 2, 11), (5, 2, 9), (2, 3, 22)])
 def test_frontier_grow_charges_what_is_alive_together(i, b, n_max, monkeypatch):
     # the cap's largest charge covers the traced peak, and does not count
-    # twice what is never alive at once (a charge that summed every block
-    # temporary read 2.2-2.3 times the peak at the first two points)
+    # what is never alive at once (a charge that summed every block
+    # temporary read 2.2-2.3 times the peak at (3, 2, 16) and (4, 2, 11); one
+    # that gave every block CHUNK * i children, though for b = 2 about a third
+    # are shared, read 1.7 times it at (4, 2, 11) and (5, 2, 9))
     charges = []
     real = fibgf.poset._check_frontier_cap
 
@@ -330,7 +332,7 @@ def test_frontier_grow_charges_what_is_alive_together(i, b, n_max, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < max(charges) < 2 * peak, (peak, max(charges))
+    assert peak < max(charges) <= 1.3 * peak, (peak, max(charges))
 
 EDGES = [(4, b, 7) for b in range(2, 6)] + [(2, b, 16) for b in range(2, 6)] + [(3, 2, 16)]
 

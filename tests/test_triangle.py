@@ -2,6 +2,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fibgf.triangle
 from fibgf.errors import InvariantError
@@ -98,6 +100,42 @@ def test_a_vector_examples():
     assert a_vector(rows[0]) == (1, 0, 1, 0, 0, 1, 0)
     assert a_vector(rows[1]) == (1, 2, 1, 1, 1, 0, 1)
     assert a_vector(rows[3]) == (7, 10, 7, 6, 5, 4, 5)
+
+
+def _a_vector_by_lists(row: GroupedRow) -> tuple[int, ...]:
+    """The list version ``a_vector`` replaced, as its reference: one
+    full-length list per mark, zero off the mark."""
+    vals, marks = row.entries, row.marks
+    firsts = [v if m == "f" else 0 for v, m in zip(vals, marks)]
+    mids = [v if m == "m" else 0 for v, m in zip(vals, marks)]
+    lasts = [v if m == "l" else 0 for v, m in zip(vals, marks)]
+
+    def dot(xs, ys):
+        return sum(x * y for x, y in zip(xs, ys))
+
+    return (
+        dot(firsts, firsts),
+        dot(mids, mids),
+        dot(lasts, lasts),
+        dot(lasts, firsts[1:]),
+        dot(firsts, mids[1:]),
+        dot(firsts, lasts[1:]),
+        dot(mids, lasts[1:]),
+    )
+
+
+def test_a_vector_matches_the_list_version_on_rows():
+    for t in (1, 2, -1):
+        for row in triangle_rows(16, t):
+            assert a_vector(row) == _a_vector_by_lists(row), (t, row.index)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.sampled_from("fml")), max_size=30))
+def test_a_vector_matches_the_list_version_on_any_marks(cells):
+    # any marks string, not only the production rule's: runs of one mark, mf, lm, ...
+    row = GroupedRow(entries=tuple(v for v, _ in cells), marks="".join(m for _, m in cells), index=0)
+    assert a_vector(row) == _a_vector_by_lists(row)
 
 
 def test_a_vector_rejects_symbolic():
