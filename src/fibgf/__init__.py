@@ -5,10 +5,9 @@ rational generating-function fitting, all in exact arithmetic."""
 from .catalog import CATALOG_NAMES, MULTI_INDEX_ALPHAS, closed_form
 from .checks import SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
 from .errors import InvariantError, ResourceLimitError
-from .guess import RationalFunc, check_drx_pattern, check_even_part, guess_rational, series_expand
+from .guess import RationalFunc, check_drx_pattern, guess_rational, series_expand
 from .monoid import (
     MonoidWord,
-    enumerate_elements,
     free_factorize,
     generators,
     move_connectivity,
@@ -32,13 +31,12 @@ from .sequences import (
     GoldenInt,
     RecurrentSeq,
     fibonacci,
-    golden_sign,
     kbonacci,
     phi_power_reduce,
     prec_compare,
     zeckendorf,
 )
-from .stats import CorrSpec, corr_series, corr_sum, residue_count, residue_series
+from .stats import CorrSpec, corr_series, corr_sum, residue_series
 from .symfun import SymExpansion, ep_monomial, tilde_q, verify_forgotten_expansion, verify_powersum_expansion
 from .triangle import GroupedRow, a_vector, first_row, next_row, triangle_rows, verify_m_recurrence
 
@@ -67,11 +65,9 @@ __all__ = [
     "a_vector",
     "build_product",
     "check_drx_pattern",
-    "check_even_part",
     "closed_form",
     "corr_series",
     "corr_sum",
-    "enumerate_elements",
     "ep_monomial",
     "fibonacci",
     "fibonacci_product_spec",
@@ -82,7 +78,6 @@ __all__ = [
     "frontier_poset",
     "generators",
     "golden_series",
-    "golden_sign",
     "guess_rational",
     "kbonacci",
     "kbonacci_product_spec",
@@ -90,7 +85,6 @@ __all__ = [
     "next_row",
     "phi_power_reduce",
     "prec_compare",
-    "residue_count",
     "residue_series",
     "run_check",
     "run_decomposition",

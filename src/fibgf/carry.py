@@ -7,8 +7,8 @@ the top factor down, and c(k) mod m is tracked as a weighted set of carries.
 
 Digits.  Factor i has digit base D_i, its largest exponent whose summed
 coefficient is nonzero over Z (the last of ``ProductSpec.factor_terms``); a
-factor whose terms all cancel is 1 and has no digit.  At the top R is the
-degree of the whole product.  A digit d at factor i leaves
+factor whose terms all cancel is 1, and its one digit 0 moves nothing.  At
+the top R is the degree of the whole product.  A digit d at factor i leaves
 R' = min(R - d D_i, D_i - 1) for the factors below, so the digit words
 biject onto k in [0, deg] for any positive bases.  After factor 1
 a remainder r in [0, R] is read against P's dense coefficients.
@@ -19,17 +19,18 @@ digit d moves V to V + d D_i - e.  At the end c(k) = sum_V count_V P(V + r).
 Every exponent is >= 1, so the factors below i contribute between 0 and
 sum_{j<i} D_j, and a carry outside -R' <= V <= sum_{j<i} D_j + deg P can
 never be matched: it is dropped, exactly.  Carries whose count vanishes
-mod m are dropped too; a state with no carry left puts all R' + 1 of its
-k in class 0.
+mod m are dropped too; the states with no carry left are one, ``None``,
+which puts each of its k-suffixes in class 0.
 
 A state is (R, carries) with the factors below it unread.  Its completion,
 the sparse map class -> number of k-suffixes, depends only on the state and
 the factors below, never on n, so one table per factor index is shared by
-the whole series, as in ``walk``.  Linear-recurrence digit systems are
-finite-state (Frougny, Math. Systems Theory 25, 1992), so for the presets
-the tables stay small.  Recurrences whose carries grow without bound run into
-the work budget or the RGF_MAX_MEM_MB cap; each state is charged for its
-carries, successors and classes.
+the whole series.  ``walk.complete`` fills the tables, as for the level
+walk.  Linear-recurrence digit systems are finite-state (Frougny, Math.
+Systems Theory 25, 1992), so for the presets the tables stay small.
+Recurrences whose carries grow without bound run into the work budget or
+the RGF_MAX_MEM_MB cap; each state is charged for its carries, successors
+and classes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .polynomials import ProductSpec
 from .stream import stream_plan
+from .walk import complete
 
 # Estimated bytes a stored state holds: a fixed part (table slot, key tuple,
 # completion and successor maps), and one part per carry in its key, per
@@ -76,33 +78,28 @@ class _Carry:
         first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
         self.first = [c % m for c in first]
         self.degree = [len(first) - 1]  # degree[i]: the degree after factor i
-        self.factors: list = [None]  # factor i: (D_i, ((e, a_e mod m), ...)), or None
+        self.factors: list = [None]  # factor i >= 1: (D_i, ((e, a_e mod m), ...)), D_i = 0 for a factor 1
         for terms in factors:
             base = max((e for _, e in terms), default=0)
             choices = ((0, 1),) + tuple((e, w) for w, e in terms if w)
-            self.factors.append((base, choices) if base else None)
+            self.factors.append((base, choices))
             self.degree.append(self.degree[-1] + base)
-        self.tables: list[dict[tuple, dict[int, int]]] = [{} for _ in self.factors]
+        self.tables: list[dict] = [{None: {0: 1}} for _ in self.factors]  # None: no carry left, class 0
         self.stored = 0  # estimated bytes of the tables and the pending level
         self.work = 0  # carry updates, prefactor reads and class merges
 
     def _store(self, size: int, n: int) -> None:
         self.stored += size
         if self.stored > self.max_bytes:
-            raise ResourceLimitError(
-                f"carry automaton's states pass {self.max_bytes} bytes at n = {n}",
-                limit_n=n,
-            )
+            raise ResourceLimitError(f"carry automaton's states pass {self.max_bytes} bytes at n = {n}", limit_n=n)
 
     def _spend(self, units: int, n: int) -> None:
         self.work += units
         if self.budget is not None and self.work > self.budget:
-            raise ResourceLimitError(
-                f"carry automaton passed its budget of {self.budget} carry updates at n = {n}",
-                limit_n=n,
-            )
+            message = f"carry automaton passed its budget of {self.budget} carry updates at n = {n}"
+            raise ResourceLimitError(message, limit_n=n)
 
-    def _read_prefactor(self, state: tuple, n: int) -> dict[int, int]:
+    def _read_prefactor(self, state: tuple, n: int) -> Counter:
         """Classes of the remainders r in [0, R] against P's coefficients."""
         rest, carries = state
         first, m = self.first, self.m
@@ -114,18 +111,17 @@ class _Carry:
                 if 0 <= v + r < len(first):
                     total += count * first[v + r]
             classes[total % m] += 1
+        self._store(STATE_BYTES + CARRY_BYTES * len(carries) + CLASS_BYTES * len(classes), n)
         return classes
 
-    def _successors(self, state: tuple, i: int, n: int) -> tuple[Counter, int]:
-        """(next state -> number of digits reaching it, k-suffixes with no
-        carry left) after reading factor i."""
+    def _successors(self, state: tuple, i: int, n: int) -> Counter:
+        """Next state -> number of digits reaching it after reading factor i;
+        the k-suffixes with no carry left count under ``None``."""
         rest, carries = state
-        if self.factors[i] is None:
-            return Counter({state: 1}), 0
         base, choices = self.factors[i]
+        base = base or rest + 1  # a factor 1 has the one digit 0, which leaves the state as it is
         high, m = self.degree[i - 1], self.m
         out: Counter = Counter()
-        zeros = 0
         for shift in range(0, rest + 1, base):
             below = min(rest - shift, base - 1)
             self._spend(len(carries) * len(choices), n)
@@ -139,46 +135,28 @@ class _Carry:
             if kept:
                 out[(below, kept)] += 1
             else:
-                zeros += below + 1
-        return out, zeros
+                out[None] += below + 1
+        self._store(STATE_BYTES + CARRY_BYTES * len(carries) + LINK_BYTES * len(out), n)
+        return out
+
+    def _fold(self, succ: Counter, below: dict, n: int) -> Counter:
+        """Classes of a state: its successors' classes times their ways."""
+        classes: Counter = Counter()
+        for nxt, ways in succ.items():
+            done = below[nxt]
+            self._spend(len(done), n)
+            for a, count in done.items():
+                classes[a] += ways * count
+        self._store(CLASS_BYTES * len(classes), n)
+        return classes
 
     def row(self, n: int) -> list[int]:
         """[h(n, a) for a in 0..m-1]: the completion of the start state."""
-        m = self.m
         if not self.first:  # P = 0
-            return [0] * m
+            return [0] * self.m
         start = (self.degree[n], ((0, 1),))
-        pending = []
-        need = set() if start in self.tables[n] else {start}
-        i = n
-        while need:
-            if not i:
-                table = self.tables[0]
-                for state in need:
-                    table[state] = self._read_prefactor(state, n)
-                    self._store(STATE_BYTES + CARRY_BYTES * len(state[1]) + CLASS_BYTES * len(table[state]), n)
-                break
-            level = {}
-            for state in need:
-                level[state] = self._successors(state, i, n)
-                self._store(STATE_BYTES + CARRY_BYTES * len(state[1]) + LINK_BYTES * len(level[state][0]), n)
-            pending.append((i, level))
-            below = self.tables[i - 1]
-            need = {s for succ, _ in level.values() for s in succ if s not in below}
-            i -= 1
-        for i, level in reversed(pending):
-            table, below = self.tables[i], self.tables[i - 1]
-            for state, (succ, zeros) in level.items():
-                classes: Counter = Counter({0: zeros} if zeros else {})
-                for nxt, ways in succ.items():
-                    done = below[nxt]
-                    self._spend(len(done), n)
-                    for a, count in done.items():
-                        classes[a] += ways * count
-                table[state] = classes
-                self._store(CLASS_BYTES * len(classes), n)
-        classes = self.tables[n][start]
-        return [classes[a] for a in range(m)]
+        classes = complete(self.tables, start, n, self._successors, self._read_prefactor, self._fold)
+        return [classes[a] for a in range(self.m)]
 
 
 def carry_residue_series(

@@ -229,16 +229,6 @@ def series_expand(rf: RationalFunc, n_terms: int) -> list:
     return rf.series(n_terms)
 
 
-def check_even_part(rf: RationalFunc) -> bool:
-    """True iff the numerator equals the even part of the denominator."""
-    if not rf.is_integral():
-        num, den = rf.integer_pair()
-    else:
-        num, den = rf.num, rf.den
-    even = _strip([c if k % 2 == 0 else 0 for k, c in enumerate(den)])
-    return tuple(num) == tuple(even)
-
-
 def check_drx_pattern(fits: list[tuple[int, RationalFunc]], r: int) -> dict:
     """Structural check of the k-uniform denominator pattern on fitted forms.
 

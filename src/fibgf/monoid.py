@@ -26,8 +26,6 @@ from .guess import RationalFunc
 from .polynomials import TPoly
 from .sequences import kbonacci, phi_power, phi_power_reduce
 
-DEFAULT_CAPS = {2: 13, 3: 10}
-
 
 @lru_cache(maxsize=None)
 def _weights(k: int, n: int) -> tuple[int, ...]:
@@ -57,54 +55,8 @@ class MonoidWord:
             raise InvariantError("rows have unequal weights", detail=self.rows)
         return sums.pop()
 
-    def concat(self, other: "MonoidWord") -> "MonoidWord":
-        if other.k != self.k or len(other.rows) != len(self.rows):
-            raise ValueError("mismatched monoid words")
-        return MonoidWord(tuple(a + b for a, b in zip(self.rows, other.rows)), self.k)
-
     def to_json_obj(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
-
-
-def enumerate_elements(k: int, r: int, n: int, cap: int | None = None) -> list[MonoidWord]:
-    """All r-tuples of length-n rows with equal weighted sums, by pruned DFS.
-
-    The DFS fills positions from the largest weight (position n - 1) down and
-    carries the vector of weight differences against row 0; a branch is cut
-    as soon as a difference exceeds the total weight of the positions below.
-    """
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    limit = cap if cap is not None else DEFAULT_CAPS.get(r, 8)
-    if n > limit:
-        raise ResourceLimitError(f"enumeration capped at n = {limit} for r = {r}", limit_n=n)
-    w = _weights(k, n)
-    below = [0] * (n + 1)
-    for i in range(n):
-        below[i + 1] = below[i] + w[i]
-    columns = [tuple((c >> j) & 1 for j in range(r)) for c in range(1 << r)]
-    out: list[MonoidWord] = []
-    rows = [[0] * n for _ in range(r)]
-
-    def walk(pos: int, diffs: tuple[int, ...]):
-        # positions 0..pos-1 are still free; the pruning leaves diffs all 0 at pos 0
-        if pos == 0:
-            out.append(MonoidWord(tuple(tuple(row) for row in rows), k))
-            return
-        pos -= 1
-        rest = below[pos]
-        wi = w[pos]
-        for col in columns:
-            nd = tuple(d + (col[0] - col[j + 1]) * wi for j, d in enumerate(diffs))
-            if all(abs(d) <= rest for d in nd):
-                for j in range(r):
-                    rows[j][pos] = col[j]
-                walk(pos, nd)
-
-    walk(n, (0,) * (r - 1))
-    return out
 
 
 def _generator_rows(k: int, stars: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

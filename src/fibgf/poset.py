@@ -54,15 +54,6 @@ class PosetSlice:
                 out[p].append(k)
         return out
 
-    def cover_degree_check(self, max_rank: int | None = None) -> bool:
-        """Every element below the last built rank has the same child count."""
-        top = (self.depth - 1) if max_rank is None else max_rank
-        degs = set()
-        for n in range(0, top + 1):
-            for ch in self.children(n):
-                degs.add(len(ch))
-        return len(degs) == 1
-
     def to_dot(self) -> str:
         lines = ["digraph poset {", "  rankdir=BT;"]
         for n, rank in enumerate(self.parents):

@@ -253,10 +253,6 @@ class GoldenInt:
         return (self - o).sign() < 0
 
 
-def golden_sign(x: GoldenInt) -> int:
-    return x.sign()
-
-
 def phi_power(i: int) -> GoldenInt:
     """phi^i as an element of Z[phi]: phi^i = F_{i-1} + F_i * phi (F_0 = 0)."""
     if i < 0:

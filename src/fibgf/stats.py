@@ -86,15 +86,6 @@ def _residue_classes(p: CoeffPoly, m: int) -> Counter:
     return classes
 
 
-def residue_count(p: CoeffPoly, m: int, a: int) -> int:
-    """Number of k in [0, deg p] with c(k) congruent to a mod m."""
-    if m < 2 or not 0 <= a < m:
-        raise ValueError("need m >= 2 and 0 <= a < m")
-    if p.has_symbolic_coeffs():
-        raise ValueError(_INTEGER_ONLY)
-    return _residue_classes(p, m)[a]
-
-
 def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") -> list[list[int]]:
     """Per n in 0..n_max, the counts [h(n, a) for a in 0..m-1] for the product.
 

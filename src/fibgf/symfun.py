@@ -34,13 +34,11 @@ def z_of(partition: tuple[int, ...]) -> int:
     return z
 
 
-def _dict_mul(a: dict, b: dict, cap: int | None = None) -> dict:
+def _dict_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            if cap is not None and sum(e) > cap:
-                continue
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
 
@@ -97,13 +95,6 @@ class SymExpansion:
 
     def __repr__(self):
         return f"SymExpansion({self.basis}, cap={self.cap}, {len(self.coeffs)} terms)"
-
-    def format_terms(self) -> str:
-        sym = {"monomial": "m", "powersum": "p", "forgotten": "fo"}[self.basis]
-        parts = []
-        for lam in sorted(self.coeffs, key=lambda t: (sum(t), t)):
-            parts.append(f"{self.coeffs[lam]} * {sym}_{list(lam)}")
-        return " + ".join(parts) if parts else "0"
 
 
 def monomial_to_powersum(exp: SymExpansion) -> SymExpansion:
@@ -213,28 +204,6 @@ def ep_monomial(i: int, b: int, cap: int) -> SymExpansion:
             for part in lam:
                 prod *= q[part]
             coeffs[lam] = prod
-    return SymExpansion("monomial", cap, coeffs)
-
-
-def ep_from_rank_product(i: int, b: int, cap: int) -> SymExpansion:
-    """Oracle: expand prod_{m=1}^{cap} Phi(x_m) truncated to degree cap."""
-    q = rank_sizes(i, b, cap)
-    n_vars = max(cap, 1)
-    poly = {tuple([0] * n_vars): Fraction(1)}
-    for v in range(n_vars):
-        factor = {}
-        for d in range(cap + 1):
-            e = [0] * n_vars
-            e[v] = d
-            factor[tuple(e)] = Fraction(q[d])
-        poly = _dict_mul(poly, factor, cap=cap)
-    coeffs = {}
-    for n in range(cap + 1):
-        for lam in partitions_of(n):
-            rep = tuple(list(lam) + [0] * (n_vars - len(lam)))
-            c = poly.get(rep, 0)
-            if c:
-                coeffs[lam] = c
     return SymExpansion("monomial", cap, coeffs)
 
 

@@ -25,8 +25,9 @@ x^top.  Two walks write the rows.
 
 The level walk (``_LevelWalk``) writes each row as an int, its exponent sum
 so far minus its offset, relative to the least row.  Its states depend on
-the level (the number of factors unread), so it keeps one table per level,
-and v(n) is the completion weight of the start state with n factors unread.
+the level (the number of factors unread), so v(n) is the completion weight
+of the start state with n factors unread, memoised in one table per level by
+``complete``, the two-pass core that the carry automaton runs too.
 
 The basis walk (``_BasisWalk``) writes rows in the recurrence basis.  Let
 f_{m+d} = c_1 f_{m+d-1} + ... + c_d f_m be the exponent recurrence, j_0 the
@@ -135,6 +136,30 @@ def _group_sort(rows, sizes) -> list:
     return out
 
 
+def complete(tables: list[dict], start, n: int, expand, leaf, fold):
+    """The completion of ``start`` at level n, in two passes over ``tables``
+    (per level, a memo state -> completion).  Walk down from level n, taking
+    ``expand(state, i, n)`` (successor -> weight) of each state missing from
+    its level's table; complete the states left at level 0 with
+    ``leaf(state, n)``; fill the tables back up with ``fold(successors,
+    table below, n)``.  The hooks get n for the charges they make."""
+    pending = []
+    need = () if start in tables[n] else (start,)
+    i = n
+    while need and i:
+        level = {state: expand(state, i, n) for state in need}
+        pending.append((i, level))
+        below = tables[i - 1]
+        need = {s for succ in level.values() for s in succ if s not in below}
+        i -= 1
+    tables[0].update((state, leaf(state, n)) for state in need)
+    for i, level in reversed(pending):
+        table, below = tables[i], tables[i - 1]
+        for state, succ in level.items():
+            table[state] = fold(succ, below, n)
+    return tables[n][start]
+
+
 class _Rows:
     """What both walks share: the row groups of an alpha whose first offset
     is 0, the prefactor leaf and the charge against RGF_MAX_MEM_MB."""
@@ -148,10 +173,11 @@ class _Rows:
         self.prefactor = {0: 1} if spec.prefactor is None else dict(spec.prefactor.items())
         self.ends = (min(self.prefactor), max(self.prefactor)) if self.prefactor else (0, 0)
         self.stored = 0  # estimated bytes kept
+        self.max_bytes = max_mem_bytes()
 
     def _charge(self, size: int, n: int) -> None:
         self.stored += size
-        if self.stored > max_mem_bytes():
+        if self.stored > self.max_bytes:
             raise ResourceLimitError(
                 f"difference walk needs {self.stored} bytes at n = {n}, over the RGF_MAX_MEM_MB cap",
                 limit_n=n,
@@ -204,8 +230,10 @@ class _LevelWalk(_Rows):
             self.spreads[i, m] = cached
         return cached
 
-    def _successors(self, state: tuple, i: int) -> dict[tuple, object]:
-        """Weighted states after reading factor i >= 1, pruned by the slack below it."""
+    def _successors(self, state: tuple, i: int, n: int) -> dict[tuple, object]:
+        """Weighted states after reading factor i >= 1, pruned by the slack
+        below it; the state is charged to v(n)."""
+        self._charge(LEVEL_STATE_BYTES, n)
         limit = self.slack[i - 1]
         partial = [((), 1, None, None)]  # (values, weight, least, largest)
         pos = 0
@@ -233,30 +261,23 @@ class _LevelWalk(_Rows):
             out[key] = out[key] + w if key in out else w
         return out
 
+    def _charged_leaf(self, state: tuple, n: int):
+        """The leaf of ``state``, charged to v(n)."""
+        self._charge(LEVEL_STATE_BYTES, n)
+        return self._leaf(state)
+
+    @staticmethod
+    def _fold(succ: dict, below: dict, n: int):
+        """A state's completion weight from its successors'."""
+        return sum(w * below[nxt] for nxt, w in succ.items())
+
     def value(self, n: int):
         """v(n): the completion weight of the start state with n factors unread."""
         while len(self.factors) <= n:
             self._add_factor()
         if self.start[0] > self.slack[n]:  # the start state's spread
             return 0
-        pending = []
-        need = [self.start]
-        i = n
-        while need:
-            self._charge(LEVEL_STATE_BYTES * len(need), n)
-            if not i:
-                self.tables[0].update((state, self._leaf(state)) for state in need)
-                break
-            level = {state: self._successors(state, i) for state in need}
-            pending.append((i, level))
-            below = self.tables[i - 1]
-            need = {s for succ in level.values() for s in succ if s not in below}
-            i -= 1
-        for i, level in reversed(pending):
-            table, below = self.tables[i], self.tables[i - 1]
-            for state, succ in level.items():
-                table[state] = sum(w * below[nxt] for nxt, w in succ.items())
-        return self.tables[n][self.start]
+        return complete(self.tables, self.start, n, self._successors, self._charged_leaf, self._fold)
 
     def series(self) -> list:
         """[v(0), ..., v(n_max)]."""

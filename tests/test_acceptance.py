@@ -11,7 +11,7 @@ import time
 
 from fibgf.catalog import MULTI_INDEX_ALPHAS, closed_form
 from fibgf.checks import kbonacci_power_sums, run_check
-from fibgf.guess import check_even_part, guess_rational, series_expand
+from fibgf.guess import guess_rational, series_expand
 from fibgf.polynomials import ProductSpec, fibonacci_product_spec
 from fibgf.poset import (
     frontier_poset,
@@ -22,6 +22,8 @@ from fibgf.poset import (
 from fibgf.sequences import RecurrentSeq, fibonacci
 from fibgf.stats import CorrSpec, corr_series, residue_series
 from fibgf.triangle import a_vector, triangle_rows
+
+from test_guess import check_even_part
 
 
 def criterion(number, label, budget_s=None):

@@ -14,7 +14,7 @@ from fibgf.cli import main
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import CoeffPoly, ProductSpec, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.sequences import GoldenInt, RecurrentSeq
-from fibgf.stats import CorrSpec, corr_series, residue_count, residue_series
+from fibgf.stats import CorrSpec, corr_series, residue_series
 from fibgf.stream import stream_plan
 from fibgf.triangle import format_row, triangle_rows
 
@@ -49,9 +49,8 @@ def test_congruence(capsys):
     assert code == 0
     counts = [int(v) for v in json.loads(out)]
     assert len(counts) == 21
-    pure: list[int] = []
-    build_product(kbonacci_product_spec(3, 12), callback=lambda i, p: pure.append(residue_count(p, 200, 1)))
-    assert counts[:13] == pure
+    pure = residue_series(kbonacci_product_spec(3, 0), 200, 12, engine="pure")
+    assert counts[:13] == [row[1] for row in pure]
 
 
 def test_congruence_rejects_class_outside_modulus(capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from fibgf.catalog import MULTI_INDEX_ALPHAS, closed_form
 from fibgf.guess import (
     RationalFunc,
+    _strip,
     check_drx_pattern,
-    check_even_part,
     guess_rational,
     series_expand,
 )
@@ -20,6 +20,16 @@ from fibgf.polynomials import (
     stern_product_spec,
 )
 from fibgf.stats import CorrSpec, corr_series
+
+
+def check_even_part(rf: RationalFunc) -> bool:
+    """Oracle: whether the numerator equals the even part of the denominator."""
+    if not rf.is_integral():
+        num, den = rf.integer_pair()
+    else:
+        num, den = rf.num, rf.den
+    even = _strip([c if k % 2 == 0 else 0 for k, c in enumerate(den)])
+    return tuple(num) == tuple(even)
 
 
 def catalan(n):

@@ -14,7 +14,6 @@ from fibgf.monoid import (
     _weights,
     balanced_cut_positions,
     closed_form_census_series,
-    enumerate_elements,
     free_factorize,
     generator_census_series,
     generator_lemma_failure,
@@ -26,6 +25,47 @@ from fibgf.monoid import (
 )
 from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.stats import CorrSpec, corr_series
+
+
+ENUMERATION_CAPS = {2: 13, 3: 10}
+
+
+def enumerate_elements(k: int, r: int, n: int) -> list[MonoidWord]:
+    """Oracle: all r-tuples of length-n rows with equal weighted sums, by
+    pruned DFS, capped at the lengths in ``ENUMERATION_CAPS``.
+
+    The DFS fills positions from the largest weight (position n - 1) down and
+    carries the vector of weight differences against row 0; a branch is cut
+    as soon as a difference exceeds the total weight of the positions below.
+    """
+    limit = ENUMERATION_CAPS.get(r, 8)
+    if n > limit:
+        raise ResourceLimitError(f"enumeration capped at n = {limit} for r = {r}", limit_n=n)
+    w = _weights(k, n)
+    below = [0] * (n + 1)
+    for i in range(n):
+        below[i + 1] = below[i] + w[i]
+    columns = [tuple((c >> j) & 1 for j in range(r)) for c in range(1 << r)]
+    out: list[MonoidWord] = []
+    rows = [[0] * n for _ in range(r)]
+
+    def walk(pos: int, diffs: tuple[int, ...]):
+        # positions 0..pos-1 are still free; the pruning leaves diffs all 0 at pos 0
+        if pos == 0:
+            out.append(MonoidWord(tuple(tuple(row) for row in rows), k))
+            return
+        pos -= 1
+        rest = below[pos]
+        wi = w[pos]
+        for col in columns:
+            nd = tuple(d + (col[0] - col[j + 1]) * wi for j, d in enumerate(diffs))
+            if all(abs(d) <= rest for d in nd):
+                for j in range(r):
+                    rows[j][pos] = col[j]
+                walk(pos, nd)
+
+    walk(n, (0,) * (r - 1))
+    return out
 
 
 def reference_count(word):
@@ -166,7 +206,7 @@ def test_unique_factorization_small():
                 if pieces:
                     acc = pieces[0]
                     for p in pieces[1:]:
-                        acc = acc.concat(p)
+                        acc = MonoidWord(tuple(a + b for a, b in zip(acc.rows, p.rows)), k)
                     assert acc.rows == w.rows
 
 

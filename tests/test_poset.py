@@ -42,7 +42,9 @@ def test_chain_counts_equal_triangle_entries(poset13):
 
 
 def test_every_element_covered_by_two(poset13):
-    assert poset13.cover_degree_check()
+    # every element below the last built rank has the same child count
+    degrees = {len(ch) for n in range(poset13.depth) for ch in poset13.children(n)}
+    assert len(degrees) == 1
 
 
 def test_sigma_invariants(poset13):

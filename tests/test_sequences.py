@@ -11,7 +11,6 @@ from fibgf.sequences import (
     doubling,
     fibonacci,
     floor_times_phi,
-    golden_sign,
     kbonacci,
     phi_power,
     phi_power_reduce,
@@ -108,10 +107,10 @@ def test_golden_ring_laws():
 
 
 def test_golden_sign_examples():
-    assert golden_sign(GoldenInt(0, 0)) == 0
-    assert golden_sign(GoldenInt(-1, 1)) == +1
-    assert golden_sign(GoldenInt(2, -1)) == +1  # 2 - phi > 0
-    assert golden_sign(GoldenInt(1, -1)) == -1  # 1 - phi < 0
+    assert GoldenInt(0, 0).sign() == 0
+    assert GoldenInt(-1, 1).sign() == +1
+    assert GoldenInt(2, -1).sign() == +1  # 2 - phi > 0
+    assert GoldenInt(1, -1).sign() == -1  # 1 - phi < 0
 
 
 def _sign_oracle(a: int, b: int) -> int:
@@ -133,7 +132,7 @@ def test_golden_sign_against_interval_oracle():
     for _ in range(3000):
         a = rng.randint(-10**6, 10**6)
         b = rng.randint(-10**6, 10**6)
-        assert golden_sign(GoldenInt(a, b)) == _sign_oracle(a, b), (a, b)
+        assert GoldenInt(a, b).sign() == _sign_oracle(a, b), (a, b)
 
 
 def test_golden_total_order_matches_sign():

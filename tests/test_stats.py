@@ -29,9 +29,9 @@ from fibgf.polynomials import (
 from fibgf.sequences import RecurrentSeq, fibonacci
 from fibgf.stats import (
     CorrSpec,
+    _residue_classes,
     corr_series,
     corr_sum,
-    residue_count,
     residue_series,
 )
 
@@ -135,15 +135,14 @@ def test_walk_agrees_with_large_values():
 
 def test_residue_count_examples():
     i2 = build_product(fibonacci_product_spec(2))
-    assert residue_count(i2, 2, 1) == 4
-    assert residue_count(i2, 2, 0) == 0
-    assert residue_count(build_product(fibonacci_product_spec(0)), 2, 1) == 1
-    with pytest.raises(ValueError):
-        residue_count(i2, 1, 0)
-    with pytest.raises(ValueError):
-        residue_count(i2, 3, 3)
-    with pytest.raises(ValueError):
-        residue_count(build_product(fibonacci_product_spec(2, t=TPoly.t())), 2, 1)
+    assert _residue_classes(i2, 2)[1] == 4
+    assert _residue_classes(i2, 2)[0] == 0
+    assert _residue_classes(build_product(fibonacci_product_spec(0)), 2)[1] == 1
+    for engine in ("auto", "pure"):
+        with pytest.raises(ValueError):
+            residue_series(fibonacci_product_spec(0), 1, 2, engine=engine)
+        with pytest.raises(ValueError):
+            residue_series(fibonacci_product_spec(0, t=TPoly.t()), 2, 2, engine=engine)
 
 
 def test_residue_series_row_sum_identity():
@@ -247,6 +246,24 @@ def carry_specs(draw):
 def test_carry_automaton_matches_pure_engine(case, n_max):
     spec, m = case
     assert carry_residue_series(spec, m, n_max) == residue_series(spec, m, n_max, engine="pure")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=carry_specs(), n_max=st.integers(1, 8), data=st.data())
+def test_carry_rows_out_of_order(case, n_max, data):
+    # rows descending, or shuffled, read the states that earlier rows put in
+    # the tables; a second pass finds every start state there, so it stores
+    # and spends nothing more
+    spec, m = case
+    want = carry_residue_series(spec, m, n_max)
+    factors = fibgf.stream.stream_plan(spec, m, n_max).factors
+    shuffled = data.draw(st.permutations(range(n_max + 1)))
+    for order in (range(n_max, -1, -1), shuffled):
+        automaton = fibgf.carry._Carry(spec, m, factors, None)
+        assert [automaton.row(n) for n in order] == [want[n] for n in order]
+        stored, work = automaton.stored, automaton.work
+        assert [automaton.row(n) for n in range(n_max + 1)] == want
+        assert (automaton.stored, automaton.work) == (stored, work)
 
 
 def test_carry_automaton_matches_pure_engine_on_presets():

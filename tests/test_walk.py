@@ -146,6 +146,23 @@ def test_pisot_basis_walk_matches_level_walk(spec, alpha, n_max):
     assert _walk_series(NoHandOff, spec, alpha, n_max) == want
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=specs(), alpha=alphas, n_max=st.integers(1, 6), data=st.data())
+def test_level_walk_values_out_of_order(spec, alpha, n_max, data):
+    # v(n) descending, or shuffled, reads the states that earlier calls put in
+    # the level tables; a second pass finds every start state there, so it
+    # stores nothing more
+    alpha = alpha[next(j for j, a in enumerate(alpha) if a) :]
+    want = _LevelWalk(spec, alpha, n_max).series()
+    shuffled = data.draw(st.permutations(range(n_max + 1)))
+    for order in (range(n_max, -1, -1), shuffled):
+        walk = _LevelWalk(spec, alpha, n_max)
+        assert [walk.value(n) for n in order] == [want[n] for n in order]
+        stored = walk.stored
+        assert walk.series() == want
+        assert walk.stored == stored
+
+
 def test_basis_walk_routing():
     # Brauer recurrences start the basis walk: the presets, the depth probe,
     # k-bonacci at offset 0, Stern, the windows and a prefactor instance; at
