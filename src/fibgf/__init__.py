@@ -23,6 +23,7 @@ from .polynomials import (
     fibonacci_product_spec,
     golden_series,
     kbonacci_product_spec,
+    partial_products,
     run_decomposition,
     stern_product_spec,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "kbonacci_product_spec",
     "move_connectivity",
     "next_row",
+    "partial_products",
     "phi_power_reduce",
     "prec_compare",
     "residue_series",

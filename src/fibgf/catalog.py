@@ -1,14 +1,17 @@
 """Catalog of the closed rational forms used by the verification suite.
 
-Each entry builds an exact ``RationalFunc``; parameterized families take
-``k``/``t``/``i``/``b`` keywords.  ``t`` may be an int or the string
-"sym" for a symbolic weight (TPoly coefficients).
+``closed_form`` looks a name up in one table of builders, whose keys are
+``CATALOG_NAMES``; each builds an exact ``RationalFunc``.  Parameterized
+families take ``k``/``t``/``alpha``/``m``/``a``/``i``/``b`` keywords.  ``t``
+may be an int or the string "sym" for a symbolic weight (TPoly coefficients).
 """
 
 from __future__ import annotations
 
-from .guess import RationalFunc, _pmul
-from .polynomials import TPoly
+from functools import reduce
+
+from .guess import RationalFunc
+from .polynomials import TPoly, convolve
 
 
 def _tp(*coeffs) -> TPoly:
@@ -29,18 +32,7 @@ def _maybe_specialize(num: dict, den: dict, t) -> RationalFunc:
 
 
 def _expand(*factors) -> list[int]:
-    acc = (1,)
-    for f in factors:
-        acc = _pmul(acc, tuple(f))
-    return list(acc)
-
-
-def _sq_sum_fibonacci() -> RationalFunc:
-    return RationalFunc([1, 0, -2], [1, -2, -2, 2])
-
-
-def _sq_sum_stern() -> RationalFunc:
-    return RationalFunc([1, -2], [1, -5, 2])
+    return reduce(convolve, factors, [1])
 
 
 def _sq_sum_weighted(t) -> RationalFunc:
@@ -99,14 +91,6 @@ def _cube_sum_kbonacci_fitted(k: int, t) -> RationalFunc:
     den = {0: 1, 1: -one_t3, k: a2, k + 1: a3, 2 * k: a4, 2 * k + 1: a5}
     return _maybe_specialize(num, den, t)
 
-
-_SINGLE_INDEX_DATA = {
-    3: ([1, 0, -4], [1, -2, -4, 2]),
-    4: ([1, 0, -7, 0, -2], [1, -2, -7, 0, -2, 2]),
-    5: ([1, 0, -11, 0, -20], [1, -2, -11, -8, -20, 10]),
-    6: ([1, 0, -17, 0, -88, 0, -4], [1, -2, -17, -28, -88, 26, -4, 4]),
-    7: ([1, 0, -26, 0, -311, 0, -84], [1, -2, -26, -74, -311, 34, -84, 42]),
-}
 
 _MULTI_INDEX_DATA = {
     (1, 1): ([0, 1, 1], [1, -2, -2, 2]),
@@ -168,90 +152,52 @@ def _congruence_kbonacci_21(k: int) -> RationalFunc:
     return RationalFunc(_dict_to_list(num), _dict_to_list(den))
 
 
-_H31_K2 = (
-    [1, -2, 4, -6, 8, -10, 8, -6],
-    [1, -4, 8, -12, 16, -20, 19, -12, 4],
-)
-
-_H31_K3 = (
-    [1, -2, 0, 4, -6, 0, 8, -10, 0, 8, -6],
-    [1, -4, 4, 4, -12, 8, 8, -20, 11, 8, -12, 4],
-)
-
-
 def _rank_gf(i: int, b: int) -> RationalFunc:
     den = {0: 1, 1: -i, b: i - 1}
     return RationalFunc([1], _dict_to_list(den))
 
 
+# name -> builder of the form from the keyword parameters; "t" defaults to "sym"
+_FORMS = {
+    "thm1": lambda p: RationalFunc([1, 0, -2], [1, -2, -2, 2]),
+    "stern-u2": lambda p: RationalFunc([1, -2], [1, -5, 2]),
+    "thm1t": lambda p: _sq_sum_weighted(p.get("t", "sym")),
+    "vk2n": lambda p: _sq_sum_kbonacci(int(p["k"]), p.get("t", "sym")),
+    "conj-v3k": lambda p: _cube_sum_kbonacci(int(p["k"]), p.get("t", "sym")),
+    "conj-v3k-fitted": lambda p: _cube_sum_kbonacci_fitted(int(p["k"]), p.get("t", "sym")),
+    "v2m1": lambda p: RationalFunc([1, 0, 2], [1, -2, 2, -2]),
+    "w-example": lambda p: RationalFunc(
+        [1, -4, -5, 24, 4, -34, 2, 10, -4],
+        [1, -7, 1, 47, -32, -84, 50, 34, -18],
+    ),
+    "J3": lambda p: RationalFunc([1, 0, -4], [1, -2, -4, 2]),
+    "J4": lambda p: RationalFunc([1, 0, -7, 0, -2], [1, -2, -7, 0, -2, 2]),
+    "J5": lambda p: RationalFunc([1, 0, -11, 0, -20], [1, -2, -11, -8, -20, 10]),
+    "J6": lambda p: RationalFunc([1, 0, -17, 0, -88, 0, -4], [1, -2, -17, -28, -88, 26, -4, 4]),
+    "J7": lambda p: RationalFunc([1, 0, -26, 0, -311, 0, -84], [1, -2, -26, -74, -311, 34, -84, 42]),
+    "Jalpha": lambda p: RationalFunc(*_MULTI_INDEX_DATA[tuple(int(v) for v in p["alpha"])]),
+    "J4k": lambda p: _power_sum_kbonacci_unit(4, int(p["k"])),
+    "J5k": lambda p: _power_sum_kbonacci_unit(5, int(p["k"])),
+    "J6k": lambda p: _power_sum_kbonacci_unit(6, int(p["k"])),
+    "J7k": lambda p: _power_sum_kbonacci_unit(7, int(p["k"])),
+    "H": lambda p: RationalFunc(*_CONGRUENCE_DATA[(int(p["m"]), int(p["a"]))]),
+    "Hk21": lambda p: _congruence_kbonacci_21(int(p["k"])),
+    "H31k2": lambda p: RationalFunc([1, -2, 4, -6, 8, -10, 8, -6], [1, -4, 8, -12, 16, -20, 19, -12, 4]),
+    "H31k3": lambda p: RationalFunc(
+        [1, -2, 0, 4, -6, 0, 8, -10, 0, 8, -6],
+        [1, -4, 4, 4, -12, 8, 8, -20, 11, 8, -12, 4],
+    ),
+    "phi": lambda p: _rank_gf(int(p["i"]), int(p["b"])),
+}
+
+CATALOG_NAMES = tuple(_FORMS)
+
+
 def closed_form(name: str, **params) -> RationalFunc:
     """The exact catalog form named ``name`` (see CATALOG_NAMES)."""
-    if name == "thm1":
-        return _sq_sum_fibonacci()
-    if name == "stern-u2":
-        return _sq_sum_stern()
-    if name == "thm1t":
-        return _sq_sum_weighted(params.get("t", "sym"))
-    if name == "vk2n":
-        return _sq_sum_kbonacci(int(params["k"]), params.get("t", "sym"))
-    if name == "conj-v3k":
-        return _cube_sum_kbonacci(int(params["k"]), params.get("t", "sym"))
-    if name == "conj-v3k-fitted":
-        return _cube_sum_kbonacci_fitted(int(params["k"]), params.get("t", "sym"))
-    if name == "v2m1":
-        return RationalFunc([1, 0, 2], [1, -2, 2, -2])
-    if name == "w-example":
-        return RationalFunc(
-            [1, -4, -5, 24, 4, -34, 2, 10, -4],
-            [1, -7, 1, 47, -32, -84, 50, 34, -18],
-        )
-    if name in ("J3", "J4", "J5", "J6", "J7"):
-        num, den = _SINGLE_INDEX_DATA[int(name[1])]
-        return RationalFunc(num, den)
-    if name == "Jalpha":
-        alpha = tuple(int(v) for v in params["alpha"])
-        num, den = _MULTI_INDEX_DATA[alpha]
-        return RationalFunc(num, den)
-    if name in ("J4k", "J5k", "J6k", "J7k"):
-        return _power_sum_kbonacci_unit(int(name[1]), int(params["k"]))
-    if name == "H":
-        num, den = _CONGRUENCE_DATA[(int(params["m"]), int(params["a"]))]
-        return RationalFunc(num, den)
-    if name == "Hk21":
-        return _congruence_kbonacci_21(int(params["k"]))
-    if name == "H31k2":
-        return RationalFunc(*_H31_K2)
-    if name == "H31k3":
-        return RationalFunc(*_H31_K3)
-    if name == "phi":
-        return _rank_gf(int(params["i"]), int(params["b"]))
-    raise ValueError(f"unknown closed form {name!r}")
+    if name not in _FORMS:
+        raise ValueError(f"unknown closed form {name!r}")
+    return _FORMS[name](params)
 
-
-CATALOG_NAMES = (
-    "thm1",
-    "stern-u2",
-    "thm1t",
-    "vk2n",
-    "conj-v3k",
-    "conj-v3k-fitted",
-    "v2m1",
-    "w-example",
-    "J3",
-    "J4",
-    "J5",
-    "J6",
-    "J7",
-    "Jalpha",
-    "J4k",
-    "J5k",
-    "J6k",
-    "J7k",
-    "H",
-    "Hk21",
-    "H31k2",
-    "H31k3",
-    "phi",
-)
 
 MULTI_INDEX_ALPHAS = tuple(_MULTI_INDEX_DATA.keys())

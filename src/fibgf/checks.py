@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .catalog import closed_form
@@ -27,10 +27,10 @@ from .polynomials import (
     CoeffPoly,
     ProductSpec,
     TPoly,
-    build_product,
     fibonacci_product_spec,
     golden_partials,
     kbonacci_product_spec,
+    partial_products,
     run_lengths,
     stern_product_spec,
 )
@@ -240,22 +240,16 @@ def check_runs(nmax: int = 18):
 
 def check_golden(nmax: int = 16):
     """Each Z[phi] partial of ``golden_partials`` has the coefficients of the
-    Fibonacci partial product of the same n, compared as the product grows."""
-    golden = golden_partials(nmax)
-    failure = None
-
-    def compare(n: int, product: CoeffPoly) -> None:
-        nonlocal failure
-        gs = next(golden).coefficient_sequence()
-        if failure is not None:
-            return
+    Fibonacci partial product of the same n, compared as the product grows;
+    the first failing n stops both."""
+    pairs = zip(partial_products(fibonacci_product_spec(nmax)), golden_partials(nmax))
+    for n, (product, series) in enumerate(pairs):
+        gs = series.coefficient_sequence()
         if gs != product.coefficient_sequence():
-            failure = {"n": n}
-        elif len(gs) != fibonacci(n + 3) - 1:
-            failure = {"n": n, "nonzero_count": len(gs)}
-
-    build_product(fibonacci_product_spec(nmax), callback=compare)
-    return ("fail", failure) if failure is not None else ("pass", {"nmax": nmax})
+            return "fail", {"n": n}
+        if len(gs) != fibonacci(n + 3) - 1:
+            return "fail", {"n": n, "nonzero_count": len(gs)}
+    return "pass", {"nmax": nmax}
 
 
 def _first_factor_mismatch(spec: ProductSpec, i: int, r: list[int]) -> int | None:
@@ -387,12 +381,12 @@ def check_v2m1(nmax: int = 25, den_max: int = 8, holdout: int = 6):
 
 
 def check_wordclasses(nmax: int = 13):
-    products = []
-    build_product(fibonacci_product_spec(nmax), callback=lambda i, p: products.append(p))
+    products = partial_products(fibonacci_product_spec(nmax))
+    next(products)  # the empty product has no word classes
     sizes = []
-    for n in range(1, nmax + 1):
+    for n, product in enumerate(products, 1):
         classes = word_classes(n)
-        if classes != sorted(products[n].coefficient_sequence()):
+        if classes != sorted(product.coefficient_sequence()):
             return "fail", {"n": n}
         sizes.append(classes)
     for r in (1, 2, 3):
@@ -410,9 +404,8 @@ def check_exercise_note(nmax: int = 14, seeds=EXERCISE_SEEDS):
     reference: list[list[int]] | None = None
     for seed in seeds:
         seq = RecurrentSeq(coeffs=(1, 1), init=tuple(seed))
-        spec = ProductSpec(exponent_seq=seq, n=0, h=1, a=(1,), offset=0)
-        rows = []
-        build_product(replace(spec, n=nmax), callback=lambda i, p: rows.append(p.coefficient_sequence()))
+        spec = ProductSpec(exponent_seq=seq, n=nmax, h=1, a=(1,), offset=0)
+        rows = [p.coefficient_sequence() for p in partial_products(spec)]
         if reference is None:
             reference = rows
         elif rows != reference:

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .polynomials import TPoly
+from .polynomials import TPoly, convolve
 
 
 def _strip(seq) -> tuple:
@@ -20,21 +20,6 @@ def _strip(seq) -> tuple:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
-
-
-def _pmul(a, b):
-    """Dense polynomial product over any scalar ring."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u == 0:
-            continue
-        for j, v in enumerate(b):
-            if v == 0:
-                continue
-            out[i + j] = out[i + j] + u * v
-    return tuple(out)
 
 
 class RationalFunc:
@@ -78,7 +63,7 @@ class RationalFunc:
 
     def same_function(self, other: "RationalFunc") -> bool:
         """True iff num1*den2 == num2*den1 (equality as rational functions)."""
-        return _pmul(self.num, other.den) == _pmul(other.num, self.den)
+        return convolve(self.num, other.den) == convolve(other.num, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunc):
@@ -218,7 +203,7 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
         return None
     den, length = found
     num_len = length + num_extra + 1
-    num = _pmul(den, values[:num_len])[:num_len]
+    num = convolve(den, values[:num_len])[:num_len]
     if all(c.denominator == 1 for c in (*num, *den)):
         return RationalFunc([int(c) for c in num], [int(c) for c in den])
     return RationalFunc([Fraction(c) for c in num], den)

@@ -10,9 +10,10 @@ list.  ``ProductSpec`` describes products of the shape
     P(x) * prod_{i=1}^{n} (1 + a_1 x^{f_{i+off}} + ... + a_h x^{f_{i+off+h-1}})
 
 and ``ProductSpec.factor_terms`` gives each factor's terms in the one normal
-form every engine reads.  ``build_product`` expands the product by shifted
-adds, streaming each partial product to an optional callback; it is the
+form every engine reads.  ``partial_products`` expands the product by
+shifted adds and yields each partial product as it grows; it is the
 small-depth oracle of the walk, the carry automaton and the residue stream.
+``convolve`` is the one dense product of two coefficient sequences.
 """
 
 from __future__ import annotations
@@ -27,6 +28,20 @@ from operator import add, and_, eq, mul, not_, sub
 from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
 from .errors import InvariantError, ResourceLimitError
 from .sequences import GoldenInt, RecurrentSeq, phi_power
+
+
+def convolve(a, b) -> list:
+    """The dense product of two ascending coefficient sequences over any
+    scalar ring; zero coefficients are skipped."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    out[i + j] += u * v
+    return out
 
 
 class TPoly:
@@ -119,13 +134,7 @@ class TPoly:
         if not any(b[:-1]):  # b is one term u t^k: shift and scale a
             u = b[-1]
             return _tpoly((0,) * (len(b) - 1) + (a if u == 1 else tuple(u * v for v in a)))
-        out = [0] * (len(a) + len(b) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    if v:
-                        out[i + j] += u * v
-        return TPoly(out)
+        return TPoly(convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -201,10 +210,6 @@ class CoeffPoly:
             lead += 1
         self.base = base + lead
         self._list = cs[lead:]
-
-    @classmethod
-    def one(cls) -> CoeffPoly:
-        return cls([1])
 
     @property
     def degree(self) -> int:
@@ -360,26 +365,25 @@ def _partial(dense: list) -> CoeffPoly:
     return poly
 
 
-def build_product(spec: ProductSpec, callback=None) -> CoeffPoly:
-    """Expand the product exactly; stream partials to ``callback(i, poly)``.
-
-    The callback, when given, receives the partial product after factor i for
-    i = 0..n (i = 0 is the prefactor alone).  Raises ResourceLimitError
-    before any work when the dense list of the whole product would pass the
-    RGF_MAX_MEM_MB cap.
+def partial_products(spec: ProductSpec):
+    """Yield the partial product after factor i for i = 0..n (i = 0 is the
+    prefactor alone), each from the one before.  Raises ResourceLimitError
+    on the first ``next``, before any work, when the dense list of the whole
+    product would pass the RGF_MAX_MEM_MB cap.
     """
     _guard_size(spec.degree_bound() + 1, spec.n)
-    start = CoeffPoly.one() if spec.prefactor is None else spec.prefactor
-    acc = start.dense_coefficients()
-    current = _partial(acc)
-    if callback is not None:
-        callback(0, current)
+    acc = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
+    yield _partial(acc)
     for i in range(1, spec.n + 1):
         acc = _multiply_dense(acc, spec.factor_terms(i))
-        current = _partial(acc)
-        if callback is not None:
-            callback(i, current)
-    return current
+        yield _partial(acc)
+
+
+def build_product(spec: ProductSpec) -> CoeffPoly:
+    """Expand the product exactly: the last of ``partial_products``."""
+    for poly in partial_products(spec):
+        pass
+    return poly
 
 
 def fibonacci_product_spec(n: int, t=1) -> ProductSpec:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import ResourceLimitError
-from .polynomials import CoeffPoly, ProductSpec, build_product
+from .polynomials import CoeffPoly, ProductSpec, partial_products
 from .walk import corr_walk_series
 
 _INTEGER_ONLY = "residue counts need integer coefficients; specialize t first"
@@ -70,9 +70,7 @@ def corr_series(spec: ProductSpec, alpha: CorrSpec, n_max: int, engine: str = "a
         return corr_walk_series(spec, alpha.alpha, n_max)
     if engine != "pure":
         raise ValueError(f"unknown engine {engine!r}")
-    out: list = []
-    build_product(replace(spec, n=n_max), callback=lambda i, poly: out.append(corr_sum(poly, alpha)))
-    return out
+    return [corr_sum(poly, alpha) for poly in partial_products(replace(spec, n=n_max))]
 
 
 def _residue_classes(p: CoeffPoly, m: int) -> Counter:
@@ -123,10 +121,7 @@ def residue_series(spec: ProductSpec, m: int, n_max: int, engine: str = "auto") 
                 limit_n=limit,
             ) from err
     out: list[list[int]] = []
-
-    def count(i: int, poly: CoeffPoly):
+    for poly in partial_products(full):
         classes = _residue_classes(poly, m)
         out.append([classes[a] for a in range(m)])
-
-    build_product(full, callback=count)
     return out

@@ -26,7 +26,7 @@ from itertools import compress, repeat
 from operator import mul
 
 from .errors import InvariantError
-from .polynomials import CoeffPoly, TPoly, build_product, fibonacci_product_spec
+from .polynomials import TPoly, fibonacci_product_spec, partial_products
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,14 @@ def triangle_rows(n_max: int, t=1):
 def verify_rows_match_product(n_max: int, t=1) -> None:
     """Check entries of row n = coefficients of the weighted product, n <= n_max.
 
-    Each row is compared with its partial product inside the
-    ``build_product`` callback, as the product grows, so no partial product
-    outlives its row.  Raises InvariantError carrying the first mismatching
-    exponent, or the row index when the lengths differ.
+    Each row is compared with its partial product as ``partial_products``
+    yields it, so no partial product outlives its row.  Raises
+    InvariantError carrying the first mismatching exponent, or the row index
+    when the lengths differ.
     """
-    rows = triangle_rows(n_max, t)
-
-    def compare(n: int, partial: CoeffPoly) -> None:
-        if n == 0:
-            return  # the empty product has no row
-        row = next(rows)
+    partials = partial_products(fibonacci_product_spec(n_max, t=t))
+    next(partials)  # the empty product has no row
+    for row, partial in zip(triangle_rows(n_max, t), partials):
         coeffs = partial.dense_coefficients()
         if len(coeffs) != len(row.entries):
             raise InvariantError(
@@ -102,8 +99,6 @@ def verify_rows_match_product(n_max: int, t=1) -> None:
         if list(row.entries) != coeffs:
             k = next(k for k, (a, b) in enumerate(zip(row.entries, coeffs)) if a != b)
             raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
-
-    build_product(fibonacci_product_spec(n_max, t=t), callback=compare)
 
 
 def format_row(row: GroupedRow) -> str:

@@ -77,7 +77,7 @@ from sys import getsizeof
 
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
-from .polynomials import ProductSpec
+from .polynomials import ProductSpec, _multiply_dense
 
 # Estimated bytes per stored state of the level walk (key tuple, table entry,
 # value, successor map): tracemalloc measured 130-700 on integer power sums
@@ -465,12 +465,7 @@ def _low_terms(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
     out = []
     for n in range(n_max + 1):
         if n:
-            terms = spec.factor_terms(n)
-            for k in range(width - 1, 0, -1):
-                for c, e in terms:
-                    if e > k:
-                        break
-                    low[k] = low[k] + c * low[k - e]
+            low = _multiply_dense(low, [(c, e) for c, e in spec.factor_terms(n) if e < width])[:width]
         total = 0
         for k in range(lead):
             term = 1

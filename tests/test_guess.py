@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibgf.catalog import MULTI_INDEX_ALPHAS, closed_form
+from fibgf.catalog import CATALOG_NAMES, MULTI_INDEX_ALPHAS, closed_form
 from fibgf.guess import (
     RationalFunc,
     _strip,
@@ -239,6 +239,41 @@ def test_catalog_theorem_entries_match_pipelines():
         for tval in (1, -1, 2):
             data = corr_series(kbonacci_product_spec(k, 0, t=tval), CorrSpec((2,)), 10)
             assert series_expand(closed_form("vk2n", k=k, t=tval), 11) == data
+
+
+# the parameters each catalog family documents; a name not listed takes none
+CATALOG_PARAMS = {
+    "thm1t": [{}, {"t": 1}, {"t": -1}],
+    "vk2n": [{"k": k, "t": t} for k in (2, 3, 4) for t in (1, "sym")],
+    "conj-v3k": [{"k": k, "t": t} for k in (2, 3, 4) for t in (1, "sym")],
+    "conj-v3k-fitted": [{"k": k, "t": t} for k in (2, 3, 4) for t in (1, "sym")],
+    "Jalpha": [{"alpha": alpha} for alpha in MULTI_INDEX_ALPHAS],
+    **{f"J{r}k": [{"k": k} for k in (2, 3, 4)] for r in (4, 5, 6, 7)},
+    "H": [{"m": m, "a": a} for m in (2, 3, 4) for a in range(m)],
+    "Hk21": [{"k": k} for k in (2, 3, 4)],
+    "phi": [{"i": i, "b": b} for i in (2, 3) for b in (2, 3)],
+}
+
+
+def test_catalog_names_build_with_their_parameters():
+    assert CATALOG_NAMES == (
+        "thm1", "stern-u2", "thm1t", "vk2n", "conj-v3k", "conj-v3k-fitted", "v2m1", "w-example",
+        "J3", "J4", "J5", "J6", "J7", "Jalpha", "J4k", "J5k", "J6k", "J7k",
+        "H", "Hk21", "H31k2", "H31k3", "phi",
+    )
+    assert set(CATALOG_PARAMS) <= set(CATALOG_NAMES)
+    for name in CATALOG_NAMES:
+        for params in CATALOG_PARAMS.get(name, [{}]):
+            rf = closed_form(name, **params)
+            assert isinstance(rf, RationalFunc) and rf.den[0] == 1, (name, params)
+    assert closed_form("J4k", k=3).integer_pair() == ((1, 0, 0, -7, 0, 0, -2), (1, -2, 0, -7, 0, 0, -2, 2))
+    assert closed_form("Jalpha", alpha=(1, 1)).integer_pair() == ((0, 1, 1), (1, -2, -2, 2))
+    assert closed_form("H", m=3, a=1).integer_pair() == (
+        (1, -2, 4, -6, 8, -10, 8, -6),
+        (1, -4, 8, -12, 16, -20, 19, -12, 4),
+    )
+    with pytest.raises(ValueError, match="unknown closed form"):
+        closed_form("J8")
 
 
 def test_catalog_phi_forms():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibgf.polynomials
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import (
     CoeffPoly,
@@ -17,6 +18,7 @@ from fibgf.polynomials import (
     golden_partials,
     golden_series,
     kbonacci_product_spec,
+    partial_products,
     run_decomposition,
     run_lengths,
     stern_product_spec,
@@ -164,8 +166,7 @@ def test_degree_formula():
 
 
 def test_streaming_partials_match_prefix_builds():
-    partials = {}
-    build_product(fibonacci_product_spec(7), callback=lambda i, p: partials.__setitem__(i, p))
+    partials = dict(enumerate(partial_products(fibonacci_product_spec(7))))
     assert set(partials) == set(range(8))
     for i in range(8):
         assert partials[i] == build_product(fibonacci_product_spec(i))
@@ -223,6 +224,17 @@ def test_memory_guard(monkeypatch):
     assert err.value.limit_n is not None
 
 
+def test_partial_products_raise_before_the_first_factor(monkeypatch):
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    factors = []
+    monkeypatch.setattr(fibgf.polynomials, "_multiply_dense", lambda coeffs, terms: factors.append(terms))
+    partials = partial_products(fibonacci_product_spec(25))
+    with pytest.raises(ResourceLimitError) as err:
+        next(partials)
+    assert err.value.limit_n == 25
+    assert factors == []
+
+
 def test_poly_json_roundtrip():
     t = TPoly.t()
     p = build_product(fibonacci_product_spec(4, t=t))
@@ -259,10 +271,17 @@ def test_golden_matches_product_coefficients():
 
 
 def test_check_golden_reports_the_first_wrong_partial(monkeypatch):
-    # each golden partial is compared with the product partial of the same n as the product grows
+    # each golden partial is compared with the product partial of the same n as the product grows,
+    # and the first failing n stops the product
     import fibgf.checks
 
     real = fibgf.checks.golden_partials
+    factors = []
+    multiply = fibgf.polynomials._multiply_dense
+
+    def counted(coeffs, terms):
+        factors.append(terms)
+        return multiply(coeffs, terms)
 
     def perturbed(n_max):
         for n, series in enumerate(real(n_max)):
@@ -272,8 +291,10 @@ def test_check_golden_reports_the_first_wrong_partial(monkeypatch):
             yield series
 
     monkeypatch.setattr(fibgf.checks, "golden_partials", perturbed)
+    monkeypatch.setattr(fibgf.polynomials, "_multiply_dense", counted)
     rep = fibgf.checks.run_check("verify", "golden", nmax=16)
     assert (rep.status, rep.details) == ("fail", {"n": 5})
+    assert len(factors) == 5
     assert fibgf.checks.run_check("verify", "golden", nmax=4).status == "pass"
 
 
@@ -389,9 +410,7 @@ def test_exercise_note_truth():
     def rows(seed, nmax):
         seq = RecurrentSeq(coeffs=(1, 1), init=seed)
         spec = ProductSpec(exponent_seq=seq, n=nmax, h=1, a=(1,))
-        out = []
-        build_product(spec, callback=lambda i, p: out.append(p.coefficient_sequence()))
-        return out
+        return [p.coefficient_sequence() for p in partial_products(spec)]
 
     nmax = 14
     reference = rows((1, 2), nmax)

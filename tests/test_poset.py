@@ -438,6 +438,69 @@ def test_upho_bottom_is_identity(poset13):
     assert rep["status"] == "pass"
 
 
+def _graded_isomorphic(p1: PosetSlice, p2: PosetSlice) -> bool:
+    """Rank-respecting isomorphism test by backtracking with parent keys, the
+    oracle of ``upho_check``'s comparison of cover lists."""
+    if p1.rank_sizes() != p2.rank_sizes():
+        return False
+    mapping: list[list[int | None]] = [[0]]
+
+    def extend(rank: int) -> bool:
+        if rank > p1.depth:
+            return True
+        pmap = mapping[rank - 1]
+        keys1 = [tuple(sorted(pmap[p] for p in ps)) for ps in p1.parents[rank]]
+        keys2 = [tuple(sorted(ps)) for ps in p2.parents[rank]]
+        used = [False] * len(keys2)
+        assign: list[int | None] = [None] * len(keys1)
+
+        def backtrack(j: int) -> bool:
+            if j == len(keys1):
+                mapping.append(assign[:])
+                if extend(rank + 1):
+                    return True
+                mapping.pop()
+                return False
+            for v, k2 in enumerate(keys2):
+                if not used[v] and k2 == keys1[j]:
+                    used[v] = True
+                    assign[j] = v
+                    if backtrack(j + 1):
+                        return True
+                    used[v] = False
+                    assign[j] = None
+            return False
+
+        return backtrack(0)
+
+    return extend(1)
+
+
+def test_upho_filters_are_planar_equal_and_isomorphic():
+    # upho_check compares cover lists in planar order; on P_ib every filter is planar-equal to the
+    # poset, and the isomorphism search agrees on each filter the check reads
+    for i, b, n in ((2, 2, 8), (2, 3, 8), (3, 2, 8), (3, 3, 8), (4, 3, 6), (2, 5, 8)):
+        depth = n - 3
+        assert upho_check(frontier_poset(i, b, n), depth=depth, max_rank=3)["status"] == "pass", (i, b)
+    for i, b in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        poset = frontier_poset(i, b, 6)
+        template = PosetSlice(parents=poset.parents[:5])
+        for rank in range(3):
+            for index in range(len(poset.parents[rank])):
+                assert _graded_isomorphic(fibgf.poset._extract_filter(poset, rank, index, 4), template), (i, b)
+
+
+def test_upho_reports_a_filter_whose_covers_differ():
+    # rank 2 has a shared child, but no filter above a rank-1 element has one
+    poset = PosetSlice(parents=[[()], [(0,), (0,)], [(0,), (0, 1), (1,)], [(0,), (0,), (1,), (2,), (2,)]])
+    rep = upho_check(poset, depth=2, max_rank=1)
+    assert rep["status"] == "fail"
+    assert rep["failures"] == [{"rank": 1, "index": k, "profile": "covers differ"} for k in (0, 1)]
+    template = PosetSlice(parents=poset.parents[:3])
+    for k in (0, 1):
+        assert not _graded_isomorphic(fibgf.poset._extract_filter(poset, 1, k, 2), template)
+
+
 def test_dot_export(poset13):
     poset = frontier_poset(2, 3, 3)
     dot = poset.to_dot()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import fibgf.triangle
 from fibgf.errors import InvariantError
-from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec
+from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec, partial_products
 from fibgf.sequences import fibonacci
 from fibgf.triangle import (
     GroupedRow,
@@ -214,8 +214,7 @@ def test_rows_and_products_are_read_exactly_at_a_power_of_two():
     # the hnfn check compares rows with products at an int T = 2^(n+1); that
     # decides symbolic equality only while every t-coefficient stays in [0, T)
     t = TPoly.t()
-    partials = {}
-    build_product(fibonacci_product_spec(14, t=t), callback=lambda i, p: partials.__setitem__(i, p))
+    partials = dict(enumerate(partial_products(fibonacci_product_spec(14, t=t))))
     for row in triangle_rows(14, t):
         n, big = row.index, 2 ** (row.index + 1)
         entries = [_as_tpoly(v) for v in row.entries]

@@ -16,9 +16,9 @@ from fibgf.polynomials import (
     CoeffPoly,
     ProductSpec,
     TPoly,
-    build_product,
     fibonacci_product_spec,
     kbonacci_product_spec,
+    partial_products,
     stern_product_spec,
 )
 from fibgf.sequences import RecurrentSeq, kbonacci
@@ -369,8 +369,7 @@ def test_fourth_power_sum_equals_square_sum_iff_unit_coefficients(spec, n_max):
     # c^4 - c^2 = c^2 (c^2 - 1) >= 0, zero exactly at c in {0, +-1}: zhao's test
     v2 = corr_series(spec, CorrSpec((2,)), n_max)
     v4 = corr_series(spec, CorrSpec((4,)), n_max)
-    units = []
-    build_product(replace(spec, n=n_max), callback=lambda n, p: units.append(set(p.dense_coefficients()) <= {-1, 0, 1}))
+    units = [set(p.dense_coefficients()) <= {-1, 0, 1} for p in partial_products(replace(spec, n=n_max))]
     assert [a == b for a, b in zip(v2, v4)] == units
 
 
