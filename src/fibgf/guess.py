@@ -1,16 +1,17 @@
 """Exact rational generating-function fitting and expansion.
 
 ``guess_rational`` finds the smallest-denominator rational function whose
-power series matches an integer (or rational) sequence, by one exact
-Berlekamp-Massey pass whose degree bound counts only the terms before the
-withheld trailing ones.  No floating point anywhere.
+power series matches an integer (or rational) sequence, by one
+fraction-free Berlekamp-Massey pass over the integers whose degree bound
+counts only the terms before the withheld trailing ones.  No floating point.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .polynomials import TPoly, convolve
 
@@ -81,14 +82,9 @@ class RationalFunc:
         coeffs = [Fraction(c) for c in self.num + self.den]
         if not coeffs:
             return (), tuple(int(c) for c in self.den)
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        nums = [int(c * lcm) for c in coeffs]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
-        g = g or 1
+        scale = lcm(*(c.denominator for c in coeffs))
+        nums = [int(c * scale) for c in coeffs]
+        g = gcd(*nums) or 1
         nums = [v // g for v in nums]
         num = tuple(nums[: len(self.num)])
         den = tuple(nums[len(self.num):])
@@ -128,27 +124,37 @@ class RationalFunc:
         return cls([dec(c) for c in data["num"]], [dec(c) for c in data["den"]])
 
 
-def _berlekamp_massey(u: list[Fraction], l_max: int):
-    """Shortest linear recurrence of ``u`` over Q (Massey 1969), or None.
+def _berlekamp_massey(u: list[int], l_max: int):
+    """Shortest linear recurrence of ``u`` over Q (Massey 1969), or None,
+    fraction-free over Z in the style of Bareiss (Math. Comp. 22, 1968).
 
-    Returns ``(c, L)``: ``c[0] = 1``, ``deg c <= L`` and
+    Returns ``(c, L)``: ``c[0] != 0``, ``deg c <= L`` and
     ``sum_j c[j] * u[i - j] == 0`` for every ``L <= i < len(u)``, with L as
     small as possible.  Stops with None as soon as L exceeds ``l_max``.
+
+    Massey's pass over Q updates c_Q <- c_Q - (delta_Q / last_Q) x^shift b_Q
+    with c_Q(0) = 1.  By induction c = lam c_Q, b = mu b_Q and last =
+    mu last_Q for nonzero lam, mu (b and last come from one step's c), so
+    delta = lam delta_Q and last c - delta x^shift b is last lam times the
+    new c_Q; dividing by the content keeps a nonzero multiple.  So every
+    zero test, length change and the ``l_max`` stop agree with the pass
+    over Q, and c / c[0] is its c_Q.
     """
-    c, b = [Fraction(1)], [Fraction(1)]
-    length, shift, last = 0, 1, Fraction(1)
-    for i, v in enumerate(u):
-        delta = v + sum(c[j] * u[i - j] for j in range(1, len(c)))
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
+    for i in range(len(u)):
+        delta = sum(map(mul, c, u[i::-1]))  # deg c <= length <= i
         if delta == 0:
             shift += 1
             continue
         prev = c
-        c = c + [Fraction(0)] * max(0, shift + len(b) - len(c))
-        f = delta / last
-        for j, bj in enumerate(b):
-            c[shift + j] -= f * bj
+        c = [last * x for x in c] + [0] * max(0, shift + len(b) - len(c))
+        for j, bj in enumerate(b, shift):
+            c[j] -= delta * bj
         while c[-1] == 0:
             c.pop()
+        content = gcd(*c)
+        c = [x // content for x in c]
         if 2 * length <= i:
             length = i + 1 - length
             if length > l_max:
@@ -175,7 +181,7 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
 
     The fit is returned as BM leaves it: it needs neither a series check nor
     a gcd.  Write e = num_extra, u' = seq[e + 1:] and (c, L) for the
-    connection polynomial (c(0) = 1, deg c <= L) and length that BM returns.
+    connection polynomial, scaled to c(0) = 1, and length that BM returns.
 
     It reproduces every term.  BM's invariant: after reading u'_0..u'_i,
     (c, L) generates all of them, so sum_j c_j u'_(i-j) = 0 for every
@@ -197,16 +203,19 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
         raise ValueError(
             f"need at least {2 + num_extra + holdout} terms, got {n_terms}"
         )
+    scale = lcm(*(v.denominator for v in values))  # the fit of scale * seq has the same den
+    ints = [v.numerator * (scale // v.denominator) for v in values]
     m = n_terms - num_extra - holdout
-    found = _berlekamp_massey(values[num_extra + 1:], min(den_max, m // 2, m - 2))
+    found = _berlekamp_massey(ints[num_extra + 1:], min(den_max, m // 2, m - 2))
     if found is None:
         return None
     den, length = found
     num_len = length + num_extra + 1
-    num = convolve(den, values[:num_len])[:num_len]
-    if all(c.denominator == 1 for c in (*num, *den)):
-        return RationalFunc([int(c) for c in num], [int(c) for c in den])
-    return RationalFunc([Fraction(c) for c in num], den)
+    num = convolve(den, ints[:num_len])[:num_len]
+    lead, scale = den[0], scale * den[0]
+    if all(c % lead == 0 for c in den) and all(c % scale == 0 for c in num):
+        return RationalFunc([c // scale for c in num], [c // lead for c in den])
+    return RationalFunc([Fraction(c, scale) for c in num], [Fraction(c, lead) for c in den])
 
 
 def series_expand(rf: RationalFunc, n_terms: int) -> list:

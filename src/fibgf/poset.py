@@ -523,20 +523,20 @@ def frontier_poset(i: int, b: int, n_max: int) -> PosetSlice:
 
 # -- upho self-similarity ------------------------------------------------------
 
-def _extract_filter(poset: PosetSlice, rank: int, index: int, depth: int) -> PosetSlice:
-    """The subposet of elements >= the given element, truncated to ``depth`` ranks."""
-    keep: list[dict[int, int]] = [{index: 0}]
+def _extract_filter(poset: PosetSlice, children: list, rank: int, index: int, depth: int) -> PosetSlice:
+    """The subposet of elements >= the given element, truncated to ``depth``
+    ranks (``children[n]`` is ``poset.children(n)``): each of its ranks is
+    the union of the children of its rank below, in index order."""
+    keep: dict[int, int] = {index: 0}
     parents: list[list[tuple[int, ...]]] = [[()]]
-    for d in range(1, depth + 1):
-        n = rank + d
+    for n in range(rank + 1, rank + depth + 1):
+        below = children[n - 1]
         cur: dict[int, int] = {}
         rank_parents: list[tuple[int, ...]] = []
-        for k, ps in enumerate(poset.parents[n]):
-            hit = tuple(keep[d - 1][p] for p in ps if p in keep[d - 1])
-            if hit:
-                cur[k] = len(rank_parents)
-                rank_parents.append(hit)
-        keep.append(cur)
+        for k in sorted({c for p in keep for c in below[p]}):
+            cur[k] = len(rank_parents)
+            rank_parents.append(tuple(keep[p] for p in poset.parents[n][k] if p in keep))
+        keep = cur
         parents.append(rank_parents)
     return PosetSlice(parents=parents)
 
@@ -565,10 +565,11 @@ def upho_check(poset: PosetSlice, depth: int, max_rank: int = 2) -> dict:
         raise ValueError("poset not built deep enough for this check")
     template = poset.parents[: depth + 1]
     profile = [len(r) for r in template]
+    children = [poset.children(n) for n in range(max_rank + depth)]
     failures = []
     for rank in range(0, max_rank + 1):
         for index in range(len(poset.parents[rank])):
-            sub = _extract_filter(poset, rank, index, depth)
+            sub = _extract_filter(poset, children, rank, index, depth)
             if sub.rank_sizes() != profile:
                 failures.append({"rank": rank, "index": index, "profile": sub.rank_sizes()})
             elif sub.parents != template:

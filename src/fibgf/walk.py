@@ -401,8 +401,10 @@ class _BasisWalk(_Rows):
         return mask
 
     def series(self) -> list:
-        """[v(0), ..., v(n_max)]: build the automaton breadth-first, then
-        fill the tables level by level, keeping two at a time."""
+        """[v(0), ..., v(n_max)]: build the automaton breadth-first, number
+        its states in depth order (the start is 0), then fill one table per
+        level, a list indexed by state, keeping two at a time; a state not
+        used at a level holds 0 there and is not charged."""
         n_max = self.n_max
         start = self.start
         self.alive[start] = self._rows_mask(start)
@@ -425,28 +427,33 @@ class _BasisWalk(_Rows):
                         found.append(nxt)
             frontier = found
             t += 1
-        needed: list[list] = [[] for _ in range(n_max + 1)]  # per level, the states used there
-        for state, t in depth.items():
-            used = self.alive[state] & ((2 << (n_max - t)) - 1)
+        states = list(depth)
+        index = {state: k for k, state in enumerate(states)}
+        links = [tuple(map(index.__getitem__, edges[state])) for state in states]  # successor indices
+        weights = [tuple(edges.pop(state).values()) for state in states]
+        needed: list[list[int]] = [[] for _ in range(n_max + 1)]  # per level, the states used there
+        for k, state in enumerate(states):
+            used = self.alive[state] & ((2 << (n_max - depth[state])) - 1)
             while used:
                 bit = used & -used
-                needed[bit.bit_length() - 1].append(state)
+                needed[bit.bit_length() - 1].append(k)
                 used ^= bit
         out = []
-        below: dict[tuple, object] = {}
         base = self.basis[0]
         held = charged = 0  # bytes of the values in the last table; of the two tables, charged
         for i in range(n_max + 1):
-            if i:
-                table = {s: sum(w * below.get(nxt, 0) for nxt, w in edges[s].items()) for s in needed[i]}
-            else:  # the leaf: the rows as ints read the prefactor
-                table = {s: self._leaf([sum(map(mul, row, base)) + row[-1] for row in s]) for s in needed[0]}
-            size = _value_bytes(table.values())
+            table = [0] * len(states)
+            for k in needed[i]:
+                if i:
+                    table[k] = sum(map(mul, weights[k], map(below.__getitem__, links[k])))
+                else:  # the leaf: the rows as ints read the prefactor
+                    table[k] = self._leaf([sum(map(mul, row, base)) + row[-1] for row in states[k]])
+            size = _value_bytes(map(table.__getitem__, needed[i]))
             if size + held > charged:
                 self._charge(size + held - charged, i)
                 charged = size + held
             held = size
-            out.append(table.get(start, 0))
+            out.append(table[0])  # the start state is state 0
             below = table
         return out
 

@@ -15,10 +15,13 @@ from fibgf.guess import (
     series_expand,
 )
 from fibgf.polynomials import (
+    ProductSpec,
+    convolve,
     fibonacci_product_spec,
     kbonacci_product_spec,
     stern_product_spec,
 )
+from fibgf.sequences import RecurrentSeq
 from fibgf.stats import CorrSpec, corr_series
 
 
@@ -186,6 +189,88 @@ def test_guess_fit_reproduces_every_term_and_is_reduced(args):
     assert got.den[0] == 1 and got.den_degree <= den_max
     assert series_expand(got, len(seq)) == seq
     assert _euclid_gcd_degree(got.num, got.den) <= 0
+
+
+def _fraction_berlekamp_massey(u: list[Fraction], l_max: int):
+    """The oracle: Massey's pass over Q, c[0] = 1, or None past ``l_max``."""
+    c, b = [Fraction(1)], [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for i, v in enumerate(u):
+        delta = v + sum(c[j] * u[i - j] for j in range(1, len(c)))
+        if delta == 0:
+            shift += 1
+            continue
+        prev = c
+        c = c + [Fraction(0)] * max(0, shift + len(b) - len(c))
+        f = delta / last
+        for j, bj in enumerate(b):
+            c[shift + j] -= f * bj
+        while c[-1] == 0:
+            c.pop()
+        if 2 * length <= i:
+            length = i + 1 - length
+            if length > l_max:
+                return None
+            b, last, shift = prev, delta, 1
+        else:
+            shift += 1
+    return c, length
+
+
+def _fraction_guess(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
+    """The oracle: ``guess_rational`` by the pass over Q."""
+    values = [Fraction(v) for v in seq]
+    m = len(values) - num_extra - holdout
+    found = _fraction_berlekamp_massey(values[num_extra + 1:], min(den_max, m // 2, m - 2))
+    if found is None:
+        return None
+    den, length = found
+    num_len = length + num_extra + 1
+    num = convolve(den, values[:num_len])[:num_len]
+    if all(c.denominator == 1 for c in (*num, *den)):
+        return RationalFunc([int(c) for c in num], [int(c) for c in den])
+    return RationalFunc([Fraction(c) for c in num], den)
+
+
+@st.composite
+def oracle_inputs(draw):
+    """Rational series with noise, or short sparse integer sequences, some
+    divided through by small denominators; fit parameters down to a zero
+    holdout and a den_max below the fit."""
+    if draw(st.booleans()):
+        seq, den_max, num_extra, holdout = draw(fit_inputs())
+    else:
+        seq = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, 5)), min_size=2, max_size=30))
+        den_max = draw(st.integers(0, 16))
+        num_extra = draw(st.integers(0, 3))
+        holdout = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        seq = [Fraction(v, draw(st.integers(1, 6))) for v in seq]
+    return seq, den_max, num_extra, holdout
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(oracle_inputs())
+def test_guess_matches_fraction_oracle(args):
+    seq, den_max, num_extra, holdout = args
+    if len(seq) < 2 + num_extra + holdout:
+        return
+    got = guess_rational(seq, den_max=den_max, num_extra=num_extra, holdout=holdout)
+    want = _fraction_guess(seq, den_max=den_max, num_extra=num_extra, holdout=holdout)
+    if want is None:
+        assert got is None
+        return
+    assert (got.num, got.den) == (want.num, want.den)
+    assert [type(c) for c in got.num + got.den] == [type(c) for c in want.num + want.den]
+
+
+def test_criterion_17_control_fits_order_81():
+    # (0,1,1) square sums are rational, of order 81; 201 walked terms pin it
+    seq = RecurrentSeq(coeffs=(0, 1, 1), init=(1, 1, 1))
+    data = corr_series(ProductSpec(exponent_seq=seq, n=0, h=1, a=(1,), offset=2), CorrSpec((2,)), 200)
+    got = guess_rational(data, den_max=100, holdout=6)
+    assert got is not None and got.den_degree == 81
+    assert series_expand(got, len(data)) == data
 
 
 def test_even_part():

@@ -326,6 +326,33 @@ def test_carry_states_are_charged_by_size():
         assert peak < automaton.stored, (m, peak, automaton.stored)
 
 
+def test_carry_charges_are_pinned(monkeypatch):
+    # conj-h-k's five series spend and store exactly these recorded amounts,
+    # so any change to the charges shows here
+    pins = {(2, 2, 22): (1621, 193500), (3, 2, 22): (2272, 250850), (4, 2, 22): (2719, 297600),
+            (2, 3, 30): (6070, 647100), (3, 3, 30): (8751, 829400)}
+    for (k, m, n_max), pin in pins.items():
+        spec = replace(kbonacci_product_spec(k, 0), n=n_max)
+        automaton = fibgf.carry._Carry(spec, m, fibgf.stream.stream_plan(spec, m, n_max).factors, None)
+        for n in range(n_max + 1):
+            automaton.row(n)
+        assert (automaton.work, automaton.stored) == pin, (k, m)
+    # in a fresh interpreter, as the command line runs, the automaton passes
+    # the cap at n = 21, after the stream (19)
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    code = (
+        "from fibgf.errors import ResourceLimitError\n"
+        "from fibgf.polynomials import kbonacci_product_spec\n"
+        "from fibgf.stats import residue_series\n"
+        "try:\n"
+        "    residue_series(kbonacci_product_spec(4, 0), 5, 200)\n"
+        "except ResourceLimitError as err:\n"
+        "    raise SystemExit(err.limit_n != 21)\n"
+        "raise SystemExit(1)\n"
+    )
+    assert _fresh_python(code) == 0
+
+
 def test_stream_budget_charges_numpy_import_only_while_unloaded():
     import numpy  # noqa: F401
 

@@ -319,10 +319,18 @@ def test_basis_walk_cap_names_limiting_n(monkeypatch):
     probe = kbonacci_product_spec(4, 0, t=T)
     with pytest.raises(ResourceLimitError) as err:
         corr_series(probe, CorrSpec((7,)), 200)
-    assert err.value.limit_n is not None
+    assert err.value.limit_n == 35  # the level tables pass the cap, not the build
     reach = err.value.limit_n - 1
-    assert 0 < reach < 200
     assert corr_series(probe, CorrSpec((7,)), reach)[:9] == corr_series(probe, CorrSpec((7,)), 8, engine="pure")
+
+
+def test_basis_walk_charges_are_pinned():
+    # the depth probe and the r = 7 power sums at k = 4 store exactly these
+    # recorded estimates, so any change to the charges shows here
+    for alpha, n_max, stored in (((2,), 200, 24948), ((7,), 34, 140452)):
+        walk = _BasisWalk(kbonacci_product_spec(4, 0), alpha, n_max)
+        walk.series()
+        assert walk.stored == stored, alpha
 
 
 def test_basis_states_are_charged_by_size():
