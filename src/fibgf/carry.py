@@ -30,17 +30,17 @@ walk.  Linear-recurrence digit systems are finite-state (Frougny, Math.
 Systems Theory 25, 1992), so for the presets the tables stay small.
 Recurrences whose carries grow without bound run into the work budget or
 the RGF_MAX_MEM_MB cap; each state is charged for its carries, successors
-and classes.
+and classes, and each row a series keeps for its m classes.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
-from .config import max_mem_bytes
+from .config import Meter
 from .errors import ResourceLimitError
 from .polynomials import ProductSpec
-from .stream import stream_plan
 from .walk import complete
 
 # Estimated bytes a stored state holds: a fixed part (table slot, key tuple,
@@ -52,6 +52,8 @@ STATE_BYTES = 500
 CARRY_BYTES = 100
 LINK_BYTES = 50
 CLASS_BYTES = 100
+# A kept row: a list slot per class, holding the completion map's counts.
+ROW_CLASS_BYTES = 8
 
 # The stream's cost in carry updates: an update takes 1.3 to 1.8 us, the stream
 # about 6.5 ns per coefficient of its partial products, and numpy's import and
@@ -70,27 +72,21 @@ def stream_budget(coefficients: int) -> int:
 
 
 class _Carry:
-    def __init__(self, spec: ProductSpec, m: int, factors: list, budget: int | None):
+    def __init__(self, spec: ProductSpec, m: int, budget: int | None):
+        """The automaton of factors 1..spec.n, read from ``spec.factor_terms``."""
         self.m = m
         self.budget = budget
-        self.max_bytes = max_mem_bytes()
         first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
         self.first = [c % m for c in first]
         self.degree = [len(first) - 1]  # degree[i]: the degree after factor i
         self.factors: list = [None]  # factor i >= 1: (D_i, ((e, a_e mod m), ...)), D_i = 0 for a factor 1
-        for terms in factors:
-            base = max((e for _, e in terms), default=0)
-            choices = ((0, 1),) + tuple((e, w) for w, e in terms if w)
-            self.factors.append((base, choices))
+        for terms in map(spec.factor_terms, range(1, spec.n + 1)):
+            base = terms[-1][1] if terms else 0
+            self.factors.append((base, ((0, 1),) + tuple((e, c % m) for c, e in terms if c % m)))
             self.degree.append(self.degree[-1] + base)
         self.tables: list[dict] = [{None: {0: 1}} for _ in self.factors]  # None: no carry left, class 0
-        self.stored = 0  # estimated bytes of the tables and the pending level
+        self.meter = Meter("carry automaton")  # estimated bytes of the tables and the pending level
         self.work = 0  # carry updates, prefactor reads and class merges
-
-    def _store(self, size: int, n: int) -> None:
-        self.stored += size
-        if self.stored > self.max_bytes:
-            raise ResourceLimitError(f"carry automaton's states pass {self.max_bytes} bytes at n = {n}", limit_n=n)
 
     def _spend(self, units: int, n: int) -> None:
         self.work += units
@@ -111,7 +107,7 @@ class _Carry:
                     total += count * first[v + r]
             total %= m
             classes[total] = classes.get(total, 0) + 1
-        self._store(STATE_BYTES + CARRY_BYTES * len(carries) + CLASS_BYTES * len(classes), n)
+        self.meter.charge(STATE_BYTES + CARRY_BYTES * len(carries) + CLASS_BYTES * len(classes), n)
         return classes
 
     def _successors(self, state: tuple, i: int, n: int) -> dict:
@@ -139,7 +135,7 @@ class _Carry:
                 out[below, kept] = get((below, kept), 0) + 1
             else:
                 out[None] = get(None, 0) + below + 1
-        self._store(STATE_BYTES + CARRY_BYTES * len(carries) + LINK_BYTES * len(out), n)
+        self.meter.charge(STATE_BYTES + CARRY_BYTES * len(carries) + LINK_BYTES * len(out), n)
         return out
 
     def _fold(self, succ: dict, below: dict, n: int) -> dict:
@@ -150,35 +146,34 @@ class _Carry:
         for nxt, ways in succ.items():
             for a, count in below[nxt].items():
                 classes[a] = get(a, 0) + ways * count
-        self._store(CLASS_BYTES * len(classes), n)
+        self.meter.charge(CLASS_BYTES * len(classes), n)
         return classes
 
     def row(self, n: int) -> list[int]:
         """[h(n, a) for a in 0..m-1]: the completion of the start state."""
-        if not self.first:  # P = 0
-            return [0] * self.m
-        start = (self.degree[n], ((0, 1),))
-        classes = complete(self.tables, start, n, self._successors, self._read_prefactor, self._fold)
-        return [classes.get(a, 0) for a in range(self.m)]
+        row = [0] * self.m
+        if self.first:  # P = 0 leaves every class empty
+            start = (self.degree[n], ((0, 1),))
+            for a, count in complete(self.tables, start, n, self._successors, self._read_prefactor, self._fold).items():
+                row[a] = count
+        return row
 
 
-def carry_residue_series(
-    spec: ProductSpec, m: int, n_max: int, budget: int | None = None, factors: list | None = None
-) -> list[list[int]]:
+def carry_residue_series(spec: ProductSpec, m: int, n_max: int, budget: int | None = None) -> list[list[int]]:
     """Per n in 0..n_max, [h(n, a) for a in 0..m-1] for the integer product ``spec``.
 
-    ``factors`` are ``stream_plan(spec, m, n_max).factors``, (a mod m, e) per
-    term of ``ProductSpec.factor_terms``, worked out here when not given.
     Raises ``ResourceLimitError`` with ``limit_n`` = the first n whose states
-    would pass the RGF_MAX_MEM_MB cap or, when ``budget`` is given,
-    whose carry updates, prefactor reads and class merges would pass
+    and kept rows would pass the RGF_MAX_MEM_MB cap or, when ``budget`` is
+    given, whose carry updates, prefactor reads and class merges would pass
     ``budget`` in total over the series.
     """
     if m < 2:
         raise ValueError("need m >= 2")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    if factors is None:
-        factors = stream_plan(spec, m, n_max).factors
-    automaton = _Carry(spec, m, factors, budget)
-    return [automaton.row(n) for n in range(n_max + 1)]
+    automaton = _Carry(replace(spec, n=n_max), m, budget)
+    rows = []
+    for n in range(n_max + 1):
+        automaton.meter.charge(ROW_CLASS_BYTES * m, n)  # the row, kept for the caller
+        rows.append(automaton.row(n))
+    return rows

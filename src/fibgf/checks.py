@@ -417,6 +417,12 @@ def check_exercise_note(nmax: int = 14, seeds=EXERCISE_SEEDS):
 
 # -- conjecture scans -----------------------------------------------------------
 
+def _check_ks(ks: tuple[int, ...]) -> None:
+    """The k-bonacci conjectures are stated for k >= 2: ValueError before any work."""
+    if min(ks, default=2) < 2:
+        raise ValueError(f"need k >= 2, got {min(ks)}")
+
+
 def scan_conj_v3k(ks: tuple[int, ...] = (2, 3, 4), terms: int = 28, sym_depth: int = 10):
     """Cube-sum scan: series agreement at t = 1, plus symbolic evidence.
 
@@ -425,6 +431,7 @@ def scan_conj_v3k(ks: tuple[int, ...] = (2, 3, 4), terms: int = 28, sym_depth: i
     both results are reported, and the status reflects the t = 1 series
     claim at the scanned depth.
     """
+    _check_ks(ks)
     evidence = {}
     t = TPoly.t()
     for k in ks:
@@ -455,6 +462,7 @@ def scan_conj_v3k(ks: tuple[int, ...] = (2, 3, 4), terms: int = 28, sym_depth: i
 
 
 def scan_conj_jrkx(ks: tuple[int, ...] = (2, 3, 4), rs: tuple[int, ...] = (4, 5, 6, 7), terms: int = 28):
+    _check_ks(ks)
     evidence = {}
     for k in ks:
         series = kbonacci_power_sums(k, tuple(rs), terms)
@@ -489,6 +497,7 @@ def scan_conj_drx(rs: tuple[int, ...] = (2, 3, 4, 5, 6, 7), kmax: int = 4, terms
 
 
 def scan_conj_h_k(ks: tuple[int, ...] = (2, 3, 4), depth: int = 22, depth31: int = 30):
+    _check_ks(ks)
     evidence = {}
     for k in ks:
         counts = residue_series(kbonacci_product_spec(k, 0), 2, depth)

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 
 from .checks import SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
 from .config import max_mem_bytes
@@ -100,14 +101,12 @@ def cmd_product(args) -> int:
 
 def cmd_triangle(args) -> int:
     t = TPoly.t() if args.symbolic else _parse_t(args.t or "1")
-    if args.action == "show":
-        for row in triangle_rows(args.rows, t=t):
-            print(format_row(row))
-        return EXIT_OK
     if args.action == "dot":
         print(frontier_poset(2, 3, args.rows).to_dot())
         return EXIT_OK
-    raise ValueError(f"unknown triangle action {args.action!r}")
+    for row in triangle_rows(args.rows, t=t):
+        print(format_row(row))
+    return EXIT_OK
 
 
 def cmd_guess(args) -> int:
@@ -137,16 +136,18 @@ def _emit_report(rep, as_json: bool) -> None:
         print(_report_line(rep))
 
 
-def _check_params(args) -> dict:
-    """The named check's parameters; ValueError for an --nmax it cannot take."""
-    if args.nmax is None:
-        return {}
-    if args.nmax < 0:
-        raise ValueError(f"need --nmax >= 0, got {args.nmax}")
-    taken = inspect.signature(VERIFY_CHECKS[args.name]).parameters
-    if "nmax" not in taken:
-        raise ValueError(f"verify {args.name} takes no --nmax; its parameters: {', '.join(taken) or 'none'}")
-    return {"nmax": args.nmax}
+def _params(label: str, check, flags: dict) -> dict:
+    """``check``'s parameters from flag -> (parameter, value), one value of a
+    tuple parameter as its one entry; ValueError for a parameter it lacks."""
+    taken = inspect.signature(check).parameters
+    params = {}
+    for flag, (param, value) in flags.items():
+        if value is None:
+            continue
+        if param not in taken:
+            raise ValueError(f"{label} takes no --{flag}; its parameters: {', '.join(taken) or 'none'}")
+        params[param] = (value,) if isinstance(taken[param].default, tuple) else value
+    return params
 
 
 def _run_or_error(name: str) -> CheckReport:
@@ -173,7 +174,10 @@ def cmd_verify(args) -> int:
         return EXIT_CHECK_FAILED if failed else EXIT_OK
     if args.name not in VERIFY_CHECKS:
         raise KeyError(f"unknown check {args.name!r}; known: {', '.join(sorted(VERIFY_CHECKS))}")
-    rep = run_check("verify", args.name, **_check_params(args))
+    if args.nmax is not None and args.nmax < 0:
+        raise ValueError(f"need --nmax >= 0, got {args.nmax}")
+    params = _params(f"verify {args.name}", VERIFY_CHECKS[args.name], {"nmax": ("nmax", args.nmax)})
+    rep = run_check("verify", args.name, **params)
     _emit_report(rep, args.json)
     return EXIT_OK if rep.status == "pass" else EXIT_CHECK_FAILED
 
@@ -181,21 +185,17 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     if args.name not in SCAN_CHECKS:
         raise KeyError(f"unknown scan {args.name!r}; known: {', '.join(sorted(SCAN_CHECKS))}")
-    params = {}
-    if args.k is not None and args.name in ("conj-v3k", "conj-jrkx", "conj-h-k"):
-        params["ks"] = (args.k,)
-    if args.r is not None and args.name in ("conj-jrkx", "conj-drx"):
-        params["rs"] = (args.r,)
-    if args.kmax is not None and args.name == "conj-drx":
-        params["kmax"] = args.kmax
-    if args.terms is not None:
-        params["terms" if args.name in ("conj-v3k", "conj-jrkx", "conj-drx") else "depth"] = args.terms
-    rep = run_check("scan", args.name, **params)
+    scan = SCAN_CHECKS[args.name]
+    terms = "terms" if "terms" in inspect.signature(scan).parameters else "depth"
+    flags = {"k": ("ks", args.k), "r": ("rs", args.r), "kmax": ("kmax", args.kmax), "terms": (terms, args.terms)}
+    rep = run_check("scan", args.name, **_params(f"scan {args.name}", scan, flags))
     _emit_report(rep, args.json)
     return EXIT_OK if rep.status in ("pass", "inconclusive") else EXIT_CHECK_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fibgf`` parser, built once per process and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="fibgf",
         description="Exact coefficient statistics of recurrence-exponent products, "

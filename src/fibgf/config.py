@@ -1,18 +1,19 @@
-"""Resource caps for the polynomial engines.
+"""Resource caps: one ``Meter`` per structure against ``RGF_MAX_MEM_MB``.
 
-``RGF_MAX_MEM_MB`` caps the estimated footprint of the pure engine's dense
-coefficient list, of the residue stream's one array plus its block
-temporaries, of the states the difference walk and the residue carry
-automaton store, and of the rows and elements the P_ib frontier keeps (the
-triangle poset is ``frontier_poset(2, 3, n)``).  The default is generous for
-desk-scale work but stops runaway expansions with a clean error.  Unset or
-empty means the default; any other value but a positive integer is a
+The cap bounds the estimated bytes each structure holds: the dense product,
+triangle rows, golden partials, the residue stream's arrays and rows, the
+walk's states, the carry automaton's states and rows, and the P_ib
+frontier's rows and elements.  Each engine charges its own estimates to a
+``Meter``, which raises the one ``ResourceLimitError`` of the cap.  Unset
+or empty means the default; any other value but a positive integer is a
 ValueError.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import ResourceLimitError
 
 DEFAULT_MAX_MEM_MB = 6144
 
@@ -31,3 +32,19 @@ def max_mem_bytes() -> int:
     if mb < 1:
         raise ValueError(f"RGF_MAX_MEM_MB must be a positive integer of megabytes, got {raw!r}")
     return mb * (1 << 20)
+
+
+class Meter:
+    """The bytes one structure holds, ``used``, against the cap read once; a
+    structure that frees what it held charges a negative size."""
+
+    def __init__(self, what: str):
+        self.what, self.cap, self.used = what, max_mem_bytes(), 0
+
+    def charge(self, size: int, n: int) -> None:
+        """Add ``size``; past the cap, raise with ``limit_n`` = n."""
+        self.used += size
+        if self.used > self.cap:
+            raise ResourceLimitError(
+                f"{self.what} needs {self.used} bytes at n = {n}, over the RGF_MAX_MEM_MB cap", limit_n=n
+            )

@@ -25,9 +25,9 @@ from itertools import compress, count, repeat
 from math import isqrt
 from operator import add, and_, eq, mul, not_, sub
 
-from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
-from .errors import InvariantError, ResourceLimitError
-from .sequences import GoldenInt, RecurrentSeq, phi_power
+from .config import PYOBJ_BYTES_PER_COEFF, Meter
+from .errors import InvariantError
+from .sequences import GoldenInt, RecurrentSeq, fibonacci, phi_power
 
 
 def convolve(a, b) -> list:
@@ -321,15 +321,6 @@ class ProductSpec:
         return total
 
 
-def _guard_size(n_coeffs: int, at_n: int):
-    if n_coeffs * PYOBJ_BYTES_PER_COEFF > max_mem_bytes():
-        raise ResourceLimitError(
-            f"dense product would need {n_coeffs} coefficients at factor {at_n}, "
-            f"over the RGF_MAX_MEM_MB cap",
-            limit_n=at_n,
-        )
-
-
 # entries per slice add in ``_multiply_dense``: a slice assignment holds one
 # block's new entries besides the row (hnfn's rows hold ints of 400 bits)
 _ADD_BLOCK = 1024
@@ -371,7 +362,7 @@ def partial_products(spec: ProductSpec):
     on the first ``next``, before any work, when the dense list of the whole
     product would pass the RGF_MAX_MEM_MB cap.
     """
-    _guard_size(spec.degree_bound() + 1, spec.n)
+    Meter("dense product").charge(PYOBJ_BYTES_PER_COEFF * (spec.degree_bound() + 1), spec.n)
     acc = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     yield _partial(acc)
     for i in range(1, spec.n + 1):
@@ -447,6 +438,11 @@ def _golden_series(a: list, b: list, coeffs: list) -> GoldenSeries:
     return series
 
 
+# What a golden step holds per term of the partial it builds: both columns,
+# the shifted copies, the sort's temporaries (tracemalloc: 303 at most).
+GOLDEN_TERM_BYTES = 400
+
+
 def golden_partials(n_max: int):
     """Yield the expansions of prod_{i=0}^{n-1} (1 + x^{phi^i}) for
     n = 0..n_max, each from the one before, with exact Z[phi] exponents.
@@ -463,13 +459,18 @@ def golden_partials(n_max: int):
     d >= 1 / |d*| > phi^(-2) > 1/4 and floor(4e') >= floor(4e + 1) >
     floor(4e).  A step shifts a copy of every pair by phi^i, sorts the
     pairs of both copies by key and adds the coefficients of equal keys,
-    all in bulk list operations.
+    all in bulk list operations.  Partial n has F_{n+3} - 1 terms, as many as
+    the Fibonacci product; the step to it charges GOLDEN_TERM_BYTES for each
+    of the F_{n+1} terms it adds, with ``limit_n`` = n.
     """
     if n_max < 0:
         raise ValueError("n must be >= 0")
+    meter = Meter("golden partials")
+    meter.charge(GOLDEN_TERM_BYTES, 0)
     a, b, coeffs, keys = [0], [0], [1], [0]
     yield _golden_series(a, b, coeffs)
     for i in range(n_max):
+        meter.charge(GOLDEN_TERM_BYTES * fibonacci(i + 2), i + 1)
         shift = phi_power(i)
         sa, sb = shift.a, shift.b
         a2 = [x + sa for x in a]

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import eq
 
 from . import stream
-from .config import PYOBJ_BYTES_PER_COEFF, max_mem_bytes
-from .errors import InvariantError, ResourceLimitError
+from .config import PYOBJ_BYTES_PER_COEFF, Meter
+from .errors import InvariantError
+from .polynomials import fibonacci_product_spec, partial_products
 from .sequences import fibonacci, prec_compare_reps, zeckendorf
 
 
@@ -74,13 +76,6 @@ POSET_ELEMENT_BYTES = 90
 FRONTIER_STEP_BYTES = 32 * 1024
 
 
-def _check_frontier_cap(n: int, nbytes: int):
-    if nbytes > max_mem_bytes():
-        raise ResourceLimitError(
-            f"ranks up to {n} need about {nbytes} bytes, over the RGF_MAX_MEM_MB cap", limit_n=n
-        )
-
-
 # -- sigma edge labels --------------------------------------------------------
 
 PHASE_CONVENTIONS = (
@@ -117,16 +112,10 @@ def _assign_sigma(poset: PosetSlice, n_max: int, convention) -> list[list[int]] 
     return sigma
 
 
-def _subset_sum_counts(n: int, limit: int) -> list[int]:
-    """counts[s] = number of subsets of {F_2..F_{n+1}} summing to s <= limit."""
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    for i in range(2, n + 2):
-        f = fibonacci(i)
-        for s in range(limit, f - 1, -1):
-            if counts[s - f]:
-                counts[s] += counts[s - f]
-    return counts
+def _rank_holds(labels: list[int], chains: list[int], counts: list[int]) -> bool:
+    """Whether a rank's labels are exactly 0..deg of its product and each
+    element's chain count is the product's coefficient at its label."""
+    return sorted(labels) == list(range(len(counts))) and all(map(eq, chains, map(counts.__getitem__, labels)))
 
 
 def sigma_labels(poset: PosetSlice, n_max: int) -> dict:
@@ -136,39 +125,27 @@ def sigma_labels(poset: PosetSlice, n_max: int) -> dict:
     carries the zero label, per rank parity), keeps those for which all
     chains to an element share one sum, the rank-n labels are exactly
     {0..F_{n+3}-2}, and the chain count of each element equals the number of
-    subsets of {F_2..F_{n+1}} with that sum.  Raises InvariantError if no
-    convention survives.
+    subsets of {F_2..F_{n+1}} with that sum, read off the Fibonacci partial
+    products.  Raises InvariantError if no convention survives.
     """
     if n_max > poset.depth:
         raise ValueError("poset not built deep enough")
     chain_counts = poset.chain_counts()
-    surviving: list[dict] = []
-    for convention in PHASE_CONVENTIONS:
-        sigma = _assign_sigma(poset, n_max, convention)
-        if sigma is None:
-            continue
-        ok = True
-        for n in range(1, n_max + 1):
-            labels = sigma[n]
-            top = fibonacci(n + 3) - 2
-            if sorted(labels) != list(range(top + 1)):
-                ok = False
-                break
-            counts = _subset_sum_counts(n, top)
-            if any(chain_counts[n][k] != counts[labels[k]] for k in range(len(labels))):
-                ok = False
-                break
-        if ok:
-            surviving.append({"convention": convention, "sigma": sigma})
-    if not surviving:
+    sigmas = {c: sigma for c in PHASE_CONVENTIONS if (sigma := _assign_sigma(poset, n_max, c)) is not None}
+    # the n-factor Fibonacci product counts the subsets of {F_2..F_{n+1}} by their sum
+    products = partial_products(fibonacci_product_spec(n_max))
+    next(products)
+    for n, product in enumerate(products, 1):
+        counts = product.dense_coefficients()
+        sigmas = {c: sigma for c, sigma in sigmas.items() if _rank_holds(sigma[n], chain_counts[n], counts)}
+    if not sigmas:
         raise InvariantError("no edge-label phase convention satisfies the sigma invariants")
-    chosen = surviving[0]
-    sequences = {n: list(chosen["sigma"][n]) for n in range(1, n_max + 1)}
+    convention, sigma = next(iter(sigmas.items()))
     return {
-        "convention": chosen["convention"],
-        "conventions_passing": [s["convention"] for s in surviving],
-        "sigma": chosen["sigma"],
-        "sequences": sequences,
+        "convention": convention,
+        "conventions_passing": list(sigmas),
+        "sigma": sigma,
+        "sequences": {n: list(sigma[n]) for n in range(1, n_max + 1)},
     }
 
 
@@ -463,6 +440,7 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
     automaton = FrontierAutomaton(i, b, dtype)
     count_bytes = PYOBJ_BYTES_PER_COEFF if dtype == object else dtype.itemsize
     gap_bytes = automaton.gaps.itemsize
+    meter = Meter("frontier rows")
     q, r = [1], []
     for n in range(1, n_max + 1):
         sizes = automaton.block_sizes()
@@ -481,7 +459,7 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
             block = max(block, held + old * gap_bytes + kids * count_bytes + max(built, checked))
             held = kids * (count_bytes + gap_bytes)
         kept = q[n - 1] + (q[n] if n < n_max else 0)
-        _check_frontier_cap(n, kept * (count_bytes + gap_bytes) + block + FRONTIER_STEP_BYTES)
+        meter.charge(kept * (count_bytes + gap_bytes) + block + FRONTIER_STEP_BYTES - meter.used, n)
         if q[n] != (i**n if n < b else i * q[n - 1] - (i - 1) * q[n - b]):
             raise InvariantError("rank sizes fail the q-recurrence", detail=n)
         r.append((q[n] - q[n - 1]) // (i - 1))
@@ -507,8 +485,9 @@ def frontier_poset(i: int, b: int, n_max: int) -> PosetSlice:
     automaton = FrontierAutomaton(i, b)
     parents: list[list[tuple[int, ...]]] = [[()]]
     kept = 1
+    meter = Meter("poset elements")
     for n in range(1, n_max + 1):
-        _check_frontier_cap(n, (kept + automaton.size * i) * POSET_ELEMENT_BYTES)
+        meter.charge((kept + automaton.size * i) * POSET_ELEMENT_BYTES - meter.used, n)
         rank: list[tuple[int, ...]] = [(0,)] * i
         for u, gap in enumerate(automaton.gaps.tolist(), 1):
             both = gap == 1

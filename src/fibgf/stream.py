@@ -7,10 +7,10 @@ array, as long as the last partial product, of the narrowest unsigned dtype
 that holds one factor's sums, so depth-30 pipelines mod 2 and 3 stay on one
 byte per coefficient.  Each factor rewrites the array in place from the top
 down, one ``CHUNK``-sized block at a time, and every block is reduced mod m
-and counted while it is still in cache.  The pure-Python engine in
-``polynomials``/``stats`` is the small-depth oracle of both.  numpy is
-imported on first use, so that sizing a series (``stream_plan``) and
-``import fibgf`` stay numpy-free.
+and counted while it is still in cache.  ``stream_plan`` sizes a series
+from the spec alone, for ``stats`` and for ``residue_series_fast``, which
+charges its footprint to the cap before any work.  numpy is imported on
+first use, so that sizing a series and ``import fibgf`` stay numpy-free.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .config import max_mem_bytes
-from .errors import ResourceLimitError
+from .config import PYOBJ_BYTES_PER_COEFF, Meter, max_mem_bytes
 from .polynomials import ProductSpec
 
 CHUNK = 1 << 16
@@ -67,6 +66,7 @@ class StreamPlan(NamedTuple):
     factors: list[list[tuple[int, int]]]
     lengths: list[int]  # of the partial products for n = 0..n_max
     itemsize: int  # bytes per entry
+    footprint: list[int]  # bytes held for n = 0..n_max
     limit: int | None  # the first n whose footprint passes the RGF_MAX_MEM_MB cap
 
 
@@ -77,7 +77,8 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     (m - 1) * sum_j (a_j mod m) to one, so an entry takes the smallest
     unsigned width that holds (m - 1) * (1 + sum_j (a_j mod m)); past 8 bytes
     this raises ValueError.  The footprint of n factors is the array of their
-    product and the block temporaries.
+    product, the block temporaries, the two m-length counts and the rows
+    0..n, which the series keeps.
     """
     bound = (m - 1) * (1 + sum(aj % m for aj in spec.a))
     itemsize = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size)), None)
@@ -87,33 +88,32 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     lengths = [1 if spec.prefactor is None else spec.prefactor.degree + 1]
     for terms in factors:
         lengths.append(lengths[-1] + (terms[-1][1] if terms else 0))
-    # h source copies of one block, and bincount's intp copy of it
-    temporaries = CHUNK * (len(spec.a) * itemsize + 8)
+    # h source copies of a block, bincount's intp copy of it; a factor's and a block's int64 counts
+    temporaries = CHUNK * (len(spec.a) * itemsize + 8) + 16 * m
+    footprint, rows = [], 0
+    for length in lengths:
+        rows += 8 * m + PYOBJ_BYTES_PER_COEFF * min(m, length)  # m list slots; an int per nonzero count
+        footprint.append(length * itemsize + temporaries + rows)
     cap = max_mem_bytes()
-    limit = next((i for i, length in enumerate(lengths) if length * itemsize + temporaries > cap), None)
-    return StreamPlan(factors, lengths, itemsize, limit)
+    limit = next((n for n, size in enumerate(footprint) if size > cap), None)
+    return StreamPlan(factors, lengths, itemsize, footprint, limit)
 
 
-def residue_series_fast(spec: ProductSpec, m: int, n_max: int, plan: StreamPlan | None = None) -> list[list[int]]:
+def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
     """Counts of coefficients in each residue class mod m, per factor count.
 
-    ``spec`` has integer coefficients; ``plan`` is ``stream_plan(spec, m,
-    n_max)``, worked out here when not given.  Raises
-    ResourceLimitError(limit_n=i) before any work when the array of the first
-    i factors and the block temporaries would pass the RGF_MAX_MEM_MB cap.
+    ``spec`` has integer coefficients.  Raises ResourceLimitError(limit_n=n)
+    before any work when the footprint of ``stream_plan`` at n would pass the
+    RGF_MAX_MEM_MB cap.
     """
     import numpy as np
 
-    factors, lengths, itemsize, limit = stream_plan(spec, m, n_max) if plan is None else plan
+    factors, lengths, itemsize, footprint, limit = stream_plan(spec, m, n_max)
+    if limit is not None:
+        Meter("residue stream").charge(footprint[limit], limit)
     first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     if not first:
         return [[0] * m for _ in range(n_max + 1)]
-    if limit is not None:
-        raise ResourceLimitError(
-            f"streaming product needs {lengths[limit]} coefficients at factor {limit}, "
-            f"over the RGF_MAX_MEM_MB cap",
-            limit_n=limit,
-        )
     arr = np.zeros(lengths[-1], dtype=f"u{itemsize}")
     arr[: len(first)] = [c % m for c in first]
     # bincount takes intp input (numpy 1.x refuses to cast uint64)

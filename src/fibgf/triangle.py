@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import mul
 
+from .config import PYOBJ_BYTES_PER_COEFF, Meter
 from .errors import InvariantError
 from .polynomials import TPoly, fibonacci_product_spec, partial_products
+from .sequences import fibonacci
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,17 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
 
 
 def triangle_rows(n_max: int, t=1):
-    """Yield rows 1..n_max (none when n_max = 0); ValueError for a negative n_max."""
+    """Yield rows 1..n_max (none when n_max = 0); ValueError for a negative n_max.
+
+    Row n has F_{n+3} - 1 entries, as its product has coefficients, and is
+    built while row n - 1 is held: step n charges the F_{n+2} entries by which
+    row n outgrows row n - 2 at ``PYOBJ_BYTES_PER_COEFF`` each, limit_n = n."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    meter = Meter("triangle rows")
     row = None
-    for _ in range(n_max):
+    for n in range(1, n_max + 1):
+        meter.charge(PYOBJ_BYTES_PER_COEFF * fibonacci(n + 2), n)
         row = first_row(t) if row is None else next_row(row, t)
         yield row
 
@@ -172,16 +180,17 @@ def verify_m_recurrence(n_max: int) -> dict:
     """Check v(n+1) = M v(n) and A1+A2+A3 = sum of squared entries, n < n_max.
 
     Returns a report with the first index where the matrix recurrence holds
-    onward, the verified range, and any failure detail.
+    onward, the verified range, and any failure detail.  Of each row only
+    its vector is kept.
     """
-    rows = list(triangle_rows(n_max, t=1))
-    vs = [a_vector(r) for r in rows]
-    sq = [sum(map(mul, r.entries, r.entries)) for r in rows]
+    vs, sum_ok = [], True
+    for row in triangle_rows(n_max, t=1):
+        vs.append(a_vector(row))
+        sum_ok = sum_ok and sum(vs[-1][:3]) == sum(map(mul, row.entries, row.entries))
     failures = []
     for n in range(1, n_max):
         if _mat_vec(MARK_MATRIX, vs[n - 1]) != vs[n]:
             failures.append({"n": n, "v_n": vs[n - 1], "v_next": vs[n]})
-    sum_ok = all(vs[n - 1][0] + vs[n - 1][1] + vs[n - 1][2] == sq[n - 1] for n in range(1, n_max + 1))
     return {
         "status": "pass" if not failures and sum_ok else "fail",
         "checked_until": n_max,

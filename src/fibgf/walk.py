@@ -75,8 +75,7 @@ from math import factorial
 from operator import add, mul, sub
 from sys import getsizeof
 
-from .config import max_mem_bytes
-from .errors import ResourceLimitError
+from .config import Meter
 from .polynomials import ProductSpec, _multiply_dense
 
 # Estimated bytes per stored state of the level walk (key tuple, table entry,
@@ -162,7 +161,7 @@ def complete(tables: list[dict], start, n: int, expand, leaf, fold):
 
 class _Rows:
     """What both walks share: the row groups of an alpha whose first offset
-    is 0, the prefactor leaf and the charge against RGF_MAX_MEM_MB."""
+    is 0, the prefactor leaf and the meter of the RGF_MAX_MEM_MB cap."""
 
     def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
         self.spec = spec
@@ -172,16 +171,7 @@ class _Rows:
         self.offsets = [j for j in active for _ in range(alpha[j])]
         self.prefactor = {0: 1} if spec.prefactor is None else dict(spec.prefactor.items())
         self.ends = (min(self.prefactor), max(self.prefactor)) if self.prefactor else (0, 0)
-        self.stored = 0  # estimated bytes kept
-        self.max_bytes = max_mem_bytes()
-
-    def _charge(self, size: int, n: int) -> None:
-        self.stored += size
-        if self.stored > self.max_bytes:
-            raise ResourceLimitError(
-                f"difference walk needs {self.stored} bytes at n = {n}, over the RGF_MAX_MEM_MB cap",
-                limit_n=n,
-            )
+        self.meter = Meter("difference walk")  # estimated bytes kept
 
     def _leaf(self, vals):
         """The weight of the ways rows with int values ``vals`` each take a
@@ -233,7 +223,7 @@ class _LevelWalk(_Rows):
     def _successors(self, state: tuple, i: int, n: int) -> dict[tuple, object]:
         """Weighted states after reading factor i >= 1, pruned by the slack
         below it; the state is charged to v(n)."""
-        self._charge(LEVEL_STATE_BYTES, n)
+        self.meter.charge(LEVEL_STATE_BYTES, n)
         limit = self.slack[i - 1]
         partial = [((), 1, None, None)]  # (values, weight, least, largest)
         pos = 0
@@ -263,7 +253,7 @@ class _LevelWalk(_Rows):
 
     def _charged_leaf(self, state: tuple, n: int):
         """The leaf of ``state``, charged to v(n)."""
-        self._charge(LEVEL_STATE_BYTES, n)
+        self.meter.charge(LEVEL_STATE_BYTES, n)
         return self._leaf(state)
 
     @staticmethod
@@ -413,14 +403,14 @@ class _BasisWalk(_Rows):
         frontier = [start]
         t = 0
         while frontier:
-            self._charge(STATE_BYTES * len(frontier), t)
+            self.meter.charge(STATE_BYTES * len(frontier), t)
             found = []
             for state in frontier:
                 # the levels where the state is alive and reachable, one below
                 window = (self.alive[state] & ((2 << (n_max - t)) - 1)) >> 1
                 edges[state] = succ = self._expand(state, window) if window else {}
                 # links are used from depth t + 1 on; a weight is charged by its size
-                self._charge(LINK_BYTES * len(succ) + _value_bytes(succ.values()), t + 1)
+                self.meter.charge(LINK_BYTES * len(succ) + _value_bytes(succ.values()), t + 1)
                 for nxt in succ:
                     if nxt not in depth:
                         depth[nxt] = t + 1
@@ -450,7 +440,7 @@ class _BasisWalk(_Rows):
                     table[k] = self._leaf([sum(map(mul, row, base)) + row[-1] for row in states[k]])
             size = _value_bytes(map(table.__getitem__, needed[i]))
             if size + held > charged:
-                self._charge(size + held - charged, i)
+                self.meter.charge(size + held - charged, i)
                 charged = size + held
             held = size
             out.append(table[0])  # the start state is state 0

@@ -11,12 +11,14 @@ import fibgf.checks
 import fibgf.cli
 from fibgf.carry import stream_budget
 from fibgf.cli import main
+from fibgf.config import Meter
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import CoeffPoly, ProductSpec, build_product, fibonacci_product_spec, kbonacci_product_spec
 from fibgf.sequences import GoldenInt, RecurrentSeq
 from fibgf.stats import CorrSpec, corr_series, residue_series
 from fibgf.stream import stream_plan
 from fibgf.triangle import format_row, triangle_rows
+from oracle import pure_residue_series
 
 
 def run_cli(capsys, *argv):
@@ -49,7 +51,7 @@ def test_congruence(capsys):
     assert code == 0
     counts = [int(v) for v in json.loads(out)]
     assert len(counts) == 21
-    pure = residue_series(kbonacci_product_spec(3, 0), 200, 12, engine="pure")
+    pure = pure_residue_series(kbonacci_product_spec(3, 0), 200, 12)
     assert counts[:13] == [row[1] for row in pure]
 
 
@@ -219,7 +221,7 @@ def test_residue_cap_exit_code(tmp_path, monkeypatch, capsys):
     assert raised.value.limit_n == limit
     counts = residue_series(spec, 2, limit - 1)
     monkeypatch.delenv("RGF_MAX_MEM_MB")  # the pure oracle charges 32 bytes a coefficient
-    assert counts == residue_series(spec, 2, limit - 1, engine="pure")
+    assert counts == pure_residue_series(spec, 2, limit - 1)
 
 
 def test_residue_past_stream_cap_stops_at_carry_budget(monkeypatch, capsys):
@@ -339,3 +341,88 @@ def test_custom_sequence_spec(tmp_path, capsys):
     assert code == 0
     vals = [int(v) for v in json.loads(out)]
     assert vals[0] == 1 and all(v > 0 for v in vals)
+
+
+def test_scan_refuses_flags_it_cannot_take(capsys):
+    for argv, flag, taken in (
+        (("conj-hpn", "--k", "3", "--r", "9", "--kmax", "5"), "k", "depth, den_max, holdout"),
+        (("conj-drx", "--k", "3"), "k", "rs, kmax, terms"),
+        (("conj-v3k", "--r", "4"), "r", "ks, terms, sym_depth"),
+        (("conj-jrkx", "--kmax", "3"), "kmax", "ks, rs, terms"),
+        (("conj-h-k", "--r", "3"), "r", "ks, depth, depth31"),
+    ):
+        code, out, err = run_cli(capsys, "scan", *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: scan {argv[0]} takes no --{flag}; its parameters: {taken}\n"
+
+
+def test_scan_maps_each_flag_to_its_parameter(monkeypatch, capsys):
+    seen = {}
+
+    def record(kind, name, **params):
+        seen[name] = params
+        return fibgf.checks.CheckReport(check=name, params=params, status="pass")
+
+    monkeypatch.setattr(fibgf.cli, "run_check", record)
+    for argv in (
+        ("conj-v3k", "--k", "3", "--terms", "12"),
+        ("conj-jrkx", "--k", "2", "--r", "5", "--terms", "14"),
+        ("conj-drx", "--r", "6", "--kmax", "3", "--terms", "20"),
+        ("conj-h-k", "--k", "3", "--terms", "12"),
+        ("conj-hpn", "--terms", "30"),
+    ):
+        assert run_cli(capsys, "scan", *argv)[0] == 0
+    assert seen == {
+        "conj-v3k": {"ks": (3,), "terms": 12},
+        "conj-jrkx": {"ks": (2,), "rs": (5,), "terms": 14},
+        "conj-drx": {"rs": (6,), "kmax": 3, "terms": 20},
+        "conj-h-k": {"ks": (3,), "depth": 12},
+        "conj-hpn": {"depth": 30},
+    }
+
+
+def test_scan_refuses_k_below_2(capsys):
+    # the conjectures are stated for k >= 2; conj-jrkx at k = 1 would walk for about a minute
+    for name in ("conj-v3k", "conj-jrkx", "conj-h-k"):
+        code, out, err = run_cli(capsys, "scan", name, "--k", "1")
+        assert code == 2 and out == "", name
+        assert err == "error: need k >= 2, got 1\n"
+
+
+def test_meter_names_its_structure_and_the_first_failing_n(monkeypatch):
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    meter = Meter("widget rows")
+    meter.charge(1 << 20, 3)
+    meter.charge(-5, 4)
+    with pytest.raises(ResourceLimitError) as err:
+        meter.charge(6, 5)
+    assert err.value.limit_n == 5
+    assert str(err.value) == "widget rows needs 1048577 bytes at n = 5, over the RGF_MAX_MEM_MB cap"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("triangle", "show", "--rows", "24"),
+        ("verify", "m-recurrence", "--nmax", "24"),
+        ("verify", "runs", "--nmax", "24"),
+    ],
+)
+def test_rows_and_partials_stop_at_the_cap(argv, monkeypatch, capsys):
+    # triangle rows and golden partials are charged per n, so past 1 MB each
+    # exits 4 (as `product --nmax 24` does), and limit_n - 1 runs
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 4 and err.startswith("error:"), argv
+    limit = int(err.rsplit("limit_n = ", 1)[1].rstrip(")\n"))
+    assert 0 < limit <= 24
+    code, _, err = run_cli(capsys, *argv[:-1], str(limit - 1))
+    assert code == 0 and err == "", argv
+
+
+def test_residue_rows_stop_at_the_cap(monkeypatch, capsys):
+    # one row of 10^6 classes passes 1 MB, in either engine
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    code, out, err = run_cli(capsys, "congruence", "--m", "1000000", "--a", "1", "--nmax", "3")
+    assert code == 4 and out == ""
+    assert err.endswith("(limit_n = 0)\n")

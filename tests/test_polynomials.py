@@ -429,3 +429,13 @@ def test_kbonacci_products():
     assert p.degree == 1 + 3 + 5 + 9
     s = build_product(stern_product_spec(2))
     assert s.dense_coefficients() == [1, 1, 2, 1, 2, 1, 1]
+
+
+def test_golden_partials_are_charged_until_the_cap(monkeypatch):
+    # GOLDEN_TERM_BYTES a term: partial 16, with F_19 - 1 = 4180 terms, passes 1 MB
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    with pytest.raises(ResourceLimitError) as err:
+        for _ in golden_partials(24):
+            pass
+    assert err.value.limit_n == 16
+    assert len(golden_series(15)) == fibonacci(18) - 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fibgf.poset
 import fibgf.stream
+from fibgf.config import Meter
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
 from fibgf.poset import (
@@ -321,13 +322,13 @@ def test_frontier_grow_charges_what_is_alive_together(i, b, n_max, monkeypatch):
     # that gave every block CHUNK * i children, though for b = 2 about a third
     # are shared, read 1.7 times it at (4, 2, 11) and (5, 2, 9))
     charges = []
-    real = fibgf.poset._check_frontier_cap
 
-    def record(n, nbytes):
-        charges.append(nbytes)
-        real(n, nbytes)
+    class Recording(Meter):
+        def charge(self, size, n):
+            super().charge(size, n)
+            charges.append(self.used)
 
-    monkeypatch.setattr(fibgf.poset, "_check_frontier_cap", record)
+    monkeypatch.setattr(fibgf.poset, "Meter", Recording)
     tracemalloc.start()
     try:
         frontier_grow(i, b, n_max)

@@ -27,13 +27,8 @@ from fibgf.polynomials import (
     stern_product_spec,
 )
 from fibgf.sequences import RecurrentSeq, fibonacci
-from fibgf.stats import (
-    CorrSpec,
-    _residue_classes,
-    corr_series,
-    corr_sum,
-    residue_series,
-)
+from fibgf.stats import CorrSpec, corr_series, corr_sum, residue_series
+from oracle import pure_corr_series, pure_residue_series
 
 
 def _fresh_python(code: str) -> int:
@@ -112,7 +107,7 @@ def test_engines_agree():
     for spec in specs:
         for alpha in alphas:
             a = CorrSpec(alpha)
-            assert corr_series(spec, a, 9, engine="pure") == corr_series(spec, a, 9)
+            assert pure_corr_series(spec, a, 9) == corr_series(spec, a, 9)
 
 
 def test_walk_agrees_on_mixed_alphas():
@@ -123,26 +118,26 @@ def test_walk_agrees_on_mixed_alphas():
     ]
     for spec in specs:
         for alpha in alphas:
-            assert corr_series(spec, CorrSpec(alpha), 10) == corr_series(spec, CorrSpec(alpha), 10, engine="pure")
+            assert corr_series(spec, CorrSpec(alpha), 10) == pure_corr_series(spec, CorrSpec(alpha), 10)
 
 
 def test_walk_agrees_with_large_values():
     # the three-term window product's coefficients grow fast
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=3, a=(0, 1, 1))
-    pure = corr_series(spec, CorrSpec((1, 1)), 12, engine="pure")
+    pure = pure_corr_series(spec, CorrSpec((1, 1)), 12)
     assert corr_series(spec, CorrSpec((1, 1)), 12) == pure
 
 
 def test_residue_count_examples():
-    i2 = build_product(fibonacci_product_spec(2))
-    assert _residue_classes(i2, 2)[1] == 4
-    assert _residue_classes(i2, 2)[0] == 0
-    assert _residue_classes(build_product(fibonacci_product_spec(0)), 2)[1] == 1
-    for engine in ("auto", "pure"):
-        with pytest.raises(ValueError):
-            residue_series(fibonacci_product_spec(0), 1, 2, engine=engine)
-        with pytest.raises(ValueError):
-            residue_series(fibonacci_product_spec(0, t=TPoly.t()), 2, 2, engine=engine)
+    # (1 + x)(1 + x^2) has four odd coefficients; the empty product one
+    rows = pure_residue_series(fibonacci_product_spec(0), 2, 2)
+    assert rows[2] == [0, 4]
+    assert rows[0] == [0, 1]
+    assert residue_series(fibonacci_product_spec(0), 2, 2) == rows
+    with pytest.raises(ValueError):
+        residue_series(fibonacci_product_spec(0), 1, 2)
+    with pytest.raises(ValueError):
+        residue_series(fibonacci_product_spec(0, t=TPoly.t()), 2, 2)
 
 
 def test_residue_series_row_sum_identity():
@@ -165,30 +160,27 @@ def test_odd_counts_equal_alternating_nonzero_counts():
 def test_residue_engines_agree():
     spec = fibonacci_product_spec(0)
     for m in (2, 3, 4, 129, 256, 1000):
-        assert residue_series(spec, m, 14, engine="pure") == residue_series(spec, m, 14), m
+        assert pure_residue_series(spec, m, 14) == residue_series(spec, m, 14), m
     # negative coefficients reduce correctly mod m
     spec = fibonacci_product_spec(0, t=-1)
-    assert residue_series(spec, 3, 12, engine="pure") == residue_series(spec, 3, 12)
+    assert pure_residue_series(spec, 3, 12) == residue_series(spec, 3, 12)
     # a_2 = 2 vanishes mod 2 on the largest exponent, which still pads the length
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, h=2, a=(1, 2))
-    assert residue_series(spec, 2, 12, engine="pure") == residue_series(spec, 2, 12)
+    assert pure_residue_series(spec, 2, 12) == residue_series(spec, 2, 12)
     # -3x + 3x cancels over Z, so the factor is 1 and the degree does not grow
     spec = ProductSpec(exponent_seq=RecurrentSeq((1,), (1,)), n=0, h=2, a=(-3, 3))
-    assert residue_series(spec, 3, 4) == residue_series(spec, 3, 4, engine="pure") == [[0, 1, 0]] * 5
+    assert residue_series(spec, 3, 4) == pure_residue_series(spec, 3, 4) == [[0, 1, 0]] * 5
     # a_1 = -1 is 65536 mod 65537, so the sums need uint64 arrays; past m = 2^32 they overflow it
     spec = fibonacci_product_spec(0, t=-1)
-    assert residue_series(spec, 65537, 10, engine="pure") == residue_series(spec, 65537, 10)
+    assert pure_residue_series(spec, 65537, 10) == residue_series(spec, 65537, 10)
     with pytest.raises(ValueError, match="past uint64"):
         residue_series(spec, 2**32 + 1, 0)
     # a zero prefactor gives all-zero rows
     spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), (1, 1)), n=0, prefactor=CoeffPoly([0]))
-    assert residue_series(spec, 3, 6) == residue_series(spec, 3, 6, engine="pure") == [[0, 0, 0]] * 7
-    # a symbolic weight is rejected with one message by both engines
-    for engine in ("auto", "pure"):
-        with pytest.raises(ValueError, match="^residue counts need integer coefficients; specialize t first$"):
-            residue_series(fibonacci_product_spec(0, t=TPoly.t()), 2, 4, engine=engine)
-    with pytest.raises(ValueError, match="unknown engine"):
-        residue_series(fibonacci_product_spec(0), 2, 3, engine="fast")
+    assert residue_series(spec, 3, 6) == pure_residue_series(spec, 3, 6) == [[0, 0, 0]] * 7
+    # a symbolic weight is rejected with one message
+    with pytest.raises(ValueError, match="^residue counts need integer coefficients; specialize t first$"):
+        residue_series(fibonacci_product_spec(0, t=TPoly.t()), 2, 4)
 
 
 @st.composite
@@ -219,7 +211,7 @@ def residue_specs(draw, max_m=5):
 @given(case=residue_specs(), n_max=st.integers(0, 7))
 def test_residue_engines_agree_with_vanishing_top_coefficient(case, n_max):
     spec, m = case
-    pure = residue_series(spec, m, n_max, engine="pure")
+    pure = pure_residue_series(spec, m, n_max)
     # blocks shorter than, equal to and longer than the exponents, so that
     # multi-term factors read from the block they write
     for chunk in (fibgf.stream.CHUNK, 1, 2, 3, 7):
@@ -245,7 +237,7 @@ def carry_specs(draw):
 @given(case=carry_specs(), n_max=st.integers(0, 9))
 def test_carry_automaton_matches_pure_engine(case, n_max):
     spec, m = case
-    assert carry_residue_series(spec, m, n_max) == residue_series(spec, m, n_max, engine="pure")
+    assert carry_residue_series(spec, m, n_max) == pure_residue_series(spec, m, n_max)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -256,14 +248,13 @@ def test_carry_rows_out_of_order(case, n_max, data):
     # and spends nothing more
     spec, m = case
     want = carry_residue_series(spec, m, n_max)
-    factors = fibgf.stream.stream_plan(spec, m, n_max).factors
     shuffled = data.draw(st.permutations(range(n_max + 1)))
     for order in (range(n_max, -1, -1), shuffled):
-        automaton = fibgf.carry._Carry(spec, m, factors, None)
+        automaton = fibgf.carry._Carry(replace(spec, n=n_max), m, None)
         assert [automaton.row(n) for n in order] == [want[n] for n in order]
-        stored, work = automaton.stored, automaton.work
+        stored, work = automaton.meter.used, automaton.work
         assert [automaton.row(n) for n in range(n_max + 1)] == want
-        assert (automaton.stored, automaton.work) == (stored, work)
+        assert (automaton.meter.used, automaton.work) == (stored, work)
 
 
 def test_carry_automaton_matches_pure_engine_on_presets():
@@ -276,7 +267,7 @@ def test_carry_automaton_matches_pure_engine_on_presets():
     )
     for spec in specs:
         for m in (2, 3, 4, 7):
-            assert carry_residue_series(spec, m, 14) == residue_series(spec, m, 14, engine="pure"), (spec, m)
+            assert carry_residue_series(spec, m, 14) == pure_residue_series(spec, m, 14), (spec, m)
     # a zero prefactor gives all-zero rows, though the factors still have digits
     zero = replace(fibonacci_product_spec(0), prefactor=CoeffPoly([0]))
     assert carry_residue_series(zero, 3, 6) == [[0, 0, 0]] * 7
@@ -304,7 +295,7 @@ def test_slow_recurrence_hands_off_to_stream():
     with patch.object(fibgf.stream, "residue_series_fast", wraps=fibgf.stream.residue_series_fast) as fast:
         rows = residue_series(spec, 2, 20)
     assert fast.call_count == 1
-    assert rows == residue_series(spec, 2, 20, engine="pure")
+    assert rows == pure_residue_series(spec, 2, 20)
 
 
 def test_carry_states_are_charged_by_size():
@@ -314,16 +305,15 @@ def test_carry_states_are_charged_by_size():
     slow = ProductSpec(exponent_seq=RecurrentSeq((1, 0, 0, 1), (1, 1, 1, 1)), n=0)
     long = replace(fibonacci_product_spec(0), prefactor=CoeffPoly(list(range(1, 102))))
     for spec, m, n_max in ((slow, 2, 20), (long, 1000, 10)):
-        factors = fibgf.stream.stream_plan(spec, m, n_max).factors
         tracemalloc.start()
         try:
-            automaton = fibgf.carry._Carry(spec, m, factors, None)
+            automaton = fibgf.carry._Carry(replace(spec, n=n_max), m, None)
             for n in range(n_max + 1):
                 automaton.row(n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < automaton.stored, (m, peak, automaton.stored)
+        assert peak < automaton.meter.used, (m, peak, automaton.meter.used)
 
 
 def test_carry_charges_are_pinned(monkeypatch):
@@ -333,10 +323,10 @@ def test_carry_charges_are_pinned(monkeypatch):
             (2, 3, 30): (6070, 647100), (3, 3, 30): (8751, 829400)}
     for (k, m, n_max), pin in pins.items():
         spec = replace(kbonacci_product_spec(k, 0), n=n_max)
-        automaton = fibgf.carry._Carry(spec, m, fibgf.stream.stream_plan(spec, m, n_max).factors, None)
+        automaton = fibgf.carry._Carry(spec, m, None)
         for n in range(n_max + 1):
             automaton.row(n)
-        assert (automaton.work, automaton.stored) == pin, (k, m)
+        assert (automaton.work, automaton.meter.used) == pin, (k, m)
     # in a fresh interpreter, as the command line runs, the automaton passes
     # the cap at n = 21, after the stream (19)
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
@@ -403,7 +393,7 @@ def test_kbonacci_residues_hand_off_with_numpy_loaded():
         (2, 2, 12), (2, 2, 22), (2, 3, 12), (2, 3, 22), (3, 2, 12), (3, 3, 12), (3, 3, 22), (4, 2, 12), (4, 3, 12),
     ]
     for k, m, n_max in handed_off:
-        assert rows[k, m, n_max] == residue_series(kbonacci_product_spec(k, 0), m, n_max, engine="pure")
+        assert rows[k, m, n_max] == pure_residue_series(kbonacci_product_spec(k, 0), m, n_max)
 
 
 def test_kbonacci_residues_leave_numpy_unloaded():
@@ -419,7 +409,7 @@ def test_kbonacci_residues_leave_numpy_unloaded():
 
 def test_residue_counts_span_chunks(monkeypatch):
     spec = kbonacci_product_spec(3, 0)
-    pure = residue_series(spec, 3, 12, engine="pure")
+    pure = pure_residue_series(spec, 3, 12)
     monkeypatch.setattr(fibgf.stream, "CHUNK", 7)
     assert fibgf.stream.residue_series_fast(spec, 3, 12) == pure
 
@@ -449,7 +439,7 @@ def test_memory_guard_names_limiting_n(monkeypatch):
     assert err.value.limit_n is not None
     reach = err.value.limit_n - 1
     assert 0 < reach < 80
-    assert corr_series(spec, CorrSpec((3,)), reach) == corr_series(spec, CorrSpec((3,)), reach, engine="pure")
+    assert corr_series(spec, CorrSpec((3,)), reach) == pure_corr_series(spec, CorrSpec((3,)), reach)
 
 
 def test_symbolic_series_walk_matches_pure():
@@ -457,6 +447,22 @@ def test_symbolic_series_walk_matches_pure():
     spec = fibonacci_product_spec(0, t=t)
     vals = corr_series(spec, CorrSpec((2,)), 4)
     assert vals[2] == TPoly((1, 0, 2, 0, 1))  # 1 + 2t^2 + t^4
-    assert vals == corr_series(spec, CorrSpec((2,)), 4, engine="pure")
-    with pytest.raises(ValueError):
-        corr_series(spec, CorrSpec((2,)), 4, engine="fast")
+    assert vals == pure_corr_series(spec, CorrSpec((2,)), 4)
+
+
+def test_residue_rows_are_charged(monkeypatch):
+    # both engines return n_max + 1 rows of m counts: at m = 10^6 one row
+    # passes 1 MB, so neither runs; at m = 10^4 the rows and states pass it
+    # later, and the n before the merged limit_n runs
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    spec = fibonacci_product_spec(0)
+    assert fibgf.stream.stream_plan(spec, 10**6, 3).limit == 0
+    for run in (fibgf.stream.residue_series_fast, fibgf.carry.carry_residue_series, residue_series):
+        with pytest.raises(ResourceLimitError) as err:
+            run(spec, 10**6, 3)
+        assert err.value.limit_n == 0, run
+    with pytest.raises(ResourceLimitError) as err:
+        residue_series(spec, 10**4, 40)
+    limit = err.value.limit_n
+    assert 0 < limit < 40
+    assert residue_series(spec, 10**4, limit - 1) == pure_residue_series(spec, 10**4, limit - 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibgf.triangle
-from fibgf.errors import InvariantError
+from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec, partial_products
 from fibgf.sequences import fibonacci
 from fibgf.triangle import (
@@ -241,3 +241,14 @@ def test_row_entries_equal_product_error_detail():
     coeffs = poly.dense_coefficients()
     mismatch = [k for k, (a, b) in enumerate(zip(bad.entries, coeffs)) if a != b]
     assert mismatch == [3]
+
+
+def test_rows_are_charged_until_the_cap(monkeypatch):
+    # rows n - 1 and n, 32 bytes an entry: rows 19 and 20 pass 1 MB
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    with pytest.raises(ResourceLimitError) as err:
+        for _ in triangle_rows(24):
+            pass
+    assert err.value.limit_n == 20
+    assert len(list(triangle_rows(19))) == 19
+    assert verify_m_recurrence(19)["status"] == "pass"

@@ -24,6 +24,7 @@ from fibgf.polynomials import (
 from fibgf.sequences import RecurrentSeq, kbonacci
 from fibgf.stats import CorrSpec, corr_series
 from fibgf.walk import _BasisWalk, _HandOff, _LevelWalk, basis_walk_applies
+from oracle import pure_corr_series
 
 T = TPoly.t()
 
@@ -104,7 +105,7 @@ alphas = st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(lambda a: 0 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=specs(), alpha=alphas, n_max=st.integers(0, 5))
 def test_walk_matches_pure_engine(spec, alpha, n_max):
-    want = corr_series(spec, CorrSpec(alpha), n_max, engine="pure")
+    want = pure_corr_series(spec, CorrSpec(alpha), n_max)
     assert corr_series(spec, CorrSpec(alpha), n_max) == want
 
 
@@ -113,7 +114,7 @@ def test_walk_matches_pure_engine(spec, alpha, n_max):
 def test_basis_walk_matches_pure_engine(spec, alpha, n_max):
     # single terms over Brauer recurrences of order up to 3, offsets up to 5;
     # the basis walk also where the spec hands off
-    want = corr_series(spec, CorrSpec(alpha), n_max, engine="pure")
+    want = pure_corr_series(spec, CorrSpec(alpha), n_max)
     assert fibgf.walk.corr_walk_series(spec, alpha, n_max) == want
     assert _walk_series(NoHandOff, spec, alpha, n_max) == want
 
@@ -158,9 +159,9 @@ def test_level_walk_values_out_of_order(spec, alpha, n_max, data):
     for order in (range(n_max, -1, -1), shuffled):
         walk = _LevelWalk(spec, alpha, n_max)
         assert [walk.value(n) for n in order] == [want[n] for n in order]
-        stored = walk.stored
+        stored = walk.meter.used
         assert walk.series() == want
-        assert walk.stored == stored
+        assert walk.meter.used == stored
 
 
 def test_basis_walk_routing():
@@ -207,7 +208,7 @@ def test_equal_exponents_hand_off_to_level_walk():
     spec = ProductSpec(exponent_seq=kbonacci(5), n=0)
     with pytest.raises(_HandOff):
         _BasisWalk(spec, (7,), 20).series()
-    want = corr_series(spec, CorrSpec((7,)), 20, engine="pure")
+    want = pure_corr_series(spec, CorrSpec((7,)), 20)
     assert _level_walk_run([(spec, (7,), 20)]) == ([want], [spec])
 
 
@@ -256,7 +257,7 @@ def test_found_specs_hand_off_and_match_level_walk():
             _BasisWalk(spec, alpha[next(j for j, a in enumerate(alpha) if a) :], n_max).series()
     values, calls = _level_walk_run(cases)
     assert calls == [spec for spec, _, _ in cases]
-    assert values == [corr_series(spec, CorrSpec(alpha), n_max, engine="pure") for spec, alpha, n_max in cases]
+    assert values == [pure_corr_series(spec, CorrSpec(alpha), n_max) for spec, alpha, n_max in cases]
 
 
 def test_named_specs_match_level_walk():
@@ -273,7 +274,7 @@ def test_named_specs_match_level_walk():
         assert corr_series(spec, CorrSpec((2,)), n_max) == _walk_series(_LevelWalk, spec, (2,), n_max), spec
     # f_1 = f_2: the first factor's terms cancel, the others differ in sign
     cancelling = ProductSpec(exponent_seq=kbonacci(2), n=0, h=2, a=(1, -1))
-    want = corr_series(cancelling, CorrSpec((2,)), 14, engine="pure")
+    want = pure_corr_series(cancelling, CorrSpec((2,)), 14)
     assert corr_series(cancelling, CorrSpec((2,)), 14) == want
 
 
@@ -312,7 +313,7 @@ def test_basis_walk_cap_names_limiting_n(monkeypatch):
     assert err.value.limit_n is not None
     reach = err.value.limit_n - 1
     assert 0 < reach < 30
-    assert _walk_series(NoHandOff, spec, (4,), reach) == corr_series(spec, CorrSpec((4,)), reach, engine="pure")
+    assert _walk_series(NoHandOff, spec, (4,), reach) == pure_corr_series(spec, CorrSpec((4,)), reach)
     # the spec hands off, and the level walk fits the cap
     assert corr_series(spec, CorrSpec((4,)), 30) == _walk_series(_LevelWalk, spec, (4,), 30)
     # on the public path: the Z[t] seventh powers of the depth probe's spec
@@ -321,7 +322,7 @@ def test_basis_walk_cap_names_limiting_n(monkeypatch):
         corr_series(probe, CorrSpec((7,)), 200)
     assert err.value.limit_n == 35  # the level tables pass the cap, not the build
     reach = err.value.limit_n - 1
-    assert corr_series(probe, CorrSpec((7,)), reach)[:9] == corr_series(probe, CorrSpec((7,)), 8, engine="pure")
+    assert corr_series(probe, CorrSpec((7,)), reach)[:9] == pure_corr_series(probe, CorrSpec((7,)), 8)
 
 
 def test_basis_walk_charges_are_pinned():
@@ -330,7 +331,7 @@ def test_basis_walk_charges_are_pinned():
     for alpha, n_max, stored in (((2,), 200, 24948), ((7,), 34, 140452)):
         walk = _BasisWalk(kbonacci_product_spec(4, 0), alpha, n_max)
         walk.series()
-        assert walk.stored == stored, alpha
+        assert walk.meter.used == stored, alpha
 
 
 def test_basis_states_are_charged_by_size():
@@ -355,7 +356,7 @@ def test_basis_states_are_charged_by_size():
         finally:
             tracemalloc.stop()
         assert len(walk.alive) > 100, alpha
-        assert peak < walk.stored, (alpha, peak, walk.stored)
+        assert peak < walk.meter.used, (alpha, peak, walk.meter.used)
 
 
 def test_deep_square_sums_match_closed_forms():
