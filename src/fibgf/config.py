@@ -19,6 +19,9 @@ DEFAULT_MAX_MEM_MB = 6144
 
 # Rough per-coefficient cost of a pure-Python dense list of small ints.
 PYOBJ_BYTES_PER_COEFF = 32
+# Per-entry cost of a list or object array of big ints or TPolys while a row
+# is built from the one before (tracemalloc: 205, triangle rows at symbolic t).
+PYOBJ_BYTES_PER_BIG_COEFF = 208
 
 
 def max_mem_bytes() -> int:

@@ -21,13 +21,17 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import accumulate, compress, count, repeat
 from math import isqrt
-from operator import add, and_, eq, mul, not_, sub
+from operator import add, mul, not_, sub
 
-from .config import PYOBJ_BYTES_PER_COEFF, Meter
+from .config import PYOBJ_BYTES_PER_BIG_COEFF, PYOBJ_BYTES_PER_COEFF, Meter
 from .errors import InvariantError
 from .sequences import GoldenInt, RecurrentSeq, fibonacci, phi_power
+
+
+# the largest int64: an int64 array holds only values proved to stay within it
+INT64_MAX = 2**63 - 1
 
 
 def convolve(a, b) -> list:
@@ -358,15 +362,26 @@ def _partial(dense: list) -> CoeffPoly:
 
 def partial_products(spec: ProductSpec):
     """Yield the partial product after factor i for i = 0..n (i = 0 is the
-    prefactor alone), each from the one before.  Raises ResourceLimitError
-    on the first ``next``, before any work, when the dense list of the whole
-    product would pass the RGF_MAX_MEM_MB cap.
+    prefactor alone), each from the one before.
+
+    Step i holds the dense lists of partials i - 1 and i, charged at
+    ``PYOBJ_BYTES_PER_COEFF`` a coefficient, or ``PYOBJ_BYTES_PER_BIG_COEFF``
+    when a weight is not 0 or +-1 (its coefficients are big ints or TPolys).
+    Raises ResourceLimitError on the first ``next``, before any work, with
+    ``limit_n`` = the first i whose step passes the RGF_MAX_MEM_MB cap.
     """
-    Meter("dense product").charge(PYOBJ_BYTES_PER_COEFF * (spec.degree_bound() + 1), spec.n)
+    small = all(isinstance(aj, int) and -1 <= aj <= 1 for aj in spec.a)
+    coeff_bytes = PYOBJ_BYTES_PER_COEFF if small else PYOBJ_BYTES_PER_BIG_COEFF
+    factors = [spec.factor_terms(i) for i in range(1, spec.n + 1)]
+    first = 1 if spec.prefactor is None else max(spec.prefactor.degree, 0) + 1
+    lengths = [0, *accumulate((terms[-1][1] if terms else 0 for terms in factors), initial=first)]
+    meter = Meter("dense product")
+    for i in range(spec.n + 1):
+        meter.charge(coeff_bytes * (lengths[i + 1] - (lengths[i - 1] if i else 0)), i)
     acc = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     yield _partial(acc)
-    for i in range(1, spec.n + 1):
-        acc = _multiply_dense(acc, spec.factor_terms(i))
+    for terms in factors:
+        acc = _multiply_dense(acc, terms)
         yield _partial(acc)
 
 
@@ -398,49 +413,56 @@ def stern_product_spec(n: int) -> ProductSpec:
     return ProductSpec(exponent_seq=doubling(), n=n, h=2, a=(1, 1), offset=0)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GoldenSeries:
     """A finite series sum c_i x^{e_i} with exponents e_i = a_i + b_i phi in
     Z[phi], ascending.
 
-    Kept as three int tuples; ``terms`` builds the (GoldenInt, coefficient)
-    pairs each time it is read.
+    Kept as three 1-D numpy arrays (Python ints, dtype object, when built
+    from terms); ``terms`` builds the (GoldenInt, coefficient) pairs each
+    time it is read, and two series are equal when their terms are.
     """
 
-    a: tuple  # the exponents' rational parts
-    b: tuple  # the exponents' phi parts
-    coeffs: tuple
+    a: object  # the exponents' rational parts
+    b: object  # the exponents' phi parts
+    coeffs: object
 
     def __init__(self, terms):
-        terms = tuple(terms)
-        self._fill([e.a for e, _ in terms], [e.b for e, _ in terms], [c for _, c in terms])
+        import numpy as np
+
+        columns = list(zip(*((e.a, e.b, c) for e, c in terms))) or [(), (), ()]
+        self._fill(*(np.array(column, dtype=object) for column in columns))
 
     def _fill(self, a, b, coeffs) -> None:
         for name, column in (("a", a), ("b", b), ("coeffs", coeffs)):
-            object.__setattr__(self, name, tuple(column))
+            object.__setattr__(self, name, column)
 
     @property
     def terms(self) -> tuple:
         """((GoldenInt, int), ...) in exponent order."""
-        return tuple(zip(map(GoldenInt, self.a, self.b), self.coeffs))
+        return tuple(zip(map(GoldenInt, self.a.tolist(), self.b.tolist()), self.coeffs.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return self.terms == other.terms if isinstance(other, GoldenSeries) else NotImplemented
 
     def coefficient_sequence(self) -> list[int]:
-        return list(self.coeffs)
+        return self.coeffs.tolist()
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self.coeffs.shape[0]
 
 
-def _golden_series(a: list, b: list, coeffs: list) -> GoldenSeries:
-    """A GoldenSeries around int columns already in exponent order."""
+def _golden_series(a, b, coeffs) -> GoldenSeries:
+    """A GoldenSeries around arrays already in exponent order."""
     series = object.__new__(GoldenSeries)
     series._fill(a, b, coeffs)
     return series
 
 
-# What a golden step holds per term of the partial it builds: both columns,
-# the shifted copies, the sort's temporaries (tracemalloc: 303 at most).
-GOLDEN_TERM_BYTES = 400
+# What a golden step holds per term it charges, at its tracemalloc peak: the
+# columns of both copies, the sort's order and the merged columns (103 on
+# int64 columns; PYOBJ_BYTES_PER_BIG_COEFF on object ones, 205 at n = 18).
+GOLDEN_TERM_BYTES = 104
 
 
 def golden_partials(n_max: int):
@@ -457,36 +479,42 @@ def golden_partials(n_max: int):
     |d*| < sum_i phi^(-i) = phi^2.  Written d = p + q phi, d has the norm
     d d* = p^2 + pq - q^2, a nonzero integer since d != 0, so
     d >= 1 / |d*| > phi^(-2) > 1/4 and floor(4e') >= floor(4e + 1) >
-    floor(4e).  A step shifts a copy of every pair by phi^i, sorts the
-    pairs of both copies by key and adds the coefficients of equal keys,
-    all in bulk list operations.  Partial n has F_{n+3} - 1 terms, as many as
-    the Fibonacci product; the step to it charges GOLDEN_TERM_BYTES for each
-    of the F_{n+1} terms it adds, with ``limit_n`` = n.
+    floor(4e).  A step shifts a copy of every pair by phi^i, takes a stable
+    argsort of both copies' keys and adds the coefficients of equal keys
+    with ``add.reduceat``; isqrt(20 b^2) comes from an int table indexed by
+    b.  Partial n's b are sums of distinct F_i, i < n, so below F_{n+1},
+    its a at most F_n, its keys below 12 F_{n+1} and its coefficients at
+    most 2^n: a, keys and coefficients are int64 when those bounds at n_max
+    fit it, else object; b is the table's index.  Partial n has
+    F_{n+3} - 1 terms, as many as the Fibonacci product; the step to it
+    charges GOLDEN_TERM_BYTES (``PYOBJ_BYTES_PER_BIG_COEFF`` on object
+    columns) for each of the F_{n+1} terms it adds, with ``limit_n`` = n.
     """
+    import numpy as np
+
     if n_max < 0:
         raise ValueError("n must be >= 0")
+    top_b = fibonacci(n_max + 1)
+    dtype = np.int64 if max(2**n_max, 12 * top_b) <= INT64_MAX else object
+    term_bytes = GOLDEN_TERM_BYTES if dtype is np.int64 else PYOBJ_BYTES_PER_BIG_COEFF
     meter = Meter("golden partials")
-    meter.charge(GOLDEN_TERM_BYTES, 0)
-    a, b, coeffs, keys = [0], [0], [1], [0]
+    meter.charge(term_bytes, 0)
+    roots = np.array([isqrt(20 * b * b) for b in range(top_b)], dtype)
+    a, keys, coeffs = np.zeros(1, dtype), np.zeros(1, dtype), np.ones(1, dtype)
+    b = np.zeros(1, np.intp)
     yield _golden_series(a, b, coeffs)
     for i in range(n_max):
-        meter.charge(GOLDEN_TERM_BYTES * fibonacci(i + 2), i + 1)
+        meter.charge(term_bytes * fibonacci(i + 2), i + 1)
         shift = phi_power(i)
-        sa, sb = shift.a, shift.b
-        a2 = [x + sa for x in a]
-        b2 = [y + sb for y in b]
-        all_keys = keys + [4 * x + 2 * y + isqrt(20 * y * y) for x, y in zip(a2, b2)]
-        order = sorted(range(len(all_keys)), key=all_keys.__getitem__)
-        keys = list(map(all_keys.__getitem__, order))
+        a2, b2 = a + shift.a, b + shift.b
+        all_keys = np.concatenate((keys, 4 * a2 + 2 * b2 + roots[b2]))
+        order = np.argsort(all_keys, kind="stable")
+        all_keys = all_keys[order]
         # equal keys come in pairs, a term and the shifted copy of an equal exponent
-        next_equal = list(map(eq, keys[1:], keys))
-        new = [True, *map(not_, next_equal)]
-        sorted_coeffs = list(map((coeffs + coeffs).__getitem__, order))
-        summed = map(add, sorted_coeffs, [*map(mul, sorted_coeffs[1:], next_equal), 0])
-        coeffs = list(compress(summed, new))
-        keys = list(compress(keys, new))
-        a = list(compress(map((a + a2).__getitem__, order), new))
-        b = list(compress(map((b + b2).__getitem__, order), new))
+        starts = np.flatnonzero(np.concatenate(([True], all_keys[1:] != all_keys[:-1])))
+        coeffs = np.add.reduceat(np.concatenate((coeffs, coeffs))[order], starts)
+        first = order[starts]
+        a, b, keys = np.concatenate((a, a2))[first], np.concatenate((b, b2))[first], all_keys[starts]
         yield _golden_series(a, b, coeffs)
 
 
@@ -522,11 +550,11 @@ def _run_starts(series: GoldenSeries) -> list[int]:
     """The index of each maximal run's first term, then the number of terms.
     A step from one term to the next is a unit step when a rises by 1 and b
     stays."""
+    import numpy as np
+
     a, b = series.a, series.b
-    if not a:
-        return [0]
-    unit = map(and_, map(eq, map(sub, a[1:], a), repeat(1)), map(eq, b[1:], b))
-    return [0, *compress(count(1), map(not_, unit)), len(a)]
+    unit = (a[1:] - a[:-1] == 1) & (b[1:] == b[:-1])
+    return [0, *(np.flatnonzero(~unit) + 1).tolist(), len(a)] if len(a) else [0]
 
 
 def run_lengths(series: GoldenSeries) -> list[int]:
@@ -540,7 +568,7 @@ def run_lengths(series: GoldenSeries) -> list[int]:
     if lengths and not 2 <= min(lengths) <= max(lengths) <= 3:
         j = next(j for j, length in enumerate(lengths) if length not in (2, 3))
         s = starts[j]
-        raise InvariantError(f"run of length {lengths[j]}", detail=GoldenInt(series.a[s], series.b[s]))
+        raise InvariantError(f"run of length {lengths[j]}", detail=GoldenInt(int(series.a[s]), int(series.b[s])))
     return lengths
 
 
@@ -552,12 +580,12 @@ def run_decomposition(series: GoldenSeries) -> RunDecomposition:
     raises ``InvariantError``.  Note the between-run gap can be smaller than
     1 (already for two factors it is phi - 1), it just cannot equal 1.
     """
-    a, b = series.a, series.b
+    a, b, coeffs = series.a.tolist(), series.b.tolist(), series.coeffs.tolist()
     starts = _run_starts(series)
     for s in starts[1:-1]:
         if GoldenInt(a[s] - a[s - 1], b[s] - b[s - 1]).sign() <= 0:
             raise InvariantError("exponents not strictly increasing", detail=GoldenInt(a[s], b[s]))
     lengths = run_lengths(series)
     return RunDecomposition(
-        tuple(Run(GoldenInt(a[s], b[s]), length, series.coeffs[s : s + length]) for s, length in zip(starts, lengths))
+        tuple(Run(GoldenInt(a[s], b[s]), length, tuple(coeffs[s : s + length])) for s, length in zip(starts, lengths))
     )

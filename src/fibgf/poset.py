@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import eq
+from operator import eq, lt
 
 from . import stream
 from .config import PYOBJ_BYTES_PER_COEFF, Meter
 from .errors import InvariantError
 from .polynomials import fibonacci_product_spec, partial_products
-from .sequences import fibonacci, prec_compare_reps, zeckendorf
+from .sequences import fibonacci, prec_key, zeckendorf
 
 
 @dataclass
@@ -173,14 +173,14 @@ def label_sequence_checks(sequences: dict[int, list[int]], n_max: int) -> dict:
         if all(_is_subsequence(read(n, d1), read(n + 1, d2)) for n in range(1, n_max))
     ]
     reps = {x: zeckendorf(x) for x in {x for n in range(1, n_max + 1) for x in sequences[n]}}
+    keys = {parity: {x: prec_key(rep, parity) for x, rep in reps.items()} for parity in ("even", "odd")}
     order_matches = [
         (parity, d)
         for parity in ("even", "odd")
         for d in directions
         if all(
-            prec_compare_reps(reps[x], reps[y], sentinel_parity=parity) == -1
-            for n in range(1, n_max + 1)
-            for x, y in zip(read(n, d), read(n, d)[1:])
+            all(map(lt, ks, ks[1:]))
+            for ks in (list(map(keys[parity].__getitem__, read(n, d))) for n in range(1, n_max + 1))
         )
     ]
     return {

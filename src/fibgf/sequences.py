@@ -9,6 +9,7 @@ Z[phi] with phi = (1+sqrt(5))/2, ordered exactly by the real embedding.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import total_ordering
 from math import isqrt
@@ -96,15 +97,16 @@ def zeckendorf(n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("zeckendorf is defined for nonnegative integers")
-    i = 2
-    while fibonacci(i + 1) <= n:
-        i += 1
+    fib = FIBONACCI._memo  # fib[i - 1] = F_i
+    while fib[-1] <= n:
+        FIBONACCI.term(len(fib) + 1)
+    i = bisect_right(fib, n)  # F_i <= n < F_{i+1}, and i >= 2 once n >= 1
     indices: list[int] = []
     remaining = n
     while remaining > 0:
-        if fibonacci(i) <= remaining:
+        if fib[i - 1] <= remaining:
             indices.append(i)
-            remaining -= fibonacci(i)
+            remaining -= fib[i - 1]
             i -= 2
         else:
             i -= 1
@@ -128,34 +130,25 @@ def prec_compare(m: int, n: int, sentinel_parity: str = "odd") -> int:
     Zeckendorf index of n is even" come out true.  ``sentinel_parity="even"``
     uses the literal F_0 = 0 sentinel (even, index 0) instead.
     """
-    return prec_compare_reps(zeckendorf(m), zeckendorf(n), sentinel_parity)
+    km, kn = prec_key(zeckendorf(m), sentinel_parity), prec_key(zeckendorf(n), sentinel_parity)
+    return (km > kn) - (km < kn)
 
 
-def prec_compare_reps(zm: list[int], zn: list[int], sentinel_parity: str = "odd") -> int:
-    """``prec_compare`` on Zeckendorf representations already computed, so
-    that a caller comparing many labels expands each label once."""
+def prec_key(rep: list[int], sentinel_parity: str = "odd") -> tuple[int, ...]:
+    """A sort key on Zeckendorf representations for ``prec_compare``'s order,
+    so that a caller ordering many labels expands each label once.
+
+    Each index gives a pair, (0, i) for even i and (2, -i) for odd i: even
+    indices come first in ascending order, odd ones last in descending order.
+    The sentinel gives (0, 0) when even (index 0, before every even index)
+    and (1, 0) when odd (beyond every index: after the even ones, before the
+    odd ones).  Tuples compare pair by pair, so the first differing index
+    pair, or an index against the sentinel, decides.
+    """
     if sentinel_parity not in ("odd", "even"):
         raise ValueError("sentinel_parity must be 'odd' or 'even'")
-    if zm == zn:
-        return 0
-    if sentinel_parity == "odd":
-        big = 2 * (max(zm + zn) if (zm or zn) else 0) + 3  # odd, beyond every index
-    else:
-        big = 0
-    for k in range(max(len(zm), len(zn))):
-        i = zm[k] if k < len(zm) else big
-        j = zn[k] if k < len(zn) else big
-        if i == j:
-            continue
-        i_even, j_even = i % 2 == 0, j % 2 == 0
-        if i_even and not j_even:
-            return -1
-        if j_even and not i_even:
-            return +1
-        if i_even:  # both even: smaller index first
-            return -1 if i < j else +1
-        return +1 if i < j else -1  # both odd: larger index first
-    return 0
+    key = [part for i in rep for part in ((0, i) if i % 2 == 0 else (2, -i))]
+    return (*key, *((0, 0) if sentinel_parity == "even" else (1, 0)))
 
 
 @total_ordering

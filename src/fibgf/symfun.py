@@ -1,8 +1,9 @@
 """Truncated symmetric functions for the flag structure of the planar posets.
 
 Expansions are stored as partition -> Fraction maps up to a degree cap.
-Basis changes go through brute-force expansion of power sums into monomials
-over D variables, so every conversion is exact and independently checkable.
+Basis changes go through the power-sum to monomial table, whose entries
+count placements of parts into slots, so every conversion is exact; the tests
+check the table against the expansion of p_lambda in n variables.
 """
 
 from __future__ import annotations
@@ -34,44 +35,35 @@ def z_of(partition: tuple[int, ...]) -> int:
     return z
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _power_sum_poly(k: int, n_vars: int) -> dict:
-    out = {}
-    for i in range(n_vars):
-        e = [0] * n_vars
-        e[i] = k
-        out[tuple(e)] = 1
-    return out
+@lru_cache(maxsize=None)
+def _placements(parts: tuple[int, ...], slots: tuple[int, ...]) -> int:
+    """The ways to put each part into a slot so that every slot's parts sum
+    to its size, for parts and slots of equal total.  Relabelling the slots
+    keeps the count, so the slots are kept sorted and without zeros."""
+    if not parts:
+        return 1
+    first, rest = parts[0], parts[1:]
+    total = 0
+    for k, size in enumerate(slots):
+        if size >= first:
+            left = slots[:k] + (size - first,) + slots[k + 1 :]
+            total += _placements(rest, tuple(sorted(filter(None, left), reverse=True)))
+    return total
 
 
 @lru_cache(maxsize=None)
 def power_to_monomial(n: int) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
     """For each partition lambda of n: the m-basis coefficients of p_lambda.
 
-    Computed by honest expansion in n variables; the coefficient of
-    m_mu is read off the representative monomial with sorted exponents.
+    p_lambda = prod_j (x_1^{lambda_j} + x_2^{lambda_j} + ...), so the
+    coefficient of m_mu, read off the monomial x^mu, counts the ways to send
+    each part lambda_j to a variable k with the parts sent to k summing to
+    mu_k.
     """
-    n_vars = max(n, 1)
     table: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for lam in partitions_of(n):
-        poly = {tuple([0] * n_vars): 1}
-        for part in lam:
-            poly = _dict_mul(poly, _power_sum_poly(part, n_vars))
-        coeffs: dict[tuple[int, ...], int] = {}
-        for mu in partitions_of(n):
-            rep = tuple(list(mu) + [0] * (n_vars - len(mu)))
-            c = poly.get(rep, 0)
-            if c:
-                coeffs[mu] = c
-        table[lam] = coeffs
+        counts = {mu: _placements(lam, mu) for mu in partitions_of(n)}
+        table[lam] = {mu: c for mu, c in counts.items() if c}
     return table
 
 

@@ -5,8 +5,8 @@ the first, middle or last member of a group of two or three.  A group
 boundary sits exactly where an ``l`` is followed by an ``f``.  Only the first
 group may start with ``m`` (its first member is a virtual zero before the
 row) and only the last may end with ``m`` (a virtual zero after it).  Row
-n+1 is produced from row n by one left-to-right pass over the marks, writing
-t for the weight:
+n+1 is produced from row n by these rules, writing t for the weight, which
+``next_row`` applies to the whole row at once as array operations:
 
   * a row that starts with ``f`` (entry b) first gives (b, t*b), marked ``ml``;
   * each ``m`` entry a gives (a, t*a), marked ``fl``;
@@ -22,68 +22,91 @@ checks rather than assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import mul
+from itertools import repeat
 
-from .config import PYOBJ_BYTES_PER_COEFF, Meter
+from .config import PYOBJ_BYTES_PER_BIG_COEFF, Meter
 from .errors import InvariantError
-from .polynomials import TPoly, fibonacci_product_spec, partial_products
+from .polynomials import INT64_MAX, TPoly, fibonacci_product_spec, partial_products
 from .sequences import fibonacci
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedRow:
-    entries: tuple
+    entries: object  # a 1-D numpy array: int64, or object for Python ints and TPoly
     marks: str  # one of f/m/l per entry
     index: int
 
 
-def first_row(t=1) -> GroupedRow:
-    return GroupedRow(entries=(1, t), marks="fl", index=1)
+def first_row(t=1, dtype=None) -> GroupedRow:
+    """Row 1, (1, t): int64 by default when t fits it, else object."""
+    import numpy as np
+
+    if dtype is None:
+        dtype = np.int64 if isinstance(t, int) and abs(t) <= INT64_MAX else object
+    return GroupedRow(entries=np.array([1, t], dtype=dtype), marks="fl", index=1)
 
 
 def next_row(row: GroupedRow, t=1) -> GroupedRow:
-    """Apply the production rule once.
+    """Apply the production rule once, on arrays.
+
+    Each entry v gives the pair (v, t*v); at each l-f boundary the l's t*e
+    and the f's b add into one entry, so the new marks read m -> fl, inner
+    l -> fml, inner f -> "", with a leading f -> ml and a trailing l -> fm.
+    An int64 row whose new entries, at most (1 + |t|) times its largest,
+    could pass ``INT64_MAX`` steps on Python ints (object) instead.
 
     Each new entry covers the entries of this row it is summed from; those
     covers make the triangle poset, which is P_{2,3}:
     ``poset.frontier_poset(2, 3, n)`` grows it.
     """
+    import numpy as np
+
     vals, marks = row.entries, row.marks
-    # the entries times t (the entries themselves at t = 1)
-    tvals = vals if isinstance(t, int) and t == 1 else [t * v for v in vals]
-    entries: list = []
-    new_marks: list[str] = []
+    if vals.dtype != object and (1 + abs(t)) * int(np.abs(vals).max()) > INT64_MAX:
+        vals = vals.astype(object)
+    flat = np.stack((vals, t * vals), axis=1).reshape(-1)  # v_0, t v_0, v_1, t v_1, ...
+    codes = np.frombuffer(marks.encode(), np.uint8)
+    lf = (codes[:-1] == ord("l")) & (codes[1:] == ord("f"))  # an l-f boundary after entry k
+    merged = flat[1:-1:2]  # t v_k, which takes v_{k+1} at a boundary
+    merged[lf] += flat[2::2][lf]
+    keep = np.ones(flat.shape[0], bool)
+    keep[2::2] = ~lf
+    new_marks = marks.replace("f", "").replace("m", "FL").replace("l", "fml").lower()
     if marks[0] == "f":
-        entries += (vals[0], tvals[0])
-        new_marks.append("ml")
-    last = len(marks) - 1
-    for k, mark in enumerate(marks):
-        if mark == "m":
-            entries += (vals[k], tvals[k])
-            new_marks.append("fl")
-        elif mark == "l" and k < last:  # an inner l is always followed by an f
-            entries += (vals[k], vals[k + 1] + tvals[k], tvals[k + 1])
-            new_marks.append("fml")
+        new_marks = "ml" + new_marks
     if marks[-1] == "l":
-        entries += (vals[-1], tvals[-1])
-        new_marks.append("fm")
-    return GroupedRow(entries=tuple(entries), marks="".join(new_marks), index=row.index + 1)
+        new_marks = new_marks[:-3] + "fm"
+    return GroupedRow(entries=flat[keep], marks=new_marks, index=row.index + 1)
+
+
+# What an int64 row step holds per entry of the two rows alive, beyond the
+# itemsize: the pairs array, the masks and the marks (tracemalloc: 17.5 in all).
+ROW_STEP_BYTES = 10
 
 
 def triangle_rows(n_max: int, t=1):
     """Yield rows 1..n_max (none when n_max = 0); ValueError for a negative n_max.
 
+    The rows are int64 when every entry of rows 1..n_max fits one: a row-n
+    entry is a sum of at most two row-(n-1) entries times 1 or t, so it is
+    at most max(1, |t|) (1 + |t|)^(n-1) in absolute value; else object.
     Row n has F_{n+3} - 1 entries, as its product has coefficients, and is
     built while row n - 1 is held: step n charges the F_{n+2} entries by which
-    row n outgrows row n - 2 at ``PYOBJ_BYTES_PER_COEFF`` each, limit_n = n."""
+    row n outgrows row n - 2, at the int64 itemsize plus ``ROW_STEP_BYTES``
+    or at ``PYOBJ_BYTES_PER_BIG_COEFF`` (object; 77 at t = 2^21) each,
+    limit_n = n."""
+    import numpy as np
+
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    fits = isinstance(t, int) and max(1, abs(t)) * (1 + abs(t)) ** max(n_max - 1, 0) <= INT64_MAX
+    dtype = np.dtype(np.int64 if fits else object)
+    entry_bytes = PYOBJ_BYTES_PER_BIG_COEFF if dtype == object else dtype.itemsize + ROW_STEP_BYTES
     meter = Meter("triangle rows")
     row = None
     for n in range(1, n_max + 1):
-        meter.charge(PYOBJ_BYTES_PER_COEFF * fibonacci(n + 2), n)
-        row = first_row(t) if row is None else next_row(row, t)
+        meter.charge(entry_bytes * fibonacci(n + 2), n)
+        row = first_row(t, dtype) if row is None else next_row(row, t)
         yield row
 
 
@@ -98,21 +121,22 @@ def verify_rows_match_product(n_max: int, t=1) -> None:
     partials = partial_products(fibonacci_product_spec(n_max, t=t))
     next(partials)  # the empty product has no row
     for row, partial in zip(triangle_rows(n_max, t), partials):
-        coeffs = partial.dense_coefficients()
-        if len(coeffs) != len(row.entries):
+        # both sides as lists only while compared, so that none outlives the step
+        if len(row.entries) != partial.degree + 1:
             raise InvariantError(
-                f"row {row.index} has {len(row.entries)} entries, product has {len(coeffs)}",
+                f"row {row.index} has {len(row.entries)} entries, product has {partial.degree + 1}",
                 detail=row.index,
             )
-        if list(row.entries) != coeffs:
-            k = next(k for k, (a, b) in enumerate(zip(row.entries, coeffs)) if a != b)
+        if row.entries.tolist() != partial.dense_coefficients():
+            pairs = zip(row.entries.tolist(), partial.dense_coefficients())
+            k = next(k for k, (a, b) in enumerate(pairs) if a != b)
             raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
 
 
 def format_row(row: GroupedRow) -> str:
     """Entries separated by spaces, with a bullet before each f that follows an l."""
     parts: list[str] = []
-    for value, prev, mark in zip(row.entries, " " + row.marks, row.marks):
+    for value, prev, mark in zip(row.entries.tolist(), " " + row.marks, row.marks):
         if prev + mark == "lf":
             parts.append("•")
         parts.append(str(value))
@@ -134,42 +158,38 @@ MARK_MATRIX = (
 )
 
 
-# bytes.translate tables: a marks byte to 1 where it is the given mark, else to 0
-_MARK_TABLES = {mark: bytes(int(byte == ord(mark)) for byte in range(256)) for mark in "fml"}
+def _int_entries(row: GroupedRow):
+    """The row's entries in a dtype that holds their products and sums: int64
+    while len * max^2 fits it, else Python ints; ValueError for symbolic ones."""
+    import numpy as np
+
+    vals = row.entries
+    if vals.dtype == object:
+        if not all(map(isinstance, vals, repeat(int))):
+            raise ValueError("mark correlations need integer entries; specialize t")
+        return vals
+    top = int(np.abs(vals).max(initial=0))
+    return vals if vals.shape[0] * top * top <= INT64_MAX else vals.astype(object)
 
 
 def a_vector(row: GroupedRow) -> tuple[int, ...]:
     """(A1, A2, A3, A31, A12, A13, A23): squared and adjacent mark sums.
 
-    Each mark has a 0/1 byte mask over the marks string.  A mark's mask
-    picks its entries to square; the AND of x's mask, read as an int, with
-    y's shifted down one byte picks the products of an x entry with the y
-    entry after it.
+    Each is a masked dot product: the sum of v_k v_{k+s} over the k with
+    mark x at k and mark y at k + s, with s = 0 for the squares and s = 1
+    for the products of an x entry with the y entry after it.
     """
-    vals = row.entries
-    if not all(map(isinstance, vals, repeat(int))):
-        raise ValueError("mark correlations need integer entries; specialize t")
-    f, m, l = (row.marks.encode().translate(_MARK_TABLES[mark]) for mark in "fml")
+    import numpy as np
 
-    def squares(mask: bytes) -> int:
-        picked = list(compress(vals, mask))
-        return sum(map(mul, picked, picked))
+    vals = _int_entries(row)
+    codes = np.frombuffer(row.marks.encode(), np.uint8)
+    f, m, l = (codes == ord(mark) for mark in "fml")
 
-    products = list(map(mul, vals, vals[1:]))
-    f_int, m_int, l_int = (int.from_bytes(mask, "little") for mask in (f, m, l))
+    def dot(x, y, s: int) -> int:
+        both = x[: len(x) - s] & y[s:]
+        return int(vals[: len(vals) - s][both] @ vals[s:][both])
 
-    def pairs(left: int, right: int) -> int:
-        return sum(compress(products, (left & right >> 8).to_bytes(len(f), "little")))
-
-    return (
-        squares(f),
-        squares(m),
-        squares(l),
-        pairs(l_int, f_int),
-        pairs(f_int, m_int),
-        pairs(f_int, l_int),
-        pairs(m_int, l_int),
-    )
+    return tuple(dot(*xys) for xys in ((f, f, 0), (m, m, 0), (l, l, 0), (l, f, 1), (f, m, 1), (f, l, 1), (m, l, 1)))
 
 
 def _mat_vec(m, v):
@@ -186,7 +206,8 @@ def verify_m_recurrence(n_max: int) -> dict:
     vs, sum_ok = [], True
     for row in triangle_rows(n_max, t=1):
         vs.append(a_vector(row))
-        sum_ok = sum_ok and sum(vs[-1][:3]) == sum(map(mul, row.entries, row.entries))
+        vals = _int_entries(row)
+        sum_ok = sum_ok and sum(vs[-1][:3]) == int(vals @ vals)
     failures = []
     for n in range(1, n_max):
         if _mat_vec(MARK_MATRIX, vs[n - 1]) != vs[n]:

@@ -406,11 +406,12 @@ def test_meter_names_its_structure_and_the_first_failing_n(monkeypatch):
         ("triangle", "show", "--rows", "24"),
         ("verify", "m-recurrence", "--nmax", "24"),
         ("verify", "runs", "--nmax", "24"),
+        ("product", "--seq", "fib", "--nmax", "24"),
     ],
 )
 def test_rows_and_partials_stop_at_the_cap(argv, monkeypatch, capsys):
-    # triangle rows and golden partials are charged per n, so past 1 MB each
-    # exits 4 (as `product --nmax 24` does), and limit_n - 1 runs
+    # triangle rows, golden partials and product partials are charged per n,
+    # so past 1 MB each exits 4, and limit_n - 1 runs
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     code, _, err = run_cli(capsys, *argv)
     assert code == 4 and err.startswith("error:"), argv

@@ -19,6 +19,7 @@ from fibgf.polynomials import (
     golden_series,
     kbonacci_product_spec,
     partial_products,
+    _run_starts,
     run_decomposition,
     run_lengths,
     stern_product_spec,
@@ -225,14 +226,24 @@ def test_memory_guard(monkeypatch):
 
 
 def test_partial_products_raise_before_the_first_factor(monkeypatch):
+    # partials n - 1 and n at 32 bytes a coefficient: partials 19 and 20 pass 1 MB,
+    # so limit_n is 20 at every n >= 20, and n = 19 runs
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     factors = []
+    multiply = fibgf.polynomials._multiply_dense
     monkeypatch.setattr(fibgf.polynomials, "_multiply_dense", lambda coeffs, terms: factors.append(terms))
-    partials = partial_products(fibonacci_product_spec(25))
-    with pytest.raises(ResourceLimitError) as err:
-        next(partials)
-    assert err.value.limit_n == 25
+    for n in (20, 25):
+        partials = partial_products(fibonacci_product_spec(n))
+        with pytest.raises(ResourceLimitError) as err:
+            next(partials)
+        assert err.value.limit_n == 20
     assert factors == []
+    monkeypatch.setattr(fibgf.polynomials, "_multiply_dense", multiply)
+    assert build_product(fibonacci_product_spec(19)).degree == fibonacci(22) - 2
+    # weights other than 0 and +-1 make big coefficients, charged at 208 bytes each
+    with pytest.raises(ResourceLimitError) as err:
+        build_product(fibonacci_product_spec(19, t=TPoly.t()))
+    assert err.value.limit_n == 16
 
 
 def test_poly_json_roundtrip():
@@ -359,6 +370,37 @@ def test_golden_partials_match_the_sign_merge(n_max):
         assert series == GoldenSeries(terms)
 
 
+def test_golden_partials_switch_to_python_ints(monkeypatch):
+    # columns that might pass int64 are held as Python ints: the same series
+    # and run lengths with a bound that forces it
+    want = list(golden_partials(12))
+    monkeypatch.setattr(fibgf.polynomials, "INT64_MAX", 1)
+    got = list(golden_partials(12))
+    assert all(series.a.dtype == series.coeffs.dtype == object for series in got)
+    assert got == want
+    assert [run_lengths(series) for series in got[1:]] == [run_lengths(series) for series in want[1:]]
+
+
+def _run_lengths_by_steps(series: GoldenSeries) -> list[int]:
+    """The run lengths one term at a time, as the reference of ``run_lengths``."""
+    lengths: list[int] = []
+    for k, (a, b) in enumerate(zip(series.a.tolist(), series.b.tolist())):
+        if k and (a - prev[0], b - prev[1]) == (1, 0):
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+        prev = (a, b)
+    return lengths
+
+
+def test_run_lengths_match_the_term_steps():
+    partials = golden_partials(14)
+    assert _run_lengths_by_steps(next(partials)) == [1]  # n = 0: a lone term, which run_lengths refuses
+    for n, series in enumerate(partials, 1):
+        assert run_lengths(series) == _run_lengths_by_steps(series), n
+    assert _run_starts(GoldenSeries(())) == [0]
+
+
 def test_golden_keys_separate_the_closest_exponents():
     # golden_partials proves that distinct exponents differ by more than
     # phi^-2 > 1/4; the closest neighbours are phi - 1 apart, and the keys
@@ -432,10 +474,10 @@ def test_kbonacci_products():
 
 
 def test_golden_partials_are_charged_until_the_cap(monkeypatch):
-    # GOLDEN_TERM_BYTES a term: partial 16, with F_19 - 1 = 4180 terms, passes 1 MB
+    # GOLDEN_TERM_BYTES a term: partial 18, with F_21 - 1 = 10945 terms, passes 1 MB
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     with pytest.raises(ResourceLimitError) as err:
         for _ in golden_partials(24):
             pass
-    assert err.value.limit_n == 16
-    assert len(golden_series(15)) == fibonacci(18) - 1
+    assert err.value.limit_n == 18
+    assert len(golden_series(17)) == fibonacci(20) - 1

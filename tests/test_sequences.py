@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibgf.sequences import (
     FIBONACCI,
@@ -15,6 +17,7 @@ from fibgf.sequences import (
     phi_power,
     phi_power_reduce,
     prec_compare,
+    prec_key,
     zeckendorf,
 )
 
@@ -93,6 +96,45 @@ def test_prec_total_order():
     for a, b, c in triples:
         if prec_compare(a, b) == -1 and prec_compare(b, c) == -1:
             assert prec_compare(a, c) == -1
+
+
+def prec_compare_reps(zm: list[int], zn: list[int], sentinel_parity: str = "odd") -> int:
+    """The pairwise comparison ``prec_key`` replaced, as its reference: scan
+    both representations for the first differing index pair."""
+    if zm == zn:
+        return 0
+    if sentinel_parity == "odd":
+        big = 2 * (max(zm + zn) if (zm or zn) else 0) + 3  # odd, beyond every index
+    else:
+        big = 0
+    for k in range(max(len(zm), len(zn))):
+        i = zm[k] if k < len(zm) else big
+        j = zn[k] if k < len(zn) else big
+        if i == j:
+            continue
+        i_even, j_even = i % 2 == 0, j % 2 == 0
+        if i_even and not j_even:
+            return -1
+        if j_even and not i_even:
+            return +1
+        if i_even:  # both even: smaller index first
+            return -1 if i < j else +1
+        return +1 if i < j else -1  # both odd: larger index first
+    return 0
+
+
+def test_prec_key_rejects_an_unknown_sentinel():
+    with pytest.raises(ValueError, match="sentinel_parity"):
+        prec_compare(1, 2, sentinel_parity="zero")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.sampled_from(("even", "odd")))
+def test_prec_key_orders_as_prec_compare(m, n, parity):
+    # the key's tuple order is the pairwise comparison, prefixes and sentinels included
+    for zm, zn in ((zeckendorf(m), zeckendorf(n)), (zeckendorf(m), zeckendorf(m)[:-1])):
+        km, kn = prec_key(zm, parity), prec_key(zn, parity)
+        assert (km > kn) - (km < kn) == prec_compare_reps(zm, zn, sentinel_parity=parity)
 
 
 def test_golden_ring_laws():

@@ -10,6 +10,7 @@ from fibgf.symfun import (
     newton_power_sums,
     omega_powersum,
     partitions_of,
+    power_to_monomial,
     powersum_to_monomial,
     rank_sizes,
     tilde_q,
@@ -39,6 +40,38 @@ def ep_from_rank_product(i: int, b: int, cap: int) -> SymExpansion:
             if c:
                 coeffs[lam] = c
     return SymExpansion("monomial", cap, coeffs)
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def power_to_monomial_by_expansion(n: int) -> dict:
+    """Oracle: p_lambda expanded in n variables, the coefficient of m_mu read
+    off the monomial with sorted exponents."""
+    n_vars = max(n, 1)
+    table = {}
+    for lam in partitions_of(n):
+        poly = {(0,) * n_vars: 1}
+        for part in lam:
+            poly = _dict_mul(poly, {(0,) * i + (part,) + (0,) * (n_vars - i - 1): 1 for i in range(n_vars)})
+        coeffs = {}
+        for mu in partitions_of(n):
+            c = poly.get(tuple(mu) + (0,) * (n_vars - len(mu)), 0)
+            if c:
+                coeffs[mu] = c
+        table[lam] = coeffs
+    return table
+
+
+def test_power_to_monomial_counts_match_the_expansion():
+    for n in range(8):
+        assert power_to_monomial(n) == power_to_monomial_by_expansion(n), n
 
 
 def format_terms(exp: SymExpansion) -> str:

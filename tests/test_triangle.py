@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +25,12 @@ from fibgf.triangle import (
 
 
 def test_first_row():
-    assert first_row(1).entries == (1, 1)
+    assert first_row(1).entries.tolist() == [1, 1]
     t = TPoly.t()
-    assert first_row(t).entries == (1, t)
-    assert first_row(-1).entries == (1, -1)
+    assert first_row(t).entries.tolist() == [1, t]
+    assert first_row(-1).entries.tolist() == [1, -1]
+    assert first_row(1).entries.dtype == np.int64
+    assert first_row(t).entries.dtype == object == first_row(2**63).entries.dtype
 
 
 def test_triangle_rows_yields_exactly_n_max_rows():
@@ -53,18 +56,18 @@ def _group_spans(marks):
 
 def test_row_progression_matches_display():
     rows = list(triangle_rows(5, 1))
-    assert rows[1].entries == (1, 1, 1, 1)
-    assert rows[2].entries == (1, 1, 1, 2, 1, 1, 1)
-    assert rows[3].entries == (1, 1, 1, 2, 1, 2, 2, 1, 2, 1, 1, 1)
-    assert rows[4].entries == (1, 1, 1, 2, 1, 2, 2, 1, 3, 2, 2, 3, 1, 2, 2, 1, 2, 1, 1, 1)
-    groups5 = [tuple(rows[4].entries[i:j]) for i, j in _group_spans(rows[4].marks)]
+    assert rows[1].entries.tolist() == [1, 1, 1, 1]
+    assert rows[2].entries.tolist() == [1, 1, 1, 2, 1, 1, 1]
+    assert rows[3].entries.tolist() == [1, 1, 1, 2, 1, 2, 2, 1, 2, 1, 1, 1]
+    assert rows[4].entries.tolist() == [1, 1, 1, 2, 1, 2, 2, 1, 3, 2, 2, 3, 1, 2, 2, 1, 2, 1, 1, 1]
+    groups5 = [tuple(rows[4].entries[i:j].tolist()) for i, j in _group_spans(rows[4].marks)]
     assert groups5 == [(1, 1), (1, 2, 1), (2, 2), (1, 3, 2), (2, 3, 1), (2, 2), (1, 2, 1), (1, 1)]
 
 
 def test_weighted_row_production():
     t = TPoly.t()
     r2 = next_row(first_row(t), t)
-    assert r2.entries == (1, t, t, t * t)
+    assert r2.entries.tolist() == [1, t, t, t * t]
 
 
 def test_row_sizes():
@@ -105,7 +108,7 @@ def test_a_vector_examples():
 def _a_vector_by_lists(row: GroupedRow) -> tuple[int, ...]:
     """The list version ``a_vector`` replaced, as its reference: one
     full-length list per mark, zero off the mark."""
-    vals, marks = row.entries, row.marks
+    vals, marks = row.entries.tolist(), row.marks
     firsts = [v if m == "f" else 0 for v, m in zip(vals, marks)]
     mids = [v if m == "m" else 0 for v, m in zip(vals, marks)]
     lasts = [v if m == "l" else 0 for v, m in zip(vals, marks)]
@@ -134,8 +137,66 @@ def test_a_vector_matches_the_list_version_on_rows():
 @given(st.lists(st.tuples(st.integers(-50, 50), st.sampled_from("fml")), max_size=30))
 def test_a_vector_matches_the_list_version_on_any_marks(cells):
     # any marks string, not only the production rule's: runs of one mark, mf, lm, ...
-    row = GroupedRow(entries=tuple(v for v, _ in cells), marks="".join(m for _, m in cells), index=0)
-    assert a_vector(row) == _a_vector_by_lists(row)
+    for dtype in (np.int64, object):
+        entries = np.array([v for v, _ in cells], dtype=dtype)
+        row = GroupedRow(entries=entries, marks="".join(m for _, m in cells), index=0)
+        assert a_vector(row) == _a_vector_by_lists(row)
+
+
+def _next_row_by_marks(entries: tuple, marks: str, t) -> tuple[tuple, str]:
+    """The per-mark pass ``next_row`` replaced, as its reference: one
+    Python step per mark on tuples."""
+    tvals = [t * v for v in entries]
+    out: list = []
+    new_marks: list[str] = []
+    if marks[0] == "f":
+        out += (entries[0], tvals[0])
+        new_marks.append("ml")
+    last = len(marks) - 1
+    for k, mark in enumerate(marks):
+        if mark == "m":
+            out += (entries[k], tvals[k])
+            new_marks.append("fl")
+        elif mark == "l" and k < last:  # an inner l is always followed by an f
+            out += (entries[k], entries[k + 1] + tvals[k], tvals[k + 1])
+            new_marks.append("fml")
+    if marks[-1] == "l":
+        out += (entries[-1], tvals[-1])
+        new_marks.append("fm")
+    return tuple(out), "".join(new_marks)
+
+
+WEIGHTS = (1, -1, 3, 2**21, TPoly.t())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(WEIGHTS), st.integers(1, 14))
+def test_array_rows_match_the_per_mark_pass(t, n_max):
+    entries, marks = (1, t), "fl"
+    for row in triangle_rows(n_max, t):
+        assert (row.entries.tolist(), row.marks) == (list(entries), marks), (t, row.index)
+        if isinstance(t, int):
+            ints = GroupedRow(np.array(entries, dtype=object), marks, row.index)
+            assert a_vector(row) == a_vector(ints) == _a_vector_by_lists(row), (t, row.index)
+        entries, marks = _next_row_by_marks(entries, marks, t)
+
+
+@pytest.mark.parametrize("t, bound", [(1, 8), (-1, 1), (3, 8)])
+def test_rows_and_sums_switch_to_python_ints(t, bound, monkeypatch):
+    # rows, their sums of squares and products that might pass int64 are held
+    # as Python ints: the same entries and sums with a bound that forces it
+    want = [(row.entries.tolist(), row.marks, a_vector(row)) for row in triangle_rows(12, t)]
+    monkeypatch.setattr(fibgf.triangle, "INT64_MAX", bound)
+    rows = list(triangle_rows(12, t))
+    assert all(row.entries.dtype == object for row in rows)
+    assert [(row.entries.tolist(), row.marks, a_vector(row)) for row in rows] == want
+    # next_row promotes an int64 row before its entries could pass the bound
+    row = first_row(t)
+    while row.index < 12 and row.entries.dtype != object:
+        assert np.abs(row.entries).max() <= bound
+        row = next_row(row, t)
+    assert row.entries.dtype == object
+    assert (row.entries.tolist(), row.marks, a_vector(row)) == want[row.index - 1]
 
 
 def test_a_vector_rejects_symbolic():
@@ -185,7 +246,9 @@ def test_rows_match_product_rejects_a_corrupted_row(monkeypatch):
         out = real(row, t)
         if out.index != 7:
             return out
-        return GroupedRow(out.entries[:3] + (out.entries[3] + 1,) + out.entries[4:], out.marks, out.index)
+        entries = out.entries.copy()
+        entries[3] += 1
+        return GroupedRow(entries, out.marks, out.index)
 
     monkeypatch.setattr(fibgf.triangle, "next_row", corrupted)
     verify_rows_match_product(6, t=3)
@@ -221,7 +284,7 @@ def test_rows_and_products_are_read_exactly_at_a_power_of_two():
         assert all(0 <= c <= 2 ** (n - 1) for v in entries for c in v.c), n
         coeffs = [_as_tpoly(v) for v in partials[n].dense_coefficients()]
         assert all(0 <= c < 2**n for v in coeffs for c in v.c), n
-        assert tuple(v.evaluate(big) for v in entries) == list(triangle_rows(n, big))[-1].entries, n
+        assert [v.evaluate(big) for v in entries] == list(triangle_rows(n, big))[-1].entries.tolist(), n
 
 
 def test_format_row_paper_style():
@@ -236,7 +299,8 @@ def test_row_entries_equal_product_error_detail():
     import dataclasses
 
     good = list(triangle_rows(3, 1))[2]
-    bad = dataclasses.replace(good, entries=good.entries[:3] + (9,) + good.entries[4:])
+    bad = dataclasses.replace(good, entries=good.entries.copy())
+    bad.entries[3] = 9
     poly = build_product(fibonacci_product_spec(3))
     coeffs = poly.dense_coefficients()
     mismatch = [k for k, (a, b) in enumerate(zip(bad.entries, coeffs)) if a != b]
@@ -244,11 +308,11 @@ def test_row_entries_equal_product_error_detail():
 
 
 def test_rows_are_charged_until_the_cap(monkeypatch):
-    # rows n - 1 and n, 32 bytes an entry: rows 19 and 20 pass 1 MB
+    # rows n - 1 and n, 8 + ROW_STEP_BYTES bytes an int64 entry: rows 20 and 21 pass 1 MB
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     with pytest.raises(ResourceLimitError) as err:
         for _ in triangle_rows(24):
             pass
-    assert err.value.limit_n == 20
-    assert len(list(triangle_rows(19))) == 19
-    assert verify_m_recurrence(19)["status"] == "pass"
+    assert err.value.limit_n == 21
+    assert len(list(triangle_rows(20))) == 20
+    assert verify_m_recurrence(20)["status"] == "pass"
