@@ -582,6 +582,9 @@ VERIFY_CHECKS = {
     "exercise-note": check_exercise_note,
 }
 
+# The verify checks that run on numpy: ``fibgf verify`` loads it before timing one
+NUMPY_CHECKS = frozenset({"flag-beta", "golden", "hnfn", "m-recurrence", "phi-rgf", "q2", "runs", "sigma-labels", "upho"})
+
 SCAN_CHECKS = {
     "conj-v3k": scan_conj_v3k,
     "conj-jrkx": scan_conj_jrkx,

@@ -15,7 +15,7 @@ import time
 from dataclasses import replace
 from functools import cache
 
-from .checks import SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
+from .checks import NUMPY_CHECKS, SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
 from .config import max_mem_bytes
 from .errors import ResourceLimitError
 from .guess import guess_rational
@@ -162,10 +162,11 @@ def _run_or_error(name: str) -> CheckReport:
 
 
 def cmd_verify(args) -> int:
+    if NUMPY_CHECKS.intersection(VERIFY_CHECKS if args.name == "all" else [args.name]):
+        import numpy  # noqa: F401  (loaded here, so that no check's elapsed_ms carries its import)
     if args.name == "all":
         if args.nmax is not None:
             raise ValueError("verify all takes no --nmax; every check runs at its own defaults")
-        import numpy  # noqa: F401  (loaded here, so that no check's elapsed_ms carries its import)
         failed = False
         for name in sorted(VERIFY_CHECKS):
             rep = _run_or_error(name)

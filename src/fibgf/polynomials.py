@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, repeat
+from itertools import compress, count, repeat
 from math import isqrt
 from operator import add, mul, not_, sub
 
@@ -316,13 +316,18 @@ class ProductSpec:
             by_exp[e] = by_exp.get(e, 0) + aj
         return [(c, e) for e, c in sorted(by_exp.items()) if c]
 
-    def degree_bound(self) -> int:
-        total = 0 if self.prefactor is None else max(self.prefactor.degree, 0)
+    def partial_lengths(self):
+        """Yield the dense length of partial i = 0..n: each factor adds its top exponent."""
+        length = 1 if self.prefactor is None else max(self.prefactor.degree, 0) + 1
+        yield length
         for i in range(1, self.n + 1):
             terms = self.factor_terms(i)
-            if terms:
-                total += terms[-1][1]
-        return total
+            length += terms[-1][1] if terms else 0
+            yield length
+
+    def degree_bound(self) -> int:
+        *_, length = self.partial_lengths()
+        return length - 1
 
 
 # entries per slice add in ``_multiply_dense``: a slice assignment holds one
@@ -364,24 +369,22 @@ def partial_products(spec: ProductSpec):
     """Yield the partial product after factor i for i = 0..n (i = 0 is the
     prefactor alone), each from the one before.
 
-    Step i holds the dense lists of partials i - 1 and i, charged at
-    ``PYOBJ_BYTES_PER_COEFF`` a coefficient, or ``PYOBJ_BYTES_PER_BIG_COEFF``
-    when a weight is not 0 or +-1 (its coefficients are big ints or TPolys).
-    Raises ResourceLimitError on the first ``next``, before any work, with
+    Step i holds the dense lists of partials i - 1 and i, at
+    ``PYOBJ_BYTES_PER_COEFF`` a coefficient (``PYOBJ_BYTES_PER_BIG_COEFF``
+    for big ints or TPolys: a weight not 0 or +-1).  Raises
+    ResourceLimitError on the first ``next``, before any work, with
     ``limit_n`` = the first i whose step passes the RGF_MAX_MEM_MB cap.
     """
     small = all(isinstance(aj, int) and -1 <= aj <= 1 for aj in spec.a)
     coeff_bytes = PYOBJ_BYTES_PER_COEFF if small else PYOBJ_BYTES_PER_BIG_COEFF
-    factors = [spec.factor_terms(i) for i in range(1, spec.n + 1)]
-    first = 1 if spec.prefactor is None else max(spec.prefactor.degree, 0) + 1
-    lengths = [0, *accumulate((terms[-1][1] if terms else 0 for terms in factors), initial=first)]
+    lengths = [0, *spec.partial_lengths()]
     meter = Meter("dense product")
     for i in range(spec.n + 1):
         meter.charge(coeff_bytes * (lengths[i + 1] - (lengths[i - 1] if i else 0)), i)
     acc = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
     yield _partial(acc)
-    for terms in factors:
-        acc = _multiply_dense(acc, terms)
+    for i in range(1, spec.n + 1):
+        acc = _multiply_dense(acc, spec.factor_terms(i))
         yield _partial(acc)
 
 
@@ -418,23 +421,23 @@ class GoldenSeries:
     """A finite series sum c_i x^{e_i} with exponents e_i = a_i + b_i phi in
     Z[phi], ascending.
 
-    Kept as three 1-D numpy arrays (Python ints, dtype object, when built
-    from terms); ``terms`` builds the (GoldenInt, coefficient) pairs each
-    time it is read, and two series are equal when their terms are.
+    Kept as three 1-D numpy arrays, ``columns`` already in exponent order
+    or else built from ``terms`` (Python ints, dtype object); ``terms`` builds
+    the (GoldenInt, coefficient) pairs each time it is read, and two series
+    are equal when their terms are.
     """
 
     a: object  # the exponents' rational parts
     b: object  # the exponents' phi parts
     coeffs: object
 
-    def __init__(self, terms):
+    def __init__(self, terms=(), columns=None):
         import numpy as np
 
-        columns = list(zip(*((e.a, e.b, c) for e, c in terms))) or [(), (), ()]
-        self._fill(*(np.array(column, dtype=object) for column in columns))
-
-    def _fill(self, a, b, coeffs) -> None:
-        for name, column in (("a", a), ("b", b), ("coeffs", coeffs)):
+        if columns is None:
+            rows = [(e.a, e.b, c) for e, c in terms]
+            columns = [np.array(column, dtype=object) for column in list(zip(*rows)) or [(), (), ()]]
+        for name, column in zip(("a", "b", "coeffs"), columns):
             object.__setattr__(self, name, column)
 
     @property
@@ -450,13 +453,6 @@ class GoldenSeries:
 
     def __len__(self) -> int:
         return self.coeffs.shape[0]
-
-
-def _golden_series(a, b, coeffs) -> GoldenSeries:
-    """A GoldenSeries around arrays already in exponent order."""
-    series = object.__new__(GoldenSeries)
-    series._fill(a, b, coeffs)
-    return series
 
 
 # What a golden step holds per term it charges, at its tracemalloc peak: the
@@ -482,29 +478,30 @@ def golden_partials(n_max: int):
     floor(4e).  A step shifts a copy of every pair by phi^i, takes a stable
     argsort of both copies' keys and adds the coefficients of equal keys
     with ``add.reduceat``; isqrt(20 b^2) comes from an int table indexed by
-    b.  Partial n's b are sums of distinct F_i, i < n, so below F_{n+1},
-    its a at most F_n, its keys below 12 F_{n+1} and its coefficients at
-    most 2^n: a, keys and coefficients are int64 when those bounds at n_max
-    fit it, else object; b is the table's index.  Partial n has
-    F_{n+3} - 1 terms, as many as the Fibonacci product; the step to it
-    charges GOLDEN_TERM_BYTES (``PYOBJ_BYTES_PER_BIG_COEFF`` on object
-    columns) for each of the F_{n+1} terms it adds, with ``limit_n`` = n.
+    b, grown after each step's charge to the b that step reaches.  Partial
+    n's b are sums of distinct F_i, i < n, so below F_{n+1}, its a at most
+    F_n, its keys below 12 F_{n+1} and its coefficients at most 2^n: a,
+    keys and coefficients are int64 when those bounds at n_max fit it, else
+    object; b is the table's index.  Partial n has F_{n+3} - 1 terms, as
+    many as the Fibonacci product; the step to it charges GOLDEN_TERM_BYTES
+    (``PYOBJ_BYTES_PER_BIG_COEFF`` on object columns) for each of the
+    F_{n+1} terms it adds, with ``limit_n`` = n.
     """
     import numpy as np
 
     if n_max < 0:
         raise ValueError("n must be >= 0")
-    top_b = fibonacci(n_max + 1)
-    dtype = np.int64 if max(2**n_max, 12 * top_b) <= INT64_MAX else object
+    dtype = np.int64 if max(2**n_max, 12 * fibonacci(n_max + 1)) <= INT64_MAX else object
     term_bytes = GOLDEN_TERM_BYTES if dtype is np.int64 else PYOBJ_BYTES_PER_BIG_COEFF
     meter = Meter("golden partials")
     meter.charge(term_bytes, 0)
-    roots = np.array([isqrt(20 * b * b) for b in range(top_b)], dtype)
-    a, keys, coeffs = np.zeros(1, dtype), np.zeros(1, dtype), np.ones(1, dtype)
+    a, keys, coeffs, roots = np.zeros(1, dtype), np.zeros(1, dtype), np.ones(1, dtype), np.zeros(1, dtype)
     b = np.zeros(1, np.intp)
-    yield _golden_series(a, b, coeffs)
+    yield GoldenSeries(columns=(a, b, coeffs))
     for i in range(n_max):
         meter.charge(term_bytes * fibonacci(i + 2), i + 1)
+        grown = [isqrt(20 * k * k) for k in range(len(roots), fibonacci(i + 2))]
+        roots = np.concatenate((roots, np.array(grown, dtype)))
         shift = phi_power(i)
         a2, b2 = a + shift.a, b + shift.b
         all_keys = np.concatenate((keys, 4 * a2 + 2 * b2 + roots[b2]))
@@ -515,7 +512,7 @@ def golden_partials(n_max: int):
         coeffs = np.add.reduceat(np.concatenate((coeffs, coeffs))[order], starts)
         first = order[starts]
         a, b, keys = np.concatenate((a, a2))[first], np.concatenate((b, b2))[first], all_keys[starts]
-        yield _golden_series(a, b, coeffs)
+        yield GoldenSeries(columns=(a, b, coeffs))
 
 
 def golden_series(n: int) -> GoldenSeries:

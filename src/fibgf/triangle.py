@@ -37,13 +37,22 @@ class GroupedRow:
     index: int
 
 
-def first_row(t=1, dtype=None) -> GroupedRow:
-    """Row 1, (1, t): int64 by default when t fits it, else object."""
+def _next_dtype(row: GroupedRow | None, t):
+    """The dtype of the row after ``row`` (row 1 for None): int64 while its entries,
+    at most (1 + |t|) times the largest of ``row``, fit it; else object."""
     import numpy as np
 
-    if dtype is None:
-        dtype = np.int64 if isinstance(t, int) and abs(t) <= INT64_MAX else object
-    return GroupedRow(entries=np.array([1, t], dtype=dtype), marks="fl", index=1)
+    if not isinstance(t, int) or (row is not None and row.entries.dtype == object):
+        return object
+    top = 1 if row is None else int(np.abs(row.entries).max())
+    return np.int64 if (1 + abs(t)) * top <= INT64_MAX else object
+
+
+def first_row(t=1) -> GroupedRow:
+    """Row 1, (1, t)."""
+    import numpy as np
+
+    return GroupedRow(entries=np.array([1, t], dtype=_next_dtype(None, t)), marks="fl", index=1)
 
 
 def next_row(row: GroupedRow, t=1) -> GroupedRow:
@@ -52,8 +61,8 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
     Each entry v gives the pair (v, t*v); at each l-f boundary the l's t*e
     and the f's b add into one entry, so the new marks read m -> fl, inner
     l -> fml, inner f -> "", with a leading f -> ml and a trailing l -> fm.
-    An int64 row whose new entries, at most (1 + |t|) times its largest,
-    could pass ``INT64_MAX`` steps on Python ints (object) instead.
+    An int64 row whose new entries could pass ``INT64_MAX`` steps on Python
+    ints instead.
 
     Each new entry covers the entries of this row it is summed from; those
     covers make the triangle poset, which is P_{2,3}:
@@ -61,9 +70,7 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
     """
     import numpy as np
 
-    vals, marks = row.entries, row.marks
-    if vals.dtype != object and (1 + abs(t)) * int(np.abs(vals).max()) > INT64_MAX:
-        vals = vals.astype(object)
+    vals, marks = row.entries.astype(_next_dtype(row, t), copy=False), row.marks
     flat = np.stack((vals, t * vals), axis=1).reshape(-1)  # v_0, t v_0, v_1, t v_1, ...
     codes = np.frombuffer(marks.encode(), np.uint8)
     lf = (codes[:-1] == ord("l")) & (codes[1:] == ord("f"))  # an l-f boundary after entry k
@@ -79,34 +86,27 @@ def next_row(row: GroupedRow, t=1) -> GroupedRow:
     return GroupedRow(entries=flat[keep], marks=new_marks, index=row.index + 1)
 
 
-# What an int64 row step holds per entry of the two rows alive, beyond the
-# itemsize: the pairs array, the masks and the marks (tracemalloc: 17.5 in all).
-ROW_STEP_BYTES = 10
+# What an int64 row step holds per entry of the two rows alive: the entry,
+# the pairs array, the masks and the marks (tracemalloc: 17.5).
+INT64_ROW_BYTES = 18
 
 
 def triangle_rows(n_max: int, t=1):
     """Yield rows 1..n_max (none when n_max = 0); ValueError for a negative n_max.
 
-    The rows are int64 when every entry of rows 1..n_max fits one: a row-n
-    entry is a sum of at most two row-(n-1) entries times 1 or t, so it is
-    at most max(1, |t|) (1 + |t|)^(n-1) in absolute value; else object.
     Row n has F_{n+3} - 1 entries, as its product has coefficients, and is
-    built while row n - 1 is held: step n charges the F_{n+2} entries by which
-    row n outgrows row n - 2, at the int64 itemsize plus ``ROW_STEP_BYTES``
-    or at ``PYOBJ_BYTES_PER_BIG_COEFF`` (object; 77 at t = 2^21) each,
-    limit_n = n."""
-    import numpy as np
-
+    built while row n - 1 is held: step n charges the F_{n+2} entries by
+    which row n outgrows row n - 2, at ``INT64_ROW_BYTES``, or at
+    ``PYOBJ_BYTES_PER_BIG_COEFF`` when row n is object (77 at t = 2^21)
+    each, limit_n = n."""
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    fits = isinstance(t, int) and max(1, abs(t)) * (1 + abs(t)) ** max(n_max - 1, 0) <= INT64_MAX
-    dtype = np.dtype(np.int64 if fits else object)
-    entry_bytes = PYOBJ_BYTES_PER_BIG_COEFF if dtype == object else dtype.itemsize + ROW_STEP_BYTES
     meter = Meter("triangle rows")
     row = None
     for n in range(1, n_max + 1):
+        entry_bytes = PYOBJ_BYTES_PER_BIG_COEFF if _next_dtype(row, t) is object else INT64_ROW_BYTES
         meter.charge(entry_bytes * fibonacci(n + 2), n)
-        row = first_row(t, dtype) if row is None else next_row(row, t)
+        row = first_row(t) if row is None else next_row(row, t)
         yield row
 
 
@@ -120,7 +120,8 @@ def verify_rows_match_product(n_max: int, t=1) -> None:
     """
     partials = partial_products(fibonacci_product_spec(n_max, t=t))
     next(partials)  # the empty product has no row
-    for row, partial in zip(triangle_rows(n_max, t), partials):
+    # each partial before its row: row first leaves two more pymalloc arenas mapped
+    for partial, row in zip(partials, triangle_rows(n_max, t)):
         # both sides as lists only while compared, so that none outlives the step
         if len(row.entries) != partial.degree + 1:
             raise InvariantError(

@@ -151,20 +151,49 @@ def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
     assert reports[1]["details"] == {"error": "ResourceLimitError: over the cap"}
 
 
-def test_verify_all_loads_numpy_before_its_first_check():
-    # numpy's import (about 150 ms) would otherwise land in the elapsed_ms of
-    # the first check that needs it, in a fresh `fibgf verify all`
+def _run_python(code: str) -> int:
+    src = str(Path(fibgf.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+
+def _numpy_loaded_at_first_check(name: str) -> int:
     code = (
         "import sys, fibgf.cli\n"
         "def first_check(kind, name, **params):\n"
         "    sys.exit(0 if 'numpy' in sys.modules else 1)\n"
         "fibgf.cli.run_check = first_check\n"
-        "fibgf.cli.main(['verify', 'all', '--json'])\n"
+        f"fibgf.cli.main(['verify', {name!r}, '--json'])\n"
         "sys.exit(2)\n"
     )
-    src = str(Path(fibgf.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return _run_python(code)
+
+
+def test_verify_all_loads_numpy_before_its_first_check():
+    # numpy's import (about 150 ms) would otherwise land in the elapsed_ms of
+    # the first check that needs it, in a fresh `fibgf verify all`
+    assert _numpy_loaded_at_first_check("all") == 0
+
+
+@pytest.mark.parametrize("name", ["runs", "hnfn"])
+def test_verify_one_numpy_check_loads_numpy_before_it(name):
+    # as in `verify all`: a fresh `fibgf verify runs` times no numpy import
+    assert _numpy_loaded_at_first_check(name) == 0
+
+
+def test_checks_outside_numpy_checks_load_no_numpy():
+    # a check that starts to use numpy belongs in NUMPY_CHECKS, or its
+    # elapsed_ms carries the import in a fresh `fibgf verify <check>`
+    others = sorted(set(fibgf.checks.VERIFY_CHECKS) - fibgf.checks.NUMPY_CHECKS)
+    code = (
+        "import sys\n"
+        "from fibgf.checks import run_check\n"
+        f"for name in {others!r}:\n"
+        "    run_check('verify', name)\n"
+        "    if 'numpy' in sys.modules:\n"
+        "        sys.exit(name)\n"
+    )
+    assert _run_python(code) == 0
 
 
 def test_invariant_error_is_a_fail_report(monkeypatch, capsys):

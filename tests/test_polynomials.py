@@ -201,6 +201,7 @@ def test_factor_terms_normal_form():
     # the cancelled factor is 1 and adds nothing to the degree
     assert cancelled.degree_bound() == 2 == build_product(cancelled).degree
     assert replace(cancelled, n=1).degree_bound() == 0
+    assert list(cancelled.partial_lengths()) == [1, 1, 3]
     descending = ProductSpec(exponent_seq=RecurrentSeq(coeffs=(1, 0), init=(3, 1)), n=1, h=2, a=(TPoly.t(), 2))
     assert descending.factor_terms(1) == [(2, 1), (TPoly.t(), 3)]
 
@@ -264,6 +265,8 @@ def test_prefactor_and_offset():
     p = build_product(spec)
     assert p.base == 1
     assert p.dense_coefficients() == [0, 1, 1, 1, 1]  # x(1+x)(1+x^2)
+    # the dense rows start at x^0, so the prefactor's zero counts in every length
+    assert list(spec.partial_lengths()) == [len(q.dense_coefficients()) for q in partial_products(spec)] == [2, 3, 5]
 
 
 def test_golden_series_examples():
@@ -481,3 +484,16 @@ def test_golden_partials_are_charged_until_the_cap(monkeypatch):
             pass
     assert err.value.limit_n == 18
     assert len(golden_series(17)) == fibonacci(20) - 1
+
+
+def test_golden_partials_grow_their_isqrt_table_with_the_steps(monkeypatch):
+    # a deep n_max costs nothing before the cap stops it: the table holds
+    # only the b of the partials built, below F_18 when step 18 raises
+    monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
+    calls = []
+    monkeypatch.setattr(fibgf.polynomials, "isqrt", lambda v: calls.append(v) or isqrt(v))
+    with pytest.raises(ResourceLimitError) as err:
+        for _ in golden_partials(40):
+            pass
+    assert err.value.limit_n == 18
+    assert len(calls) == fibonacci(18) - 1

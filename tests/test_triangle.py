@@ -188,15 +188,10 @@ def test_rows_and_sums_switch_to_python_ints(t, bound, monkeypatch):
     want = [(row.entries.tolist(), row.marks, a_vector(row)) for row in triangle_rows(12, t)]
     monkeypatch.setattr(fibgf.triangle, "INT64_MAX", bound)
     rows = list(triangle_rows(12, t))
-    assert all(row.entries.dtype == object for row in rows)
+    # a row steps to Python ints before its entries could pass the bound
+    assert rows[-1].entries.dtype == object
+    assert all(np.abs(row.entries).max() <= bound for row in rows if row.entries.dtype != object)
     assert [(row.entries.tolist(), row.marks, a_vector(row)) for row in rows] == want
-    # next_row promotes an int64 row before its entries could pass the bound
-    row = first_row(t)
-    while row.index < 12 and row.entries.dtype != object:
-        assert np.abs(row.entries).max() <= bound
-        row = next_row(row, t)
-    assert row.entries.dtype == object
-    assert (row.entries.tolist(), row.marks, a_vector(row)) == want[row.index - 1]
 
 
 def test_a_vector_rejects_symbolic():
@@ -308,7 +303,7 @@ def test_row_entries_equal_product_error_detail():
 
 
 def test_rows_are_charged_until_the_cap(monkeypatch):
-    # rows n - 1 and n, 8 + ROW_STEP_BYTES bytes an int64 entry: rows 20 and 21 pass 1 MB
+    # rows n - 1 and n, INT64_ROW_BYTES an int64 entry: rows 20 and 21 pass 1 MB
     monkeypatch.setenv("RGF_MAX_MEM_MB", "1")
     with pytest.raises(ResourceLimitError) as err:
         for _ in triangle_rows(24):
