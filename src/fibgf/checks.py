@@ -162,14 +162,19 @@ def check_transfer(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
 def check_hnfn(nmax: int = 20):
     """Rows 1..nmax equal the partial products, for symbolic t.
 
-    The check runs on ints at T = 2^(nmax+1), which decides it exactly, and
-    so at every t, t = 1 included.  The coefficient of x^k t^j in the n-th
-    product counts j-subsets of its n factors, so it lies in [0, 2^n).  A
-    row-n entry is a sum of at most two row-(n-1) entries times powers of t,
-    so, from row 1 = (1, t), each of its t-coefficients lies in
-    [0, 2^(n-1)].  Both sides are polynomials in t with coefficients in
-    [0, T), and two such polynomials that agree at T agree as polynomials:
-    their values at T are base-T numerals.
+    ``verify_rows_match_product`` checks each row n against row n - 1 times
+    1 + t x^{F_{n+1}}, from the empty product, so by induction the rows are
+    the products.  It runs on ints at T = 2^(nmax+1), which decides each
+    comparison exactly, and so at every t, t = 1 included.  The rows are
+    built by a polynomial map in t, so the int rows are the symbolic rows at
+    T.  A row-n entry is a sum of at most two row-(n-1) entries times powers
+    of t, so, from row 1 = (1, t), each of its t-coefficients lies in
+    [0, 2^(n-1)].  An entry of row n - 1 times 1 + t x^F is one row-(n-1)
+    entry plus t times another, so its t-coefficients lie in
+    [0, 2 * 2^(n-2)] too.  Both sides of the comparison at row n are
+    polynomials in t with coefficients in [0, 2^(n-1)], within [0, T), and
+    two such polynomials that agree at T agree as polynomials: their values
+    at T are base-T numerals.
     """
     verify_rows_match_product(nmax, t=2 ** (nmax + 1))
     return "pass", {"rows": nmax, "symbolic": True}
@@ -583,7 +588,9 @@ VERIFY_CHECKS = {
 }
 
 # The verify checks that run on numpy: ``fibgf verify`` loads it before timing one
-NUMPY_CHECKS = frozenset({"flag-beta", "golden", "hnfn", "m-recurrence", "phi-rgf", "q2", "runs", "sigma-labels", "upho"})
+NUMPY_CHECKS = frozenset(
+    {"flag-beta", "golden", "hnfn", "m-recurrence", "phi-rgf", "q2", "runs", "sigma-labels", "upho", "wordclasses"}
+)
 
 SCAN_CHECKS = {
     "conj-v3k": scan_conj_v3k,

@@ -44,16 +44,23 @@ class RationalFunc:
         return len(self.den) - 1
 
     def series(self, n_terms: int) -> list:
-        """First n_terms power-series coefficients, exactly."""
+        """First n_terms power-series coefficients, exactly.
+
+        Zero denominator terms are skipped, so a term that only a zero term
+        times a TPoly made a constant TPoly is the equal int, with the same
+        hash and str."""
         d0 = self.den[0]
         is_unit = d0 == 1 or d0 == -1
         if not d0:
             raise ValueError("denominator constant term must be invertible")
+        terms = [(j, dj) for j, dj in enumerate(self.den) if j and dj]
         out: list = []
         for k in range(n_terms):
             acc = self.num[k] if k < len(self.num) else 0
-            for j in range(1, min(k, self.den_degree) + 1):
-                acc = acc - self.den[j] * out[k - j]
+            for j, dj in terms:
+                if j > k:
+                    break
+                acc = acc - dj * out[k - j]
             if is_unit:
                 out.append(acc if d0 == 1 else -acc)
             else:

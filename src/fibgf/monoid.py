@@ -114,12 +114,12 @@ def is_generator(word: MonoidWord) -> bool:
 
 
 def generator_census_series(k: int, max_len: int) -> list:
-    """[G_1, ..., G_max_len]: per length, the sum of t^{ones} over generators."""
-    t = TPoly.t()
-    census: list = [0] * (max_len + 1)
+    """[G_1, ..., G_max_len]: per length, the sum of t^{ones} over generators,
+    one ``TPoly`` of the generators counted by ones, 0 where there is none."""
+    counts = [[0] * (2 * length + 1) for length in range(max_len + 1)]  # [length][ones]
     for g in generators(k, max_len):
-        census[g.length] = census[g.length] + t**g.ones_count
-    return census[1:]
+        counts[g.length][g.ones_count] += 1
+    return [TPoly(row) if any(row) else 0 for row in counts[1:]]
 
 
 def closed_form_census_series(k: int, max_len: int) -> list:
@@ -205,32 +205,41 @@ def word_classes(n: int, cap: int = 14) -> list[int]:
     """Sorted multiset of class sizes of baa <-> abb rewriting on {a,b}^n.
 
     Words are encoded as n-bit integers with bit p = 1 for the letter b at
-    position p (reading left to right).  Each class is walked once, from its
-    smallest word.  A word's windows b a a and a b b at positions p, p+1, p+2
-    are the set bits p of two masks, and XOR with 7 << p rewrites either one
-    into the other.
+    position p (reading left to right), so the windows b a a and a b b at
+    positions p, p+1, p+2 read 001 and 110 from bit p, and XOR with 7 << p
+    rewrites either one into the other.  The classes are found by label
+    propagation on arrays: every word starts labelled by itself; a round
+    gives each word the smallest label among itself and its rewrites, and
+    stops if no label fell; else it replaces labels by their labels' labels
+    until that changes nothing.
+
+    That is exact.  A label is always a word of the same class, as the
+    rewrites stay in the class, and labels only fall, so the rounds stop.
+    At the stop each word's label is at most those of its rewrites; a
+    rewrite is an involution, so the labels of a rewrite pair are equal and
+    the label is one word per class.  The class sizes are the label counts.
     """
     if n > cap:
         raise ResourceLimitError(f"word classes capped at n = {cap}", limit_n=n)
-    seen = bytearray(1 << n)
-    starts = (1 << max(n - 2, 0)) - 1  # the positions p with p + 2 < n
-    sizes = []
-    for first in range(1 << n):
-        if seen[first]:
-            continue
-        seen[first] = 1
-        members = [first]
-        for w in members:  # grows as the walk reaches new words
-            windows = (w & ~(w >> 1) & ~(w >> 2) | ~w & w >> 1 & w >> 2) & starts
-            while windows:
-                low = windows & -windows
-                other = w ^ 7 * low
-                if not seen[other]:
-                    seen[other] = 1
-                    members.append(other)
-                windows ^= low
-        sizes.append(len(members))
-    return sorted(sizes)
+    import numpy as np
+
+    words = np.arange(1 << n)
+    pairs = []  # per window position: the words with a window there, and their rewrites
+    for p in range(n - 2):
+        window = (words >> p) & 7
+        with_window = words[(window == 1) | (window == 6)]
+        pairs.append((with_window, with_window ^ (7 << p)))
+    labels = words.copy()
+    while True:
+        before = labels.copy()
+        for with_window, rewritten in pairs:
+            labels[with_window] = np.minimum(labels[with_window], labels[rewritten])
+        if np.array_equal(labels, before):
+            break
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
+    sizes = np.bincount(labels)
+    return np.sort(sizes[sizes > 0]).tolist()
 
 
 def _move_targets(bits: tuple[int, ...]) -> list[tuple[int, ...]]:

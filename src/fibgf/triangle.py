@@ -26,7 +26,7 @@ from itertools import repeat
 
 from .config import PYOBJ_BYTES_PER_BIG_COEFF, Meter
 from .errors import InvariantError
-from .polynomials import INT64_MAX, TPoly, fibonacci_product_spec, partial_products
+from .polynomials import INT64_MAX, TPoly
 from .sequences import fibonacci
 
 
@@ -111,27 +111,55 @@ def triangle_rows(n_max: int, t=1):
 
 
 def verify_rows_match_product(n_max: int, t=1) -> None:
-    """Check entries of row n = coefficients of the weighted product, n <= n_max.
+    """Check entries of row n = coefficients of prod_{i<=n} (1 + t x^{F_{i+1}}), n <= n_max.
 
-    Each row is compared with its partial product as ``partial_products``
-    yields it, so no partial product outlives its row.  Raises
-    InvariantError carrying the first mismatching exponent, or the row index
-    when the lengths differ.
+    Each row is checked against the row before it, from the empty product
+    (1), so no product is built: with L entries in row n - 1 and
+    F = F_{n+1}, row n must have L + F entries, below F those of row n - 1,
+    from F to L those of row n - 1 plus t times its first L - F, and from L
+    on t times its last F.  That is row n - 1 times 1 + t x^F, so by
+    induction every row is its product.  Raises InvariantError carrying the
+    first mismatching exponent, or the row index when the lengths differ.
     """
-    partials = partial_products(fibonacci_product_spec(n_max, t=t))
-    next(partials)  # the empty product has no row
-    # each partial before its row: row first leaves two more pymalloc arenas mapped
-    for partial, row in zip(partials, triangle_rows(n_max, t)):
-        # both sides as lists only while compared, so that none outlives the step
-        if len(row.entries) != partial.degree + 1:
-            raise InvariantError(
-                f"row {row.index} has {len(row.entries)} entries, product has {partial.degree + 1}",
-                detail=row.index,
-            )
-        if row.entries.tolist() != partial.dense_coefficients():
-            pairs = zip(row.entries.tolist(), partial.dense_coefficients())
-            k = next(k for k, (a, b) in enumerate(pairs) if a != b)
-            raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
+    import numpy as np
+
+    prev = GroupedRow(entries=np.ones(1, np.int64), marks="", index=0)  # the empty product
+    for row in triangle_rows(n_max, t):
+        _check_step(prev, row, t)
+        prev = row
+
+
+# entries compared at a time from F_{n+1} on, so that the temporaries stay small
+_CHECK_BLOCK = 1024
+
+
+def _check_step(prev: GroupedRow, row: GroupedRow, t) -> None:
+    """Check ``row`` against ``prev`` times 1 + t x^F, F = F_{row.index+1}.
+
+    The right-hand side is computed in the dtype ``next_row`` steps in, so
+    each comparison is exact."""
+    width, shift = len(prev.entries), fibonacci(row.index + 1)
+    if len(row.entries) != width + shift:
+        raise InvariantError(
+            f"row {row.index} has {len(row.entries)} entries, product has {width + shift}", detail=row.index
+        )
+    low = prev.entries.astype(_next_dtype(prev, t), copy=False)
+    _compare_part(row, 0, low[:shift])
+    for start in range(shift, width + shift, _CHECK_BLOCK):
+        want = t * low[start - shift : start - shift + _CHECK_BLOCK]
+        head = low[start : start + _CHECK_BLOCK]  # empty from L on
+        want[: len(head)] += head
+        _compare_part(row, start, want)
+
+
+def _compare_part(row: GroupedRow, start: int, want) -> None:
+    """Raise at the first exponent k >= start whose entry differs from want[k - start]."""
+    import numpy as np
+
+    bad = np.flatnonzero(row.entries[start : start + len(want)] != want)
+    if bad.size:
+        k = start + int(bad[0])
+        raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
 
 
 def format_row(row: GroupedRow) -> str:

@@ -299,11 +299,20 @@ class _BasisWalk(_Rows):
                 vec = vectors[j - anchor] + (0,)
                 merged[vec] = merged.get(vec, 0) + aj
         self.terms = [(vec, w) for vec, w in merged.items() if w]
-        exps = [seq.term(spec.offset + anchor + i) for i in range(1, n_max + d + 1)]  # g_1, g_2, ...
+        # g_1, g_2, ...: as far as the bases and the terms of factor n_max reach
+        exps = [seq.term(spec.offset + anchor + i) for i in range(1, n_max + max(d, spec.h - anchor) + 1)]
         self.basis = [tuple(exps[i : i + d]) for i in range(n_max + 1)]
         self.bounds = [self.ends[1] - self.ends[0]]  # S_i: the slack with factors 1..i unread
         for i in range(1, n_max + 1):
-            self.bounds.append(self.bounds[-1] + max((e for _, e in spec.factor_terms(i)), default=0))
+            # factor i's largest exponent once equal exponents are summed, as in ``spec.factor_terms``
+            by_exp: dict[int, object] = {}
+            for s, (e, aj) in enumerate(zip(exps[i - 1 :], spec.a[anchor:])):
+                if aj:
+                    if e < 1:
+                        index = i + spec.offset + anchor + s
+                        raise ValueError(f"factor {i}: exponent {e} at index {index} must be >= 1")
+                    by_exp[e] = by_exp.get(e, 0) + aj
+            self.bounds.append(self.bounds[-1] + max((e for e, c in by_exp.items() if c), default=0))
         self.start = tuple((0,) * d + (-j,) for j in self.offsets)
         self.masks: dict[tuple, int] = {}
         self.alive: dict[tuple, int] = {}

@@ -175,7 +175,7 @@ def test_verify_all_loads_numpy_before_its_first_check():
     assert _numpy_loaded_at_first_check("all") == 0
 
 
-@pytest.mark.parametrize("name", ["runs", "hnfn"])
+@pytest.mark.parametrize("name", ["runs", "hnfn", "wordclasses"])
 def test_verify_one_numpy_check_loads_numpy_before_it(name):
     # as in `verify all`: a fresh `fibgf verify runs` times no numpy import
     assert _numpy_loaded_at_first_check(name) == 0
@@ -436,6 +436,7 @@ def test_meter_names_its_structure_and_the_first_failing_n(monkeypatch):
         ("verify", "m-recurrence", "--nmax", "24"),
         ("verify", "runs", "--nmax", "24"),
         ("product", "--seq", "fib", "--nmax", "24"),
+        ("verify", "hnfn", "--nmax", "24"),
     ],
 )
 def test_rows_and_partials_stop_at_the_cap(argv, monkeypatch, capsys):

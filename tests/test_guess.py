@@ -14,8 +14,10 @@ from fibgf.guess import (
     guess_rational,
     series_expand,
 )
+from fibgf.monoid import generator_census_series
 from fibgf.polynomials import (
     ProductSpec,
+    TPoly,
     convolve,
     fibonacci_product_spec,
     kbonacci_product_spec,
@@ -47,6 +49,64 @@ def test_series_expand_examples():
     assert series_expand(RationalFunc([1], [1, -1]), 3) == [1, 1, 1]
     with pytest.raises(ValueError):
         series_expand(RationalFunc([1], [0, 1]), 3)
+
+
+def _dense_series(rf: RationalFunc, n_terms: int) -> list:
+    """The dense recurrence ``RationalFunc.series`` replaced, as its
+    reference: every denominator term, zeros included."""
+    d0, out = rf.den[0], []
+    for k in range(n_terms):
+        acc = rf.num[k] if k < len(rf.num) else 0
+        for j in range(1, min(k, rf.den_degree) + 1):
+            acc = acc - rf.den[j] * out[k - j]
+        out.append(acc if d0 == 1 else -acc if d0 == -1 else Fraction(acc, 1) / Fraction(d0, 1))
+    return out
+
+
+T = TPoly.t()
+ZEROS = st.sampled_from([0, TPoly()])
+INTS = st.integers(-3, 3)
+TPOLYS = st.lists(st.integers(-2, 2), max_size=3).map(TPoly)
+
+
+@st.composite
+def series_forms(draw):
+    # int forms with d0 in {1, -1, 2, -3}; TPoly forms with a unit d0; zero
+    # inner denominator terms, as int or TPoly, drawn often
+    symbolic = draw(st.booleans())
+    coeffs = st.one_of(INTS, TPOLYS) if symbolic else INTS
+    d0 = draw(st.sampled_from((1, -1) if symbolic else (1, -1, 2, -3)))
+    inner = draw(st.lists(st.one_of(ZEROS if symbolic else st.just(0), coeffs), max_size=7))
+    return RationalFunc(draw(st.lists(coeffs, max_size=5)), [d0, *inner])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rf=series_forms(), n_terms=st.integers(0, 14))
+def test_sparse_series_matches_the_dense_recurrence(rf, n_terms):
+    got, want = rf.series(n_terms), _dense_series(rf, n_terms)
+    assert got == want
+    for a, b in zip(got, want):
+        if type(a) is not type(b):
+            # only a constant TPoly, made through a zero term, becomes its int
+            assert isinstance(a, int) and isinstance(b, TPoly) and b.degree <= 0
+            assert (hash(a), str(a)) == (hash(b), str(b))
+
+
+def test_sparse_series_keeps_every_type_its_callers_see():
+    # a constant TPoly that the dense recurrence made only through a zero term
+    # is now the equal int, with the same hash and str
+    rf = RationalFunc([T, 1], [1, 0, T])
+    got, dense = rf.series(3), _dense_series(rf, 3)
+    assert got == dense and type(dense[1]) is TPoly and type(got[1]) is int
+    # no caller expands such a form: the symbolic forms the checks and scans
+    # expand and the census series of transfer_series keep every type; int
+    # forms give ints either way
+    forms = [closed_form("thm1t", t="sym")]
+    forms += [closed_form(name, k=k, t="sym") for name in ("vk2n", "conj-v3k", "conj-v3k-fitted") for k in (2, 3, 4, 5)]
+    forms += [RationalFunc([1], [1] + [-g for g in generator_census_series(k, 16)]) for k in (2, 3, 4, 5)]
+    for rf in forms:
+        got, dense = rf.series(17), _dense_series(rf, 17)
+        assert got == dense and list(map(type, got)) == list(map(type, dense)), rf
 
 
 def test_guess_examples():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibgf.triangle
+from fibgf.checks import run_check
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import TPoly, build_product, fibonacci_product_spec, partial_products
 from fibgf.sequences import fibonacci
@@ -253,15 +254,60 @@ def test_rows_match_product_rejects_a_corrupted_row(monkeypatch):
 
 
 def test_rows_match_product_keeps_no_partials():
-    # hnfn's rows at t = 2^21: keeping every partial product peaks at 7.5 MB;
-    # compared as the product grows, one partial and one row are alive
+    # hnfn's rows at t = 2^21: keeping every partial product peaks at 7.5 MB,
+    # a partial beside each row at 6.1 MB; row against row, only rows n - 1
+    # and n and one block of the check are alive (3.4 MB)
     tracemalloc.start()
     try:
         verify_rows_match_product(20, t=2**21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 10**6, peak
+    assert peak < 4 * 10**6, peak
+
+
+def test_row_charge_covers_the_check_of_rows_against_rows(monkeypatch):
+    # at hnfn's T = 2^(n+1) the rows' charge covers what the check holds
+    # beside them (tracemalloc reads 35-46 % of the charge)
+    charged = []
+
+    class Recording(fibgf.triangle.Meter):
+        def charge(self, size, n):
+            super().charge(size, n)
+            charged.append(size)
+
+    monkeypatch.setattr(fibgf.triangle, "Meter", Recording)
+    for n in (12, 16, 20):
+        charged.clear()
+        tracemalloc.start()
+        try:
+            verify_rows_match_product(n, t=2 ** (n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(charged), (n, peak, sum(charged))
+
+
+def test_rows_match_product_catches_a_fault_that_vanishes_at_t_one(monkeypatch):
+    # t - 1 added to one entry of row 9 leaves every row at t = 1 as it was;
+    # hnfn's T = 2^13 sees it, at its exponent (inside the overlap 55..87)
+    real = fibgf.triangle.next_row
+
+    def faulty(row, t=1):
+        out = real(row, t)
+        if out.index != 9:
+            return out
+        entries = out.entries.copy()
+        entries[70] += t - 1
+        return GroupedRow(entries, out.marks, out.index)
+
+    monkeypatch.setattr(fibgf.triangle, "next_row", faulty)
+    verify_rows_match_product(12, t=1)
+    with pytest.raises(InvariantError) as err:
+        verify_rows_match_product(12, t=2**13)
+    assert err.value.detail == 70
+    report = run_check("verify", "hnfn", nmax=12)
+    assert (report.status, report.details["detail"]) == ("fail", 70)
 
 
 def _as_tpoly(v):

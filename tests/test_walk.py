@@ -302,6 +302,26 @@ def test_basis_pruning_drops_no_tuple(spec, alpha, n_max):
     assert corr_series(spec, CorrSpec(alpha), n_max) == _unpruned_series(spec, alpha, n_max)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(spec=st.one_of(specs(), pisot_specs(), window_specs()), n_max=st.integers(0, 12))
+def test_basis_walk_bounds_match_factor_terms(spec, n_max):
+    # the slack bounds read each factor's largest exponent from the exponents
+    # the walk lists; factor_terms sums equal exponents and drops zero sums
+    walk = _BasisWalk(spec, (2,), n_max)
+    want = [walk.ends[1] - walk.ends[0]]
+    for i in range(1, n_max + 1):
+        want.append(want[-1] + max((e for _, e in spec.factor_terms(i)), default=0))
+    assert walk.bounds == want
+
+
+def test_basis_walk_rejects_exponents_below_one():
+    # as factor_terms does: Fibonacci from (0, 1), and from (2, -1) whose second term is -1
+    for init, message in (((0, 1), "factor 1: exponent 0 at index 1"), ((2, -1), "factor 2: exponent -1 at index 2")):
+        spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), init), n=0)
+        with pytest.raises(ValueError, match=message):
+            _BasisWalk(spec, (2,), 6)
+
+
 def test_basis_walk_cap_names_limiting_n(monkeypatch):
     # a wide prefactor keeps hundreds of states alive: the breadth-first
     # build passes the cap at a depth, and every n below it runs
