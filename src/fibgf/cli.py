@@ -25,6 +25,7 @@ from .polynomials import (
     build_product,
     fibonacci_product_spec,
     kbonacci_product_spec,
+    scalar_to_json,
     stern_product_spec,
 )
 from .sequences import RecurrentSeq
@@ -69,17 +70,11 @@ def _resolve_spec(args) -> ProductSpec:
     raise ValueError(f"unknown --seq {name!r}")
 
 
-def _encode_value(v) -> object:
-    if isinstance(v, TPoly):
-        return [str(c) for c in (v.c or (0,))]
-    return str(v)
-
-
 def cmd_vsum(args) -> int:
     spec = _resolve_spec(args)
     alpha = CorrSpec(tuple(int(v) for v in args.alpha.split(",")))
     values = corr_series(spec, alpha, args.nmax)
-    print(json.dumps([_encode_value(v) for v in values]))
+    print(json.dumps(list(map(scalar_to_json, values))))
     return EXIT_OK
 
 

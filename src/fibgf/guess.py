@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .polynomials import TPoly, convolve
+from .polynomials import TPoly, convolve, scalar_from_json, scalar_to_json
 
 
 def _strip(seq) -> tuple:
@@ -108,27 +108,14 @@ class RationalFunc:
         return RationalFunc([sp(c) for c in self.num], [sp(c) for c in self.den])
 
     def to_json_dict(self) -> dict:
-        def enc(c):
-            if isinstance(c, TPoly):
-                return [str(v) for v in (c.c or (0,))]
-            return str(c)
-
-        return {"num": [enc(c) for c in self.num], "den": [enc(c) for c in self.den]}
+        return {"num": list(map(scalar_to_json, self.num)), "den": list(map(scalar_to_json, self.den))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RationalFunc":
-        def dec(c):
-            if isinstance(c, list):
-                ints = [int(v) for v in c]
-                return ints[0] if len(ints) == 1 else TPoly(ints)
-            if "/" in str(c):
-                return Fraction(c)
-            return int(c)
-
-        return cls([dec(c) for c in data["num"]], [dec(c) for c in data["den"]])
+        return cls(list(map(scalar_from_json, data["num"])), list(map(scalar_from_json, data["den"])))
 
 
 def _berlekamp_massey(u: list[int], l_max: int):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, count, repeat
 from math import isqrt
 from operator import add, mul, not_, sub
@@ -194,6 +195,21 @@ def scalar_to_tcoeffs(v) -> list[int]:
     return [v] if isinstance(v, int) else list(v.c) or [0]
 
 
+def scalar_to_json(v):
+    """A scalar as JSON: a TPoly as the strings of its t-coefficients, an
+    int or a Fraction as its string."""
+    return [str(c) for c in scalar_to_tcoeffs(v)] if isinstance(v, TPoly) else str(v)
+
+
+def scalar_from_json(raw):
+    """The scalar of ``scalar_to_json`` or of a ``CoeffPoly`` coefficient
+    list: a list of one int is that int, a longer one a TPoly."""
+    if isinstance(raw, list):
+        ints = [int(v) for v in raw]
+        return ints[0] if len(ints) == 1 else TPoly(ints)
+    return Fraction(raw) if "/" in str(raw) else int(raw)
+
+
 class CoeffPoly:
     """Polynomial in x over int/TPoly scalars, stored dense.
 
@@ -273,11 +289,7 @@ class CoeffPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CoeffPoly:
-        coeffs = []
-        for inner in data["coeffs"]:
-            ints = [int(v) for v in inner]
-            coeffs.append(ints[0] if len(ints) == 1 else TPoly(ints))
-        return cls(coeffs, base=int(data.get("base", 0)))
+        return cls(map(scalar_from_json, data["coeffs"]), base=int(data.get("base", 0)))
 
 
 @dataclass(frozen=True)
@@ -351,6 +363,35 @@ def _multiply_dense(coeffs: list, terms: list[tuple]) -> list:
                 hi = min(lo + _ADD_BLOCK, end)
                 src = coeffs[lo:hi] if unit else map(mul, repeat(aj), coeffs[lo:hi])
                 out[lo + e : hi + e] = map(add, out[lo + e : hi + e], src)
+    return out
+
+
+def product_block(prev, terms: list[tuple], lo: int, hi: int):
+    """Entries lo..hi-1 of ``prev`` times 1 + sum aj x^e (every e >= 1), as
+    a new numpy array in ``prev``'s dtype (which must hold the sums), 0 past
+    the product's end.  The numpy product step of the residue stream and of
+    the triangle-row and frontier-row checks; ``_multiply_dense`` is its
+    oracle.  Each term adds its slice of ``prev``, clipped at 0 and at
+    ``prev``'s end, so only entries below ``hi`` are read: blocks written
+    back over ``prev`` from the top down read nothing already rewritten.
+    Where the block is still 0 a term is assigned instead, since adding 0
+    to a Python int makes a new one.
+    """
+    import numpy as np
+
+    out = np.zeros(hi - lo, prev.dtype)
+    head = prev[lo:hi]
+    top = head.shape[0]  # out is 0 from here on
+    out[:top] = head
+    for aj, e in terms:
+        s_lo, s_hi = max(lo - e, 0), min(hi - e, prev.shape[0])
+        if aj and s_lo < s_hi:
+            src = prev[s_lo:s_hi] if aj == 1 else aj * prev[s_lo:s_hi]
+            start, stop = s_lo + e - lo, s_hi + e - lo
+            cut = min(max(top, start), stop)
+            out[start:cut] += src[: cut - start]
+            out[cut:stop] = src[cut - start :]
+            top = max(top, stop)
     return out
 
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import eq, lt
 
-from . import stream
 from .config import PYOBJ_BYTES_PER_COEFF, Meter
 from .errors import InvariantError
-from .polynomials import fibonacci_product_spec, partial_products
+from .polynomials import fibonacci_product_spec, partial_products, product_block
 from .sequences import fibonacci, prec_key, zeckendorf
 
 
@@ -74,6 +73,8 @@ POSET_ELEMENT_BYTES = 90
 # What a frontier_grow step holds besides its arrays (frames, array headers,
 # numpy's cache of small freed buffers): tracemalloc read up to 12 KB.
 FRONTIER_STEP_BYTES = 32 * 1024
+# Old elements per block of a frontier step and its row check.
+FRONTIER_BLOCK = 1 << 16
 
 
 # -- sigma edge labels --------------------------------------------------------
@@ -298,13 +299,13 @@ class FrontierAutomaton:
 
     def block_sizes(self) -> list[int]:
         """The number of children each block of ``blocks`` yields, one block
-        of ``stream.CHUNK`` old elements at a time: i per old element, less
+        of ``FRONTIER_BLOCK`` old elements at a time: i per old element, less
         one per countdown of 1 after it (its last child is also the next
         element's first, and is yielded with that one).  Their sum is the
         size of the next rank."""
         import numpy as np
 
-        n, chunk = self.size, stream.CHUNK
+        n, chunk = self.size, FRONTIER_BLOCK
         return [
             min(chunk, n - lo) * self.i - int(np.count_nonzero(self.gaps[lo : lo + chunk] == 1))
             for lo in range(0, n, chunk)
@@ -312,14 +313,14 @@ class FrontierAutomaton:
 
     def blocks(self):
         """Yield the next rank as (start, counts, gaps) blocks in index order,
-        one per ``stream.CHUNK`` old elements: the block's children from new
+        one per ``FRONTIER_BLOCK`` old elements: the block's children from new
         index ``start`` on, and the countdown before each (b - 1 before child
         0, which has none).  The last child of a block that is also the first
         child of the next block's first element is held back and opens that
         block, so every yielded count is complete."""
         import numpy as np
 
-        n, i, b, chunk = self.size, self.i, self.b, stream.CHUNK
+        n, i, b, chunk = self.size, self.i, self.b, FRONTIER_BLOCK
         dtype = self.counts.dtype
         if dtype.kind in "iu" and 2 ** (self.rank + 1) > np.iinfo(dtype).max:
             raise OverflowError(f"chain counts at rank {self.rank + 1} may pass {dtype}; pass dtype=object")
@@ -385,28 +386,21 @@ def _check_n_max(n_max: int):
 
 def _checked_blocks(automaton: FrontierAutomaton, r: int):
     """Pass on the automaton's next-rank blocks, each checked against the
-    current row times 1 + x^r + ... + x^{(i-1) r}; InvariantError with the
-    new rank as detail if a block differs or the blocks do not end where
-    that product does."""
+    current row times 1 + x^r + ... + x^{(i-1) r} (``product_block``);
+    InvariantError with the new rank as detail if a block differs or the
+    blocks do not end where that product does."""
     import numpy as np
 
     prev, n = automaton.counts, automaton.rank + 1
-    shifts = [s * r for s in range(automaton.i)]
-
-    def is_product(start, counts) -> bool:  # a function, so the product is freed before the yield
-        product = np.zeros(counts.shape[0], dtype=counts.dtype)
-        for shift in shifts:
-            src = prev[max(start - shift, 0) : max(start + counts.shape[0] - shift, 0)]
-            product[max(shift - start, 0) :][: src.shape[0]] += src
-        return np.array_equal(product, counts)
-
+    terms = [(1, s * r) for s in range(1, automaton.i)]
     end = 0
     for start, counts, gaps in automaton.blocks():
-        if start != end or not is_product(start, counts):
+        stop = start + counts.shape[0]
+        if start != end or not np.array_equal(product_block(prev, terms, start, stop), counts):
             raise InvariantError("chain-count row differs from the product identity", detail=n)
-        end = start + counts.shape[0]
-        yield start, counts, gaps
-    if end != prev.shape[0] + shifts[-1]:
+        end = stop
+        yield start, counts, gaps  # the product is freed before the yield
+    if end != prev.shape[0] + terms[-1][1]:
         raise InvariantError("chain-count row differs from the product identity", detail=n)
 
 
@@ -452,8 +446,8 @@ def frontier_grow(i: int, b: int, n_max: int) -> dict:
         # the block before, referenced until this one is yielded.  A block's children are its
         # size in ``sizes`` and the child it may hold back for the next block.
         block = held = 0
-        for lo, size in zip(range(0, q[n - 1], stream.CHUNK), sizes):
-            old, kids = min(stream.CHUNK, q[n - 1] - lo), size + 1
+        for lo, size in zip(range(0, q[n - 1], FRONTIER_BLOCK), sizes):
+            old, kids = min(FRONTIER_BLOCK, q[n - 1] - lo), size + 1
             built = old * 9 + max(old * count_bytes, (kids + old) * gap_bytes)
             checked = kids * (gap_bytes + count_bytes + 1)
             block = max(block, held + old * gap_bytes + kids * count_bytes + max(built, checked))

@@ -15,47 +15,12 @@ first use, so that sizing a series and ``import fibgf`` stay numpy-free.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from .config import PYOBJ_BYTES_PER_COEFF, Meter, max_mem_bytes
-from .polynomials import ProductSpec
+from .polynomials import ProductSpec, product_block
 
 CHUNK = 1 << 16
-
-
-def _shift_add_blocks(arr, old_len: int, terms: list[tuple[int, int]]) -> Iterator:
-    """Multiply arr[:old_len] by (1 + sum_j a_j x^{e_j}) in place, e_j >= 1.
-
-    The product fills arr[:old_len + max e_j]; entries from old_len on must be
-    zero on entry, and the length grows by the largest exponent even where
-    that term's coefficient is 0, so the zero coefficients it pads stay
-    counted.  Blocks of ``CHUNK`` entries are rewritten from the top down and
-    each is yielded as a view once it is final.  A block reads only entries
-    below its top, which no earlier block has changed; sources that reach
-    into the block itself are copied before any term is added to it.
-    """
-    import numpy as np
-
-    chunk = CHUNK
-    new_len = old_len + max((e for _, e in terms), default=0)
-    for hi in range(new_len, 0, -chunk):
-        lo = max(hi - chunk, 0)
-        sources = []
-        for aj, e in terms:
-            s_lo, s_hi = max(lo - e, 0), min(hi - e, old_len)
-            if aj == 0 or s_lo >= s_hi:
-                continue
-            src = arr[s_lo:s_hi]
-            if aj != 1:
-                src = src * aj
-            elif s_hi > lo:
-                src = src.copy()
-            sources.append((s_lo + e, src))
-        for start, src in sources:
-            view = arr[start : start + src.shape[0]]
-            np.add(view, src, out=view)
-        yield arr[lo:hi]
 
 
 class StreamPlan(NamedTuple):
@@ -88,8 +53,9 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     lengths = [1 if spec.prefactor is None else spec.prefactor.degree + 1]
     for terms in factors:
         lengths.append(lengths[-1] + (terms[-1][1] if terms else 0))
-    # h source copies of a block, bincount's intp copy of it; a factor's and a block's int64 counts
-    temporaries = CHUNK * (len(spec.a) * itemsize + 8) + 16 * m
+    # a block's product, then bincount's intp copy of it (a scaled source, while it lives, is no
+    # wider), and no source copies; a factor's and a block's int64 counts
+    temporaries = CHUNK * (itemsize + 8) + 16 * m
     footprint, rows = [], 0
     for length in lengths:
         rows += 8 * m + PYOBJ_BYTES_PER_COEFF * min(m, length)  # m list slots; an int per nonzero count
@@ -102,9 +68,11 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
 def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
     """Counts of coefficients in each residue class mod m, per factor count.
 
-    ``spec`` has integer coefficients.  Raises ResourceLimitError(limit_n=n)
-    before any work when the footprint of ``stream_plan`` at n would pass the
-    RGF_MAX_MEM_MB cap.
+    Each factor steps the array in place, ``CHUNK`` entries at a time from
+    the top down: each block comes from ``product_block``, is reduced mod m,
+    written back and counted.  ``spec`` has integer coefficients.  Raises
+    ResourceLimitError(limit_n=n) before any work when the footprint of
+    ``stream_plan`` at n would pass the RGF_MAX_MEM_MB cap.
     """
     import numpy as np
 
@@ -119,9 +87,13 @@ def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]
     # bincount takes intp input (numpy 1.x refuses to cast uint64)
     out = [[int(v) for v in np.bincount(arr[: len(first)].astype(np.intp), minlength=m)]]
     for i, terms in enumerate(factors):
-        counts = np.zeros(m, dtype=np.int64)
-        for block in _shift_add_blocks(arr, lengths[i], terms):
+        prev, counts = arr[: lengths[i]], np.zeros(m, dtype=np.int64)
+        # exact from the top down: a block reads only entries of prev below it, none yet rewritten
+        for hi in range(lengths[i + 1], 0, -CHUNK):
+            lo = max(hi - CHUNK, 0)
+            block = product_block(prev, terms, lo, hi)
             block %= m
+            arr[lo:hi] = block
             counts += np.bincount(block.astype(np.intp), minlength=m)
         out.append([int(v) for v in counts])
     return out

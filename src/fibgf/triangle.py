@@ -26,7 +26,7 @@ from itertools import repeat
 
 from .config import PYOBJ_BYTES_PER_BIG_COEFF, Meter
 from .errors import InvariantError
-from .polynomials import INT64_MAX, TPoly
+from .polynomials import INT64_MAX, TPoly, product_block
 from .sequences import fibonacci
 
 
@@ -129,37 +129,28 @@ def verify_rows_match_product(n_max: int, t=1) -> None:
         prev = row
 
 
-# entries compared at a time from F_{n+1} on, so that the temporaries stay small
+# entries compared at a time, so that the temporaries stay small
 _CHECK_BLOCK = 1024
 
 
 def _check_step(prev: GroupedRow, row: GroupedRow, t) -> None:
-    """Check ``row`` against ``prev`` times 1 + t x^F, F = F_{row.index+1}.
-
-    The right-hand side is computed in the dtype ``next_row`` steps in, so
-    each comparison is exact."""
-    width, shift = len(prev.entries), fibonacci(row.index + 1)
-    if len(row.entries) != width + shift:
-        raise InvariantError(
-            f"row {row.index} has {len(row.entries)} entries, product has {width + shift}", detail=row.index
-        )
-    low = prev.entries.astype(_next_dtype(prev, t), copy=False)
-    _compare_part(row, 0, low[:shift])
-    for start in range(shift, width + shift, _CHECK_BLOCK):
-        want = t * low[start - shift : start - shift + _CHECK_BLOCK]
-        head = low[start : start + _CHECK_BLOCK]  # empty from L on
-        want[: len(head)] += head
-        _compare_part(row, start, want)
-
-
-def _compare_part(row: GroupedRow, start: int, want) -> None:
-    """Raise at the first exponent k >= start whose entry differs from want[k - start]."""
+    """Check ``row`` against ``prev`` times 1 + t x^F, F = F_{row.index+1},
+    ``_CHECK_BLOCK`` entries at a time from exponent 0, each block of the
+    right-hand side from ``product_block`` in the dtype ``next_row`` steps
+    in, so each comparison is exact."""
     import numpy as np
 
-    bad = np.flatnonzero(row.entries[start : start + len(want)] != want)
-    if bad.size:
-        k = start + int(bad[0])
-        raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
+    shift = fibonacci(row.index + 1)
+    size = len(prev.entries) + shift
+    if len(row.entries) != size:
+        raise InvariantError(f"row {row.index} has {len(row.entries)} entries, product has {size}", detail=row.index)
+    low = prev.entries.astype(_next_dtype(prev, t), copy=False)
+    for start in range(0, size, _CHECK_BLOCK):
+        stop = min(start + _CHECK_BLOCK, size)
+        bad = np.flatnonzero(row.entries[start:stop] != product_block(low, [(t, shift)], start, stop))
+        if bad.size:
+            k = start + int(bad[0])
+            raise InvariantError(f"row {row.index} disagrees with the product at exponent {k}", detail=k)
 
 
 def format_row(row: GroupedRow) -> str:

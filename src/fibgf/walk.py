@@ -402,12 +402,23 @@ class _BasisWalk(_Rows):
     def series(self) -> list:
         """[v(0), ..., v(n_max)]: build the automaton breadth-first, number
         its states in depth order (the start is 0), then fill one table per
-        level, a list indexed by state, keeping two at a time; a state not
-        used at a level holds 0 there and is not charged."""
+        level, a list indexed by state, keeping two at a time: level 0 holds
+        each state's leaf, level i is M times level i - 1, each state's
+        weights times the values of its links below.
+
+        Every state is filled at every level, and the entries that are read
+        are exact.  A state dead at level i has every successor dead at
+        i - 1, since S_i = S_{i-1} + the top exponent of factor i and a row
+        moves by at most that, so from any subset of its links its value is
+        0, down to a leaf of 0.  A state alive and reachable at level i
+        keeps every successor alive at i - 1 among its links, and those are
+        reachable there; its other links are dead at i - 1.  So the start
+        state's value is exact at every level, and the other entries are
+        never read into it."""
         n_max = self.n_max
         start = self.start
         self.alive[start] = self._rows_mask(start)
-        depth = {start: 0}
+        index = {start: 0}  # each state's number, in depth order
         edges: dict[tuple, dict] = {}
         frontier = [start]
         t = 0
@@ -421,33 +432,23 @@ class _BasisWalk(_Rows):
                 # links are used from depth t + 1 on; a weight is charged by its size
                 self.meter.charge(LINK_BYTES * len(succ) + _value_bytes(succ.values()), t + 1)
                 for nxt in succ:
-                    if nxt not in depth:
-                        depth[nxt] = t + 1
+                    if nxt not in index:
+                        index[nxt] = len(index)
                         found.append(nxt)
             frontier = found
             t += 1
-        states = list(depth)
-        index = {state: k for k, state in enumerate(states)}
+        states = list(index)
         links = [tuple(map(index.__getitem__, edges[state])) for state in states]  # successor indices
         weights = [tuple(edges.pop(state).values()) for state in states]
-        needed: list[list[int]] = [[] for _ in range(n_max + 1)]  # per level, the states used there
-        for k, state in enumerate(states):
-            used = self.alive[state] & ((2 << (n_max - depth[state])) - 1)
-            while used:
-                bit = used & -used
-                needed[bit.bit_length() - 1].append(k)
-                used ^= bit
-        out = []
         base = self.basis[0]
+        # level 0: the leaves, the rows as ints reading the prefactor
+        table = [self._leaf([sum(map(mul, row, base)) + row[-1] for row in state]) for state in states]
+        out = []
         held = charged = 0  # bytes of the values in the last table; of the two tables, charged
         for i in range(n_max + 1):
-            table = [0] * len(states)
-            for k in needed[i]:
-                if i:
-                    table[k] = sum(map(mul, weights[k], map(below.__getitem__, links[k])))
-                else:  # the leaf: the rows as ints read the prefactor
-                    table[k] = self._leaf([sum(map(mul, row, base)) + row[-1] for row in states[k]])
-            size = _value_bytes(map(table.__getitem__, needed[i]))
+            if i:
+                table = [sum(map(mul, w, map(below.__getitem__, succ))) for w, succ in zip(weights, links)]
+            size = _value_bytes(table)
             if size + held > charged:
                 self.meter.charge(size + held - charged, i)
                 charged = size + held

@@ -155,6 +155,49 @@ def test_multiply_dense_matches_the_per_coefficient_loop(coeffs, terms):
         fibgf.polynomials._ADD_BLOCK = block
 
 
+@st.composite
+def _kernel_cases(draw):
+    """A row, a factor's terms and the row's dtype, as the kernel's callers
+    take them: int64 rows, uint8 rows of residues mod m (2..7) with weights
+    mod m, and object rows of big ints with big, unit and t-weights; some
+    weights are 0, and exponents reach past the row."""
+    kind = draw(st.sampled_from(("int64", "uint8", "object")))
+    if kind == "int64":
+        entries, weights = st.integers(-10**6, 10**6), st.integers(-3, 3)
+    elif kind == "uint8":
+        m = draw(st.integers(2, 7))
+        entries = weights = st.integers(0, m - 1)
+    else:
+        entries = st.integers(-(2**100), 2**100)
+        weights = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from((0, 1, TPoly.t())))
+    size = draw(st.integers(0, 300))
+    row = draw(st.lists(entries, min_size=size, max_size=size))
+    exps = sorted(draw(st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True)))
+    terms = [(draw(weights), e) for e in exps]
+    end = len(row) + exps[-1]
+    cuts = sorted(draw(st.lists(st.integers(0, end + 5), min_size=1, max_size=6)))
+    return row, terms, kind, [0, *cuts, end + 5]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_kernel_cases())
+def test_product_block_matches_multiply_dense(case):
+    # every block of the split is the dense product's entries there, in the
+    # row's dtype and 0 past its end, and reads the row below its top only
+    import numpy as np
+
+    row, terms, kind, cuts = case
+    prev = np.array(row, dtype=kind)
+    want = fibgf.polynomials._multiply_dense(row, terms)
+    want += [0] * (cuts[-1] - len(want))
+    for lo, hi in zip(cuts, cuts[1:]):
+        block = fibgf.polynomials.product_block(prev, terms, lo, hi)
+        assert block.dtype == prev.dtype and block.tolist() == want[lo:hi], (lo, hi)
+        poisoned = prev.copy()
+        poisoned[hi:] = 5
+        assert fibgf.polynomials.product_block(poisoned, terms, lo, hi).tolist() == want[lo:hi], (lo, hi)
+
+
 def test_weighted_product_small():
     t = TPoly.t()
     p = build_product(fibonacci_product_spec(2, t=t))

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibgf.poset
-import fibgf.stream
 from fibgf.config import Meter
 from fibgf.errors import InvariantError, ResourceLimitError
 from fibgf.polynomials import build_product, fibonacci_product_spec, stern_product_spec
@@ -177,7 +176,7 @@ def test_frontier_grow_rejects_a_corrupted_row(monkeypatch):
         yield from blocks[:-1] if self.rank + 1 == 8 else blocks
 
     for chunk in (1, 2, 3, 7):
-        monkeypatch.setattr(fibgf.stream, "CHUNK", chunk)
+        monkeypatch.setattr(fibgf.poset, "FRONTIER_BLOCK", chunk)
         for blocks, bad_rank in ((corrupt(5), 5), (corrupt(8), 8), (drop_last, 8)):
             monkeypatch.setattr(FrontierAutomaton, "blocks", blocks)
             for i, b in ((2, 3), (3, 2), (3, 3)):
@@ -276,7 +275,7 @@ def _reference_frontier(i, b, n_max):
     i=st.integers(2, 4),
     b=st.integers(2, 5),
     n_max=st.integers(0, 7),
-    chunk=st.sampled_from((1, 2, 3, 7, fibgf.stream.CHUNK)),
+    chunk=st.sampled_from((1, 2, 3, 7, fibgf.poset.FRONTIER_BLOCK)),
     exact=st.booleans(),
 )
 def test_array_automaton_matches_per_element_reference(i, b, n_max, chunk, exact):
@@ -284,7 +283,7 @@ def test_array_automaton_matches_per_element_reference(i, b, n_max, chunk, exact
     # the counts are exact ints or of the narrowest dtype frontier_grow takes
     dtype = np.dtype(object) if exact else np.min_scalar_type(i * 2**n_max // 2)
     ref = _reference_frontier(i, b, n_max)
-    with patch.object(fibgf.stream, "CHUNK", chunk):
+    with patch.object(fibgf.poset, "FRONTIER_BLOCK", chunk):
         poset = frontier_poset(i, b, n_max)
         grown = frontier_grow(i, b, n_max)
         auto = FrontierAutomaton(i, b, dtype)
@@ -319,7 +318,7 @@ def test_frontier_grow_charges_what_is_alive_together(i, b, n_max, monkeypatch):
     # the cap's largest charge covers the traced peak, and does not count
     # what is never alive at once (a charge that summed every block
     # temporary read 2.2-2.3 times the peak at (3, 2, 16) and (4, 2, 11); one
-    # that gave every block CHUNK * i children, though for b = 2 about a third
+    # that gave every block FRONTIER_BLOCK * i children, though for b = 2 about a third
     # are shared, read 1.7 times it at (4, 2, 11) and (5, 2, 9))
     charges = []
 

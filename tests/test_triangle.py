@@ -267,8 +267,9 @@ def test_rows_match_product_keeps_no_partials():
 
 
 def test_row_charge_covers_the_check_of_rows_against_rows(monkeypatch):
-    # at hnfn's T = 2^(n+1) the rows' charge covers what the check holds
-    # beside them (tracemalloc reads 35-46 % of the charge)
+    # the rows' charge covers what iterating the rows and checking them hold
+    # beside them: at hnfn's T = 2^(n+1) (tracemalloc reads 27-42 % of the
+    # charge) and at symbolic t, whose TPoly entries fill most of it (64-97 %)
     charged = []
 
     class Recording(fibgf.triangle.Meter):
@@ -276,16 +277,22 @@ def test_row_charge_covers_the_check_of_rows_against_rows(monkeypatch):
             super().charge(size, n)
             charged.append(size)
 
+    def iterate(n, t):
+        for _ in triangle_rows(n, t):
+            pass
+
     monkeypatch.setattr(fibgf.triangle, "Meter", Recording)
     for n in (12, 16, 20):
-        charged.clear()
-        tracemalloc.start()
-        try:
-            verify_rows_match_product(n, t=2 ** (n + 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < sum(charged), (n, peak, sum(charged))
+        for t in (2 ** (n + 1), TPoly.t()):
+            for run in (iterate, verify_rows_match_product):
+                charged.clear()
+                tracemalloc.start()
+                try:
+                    run(n, t)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < sum(charged), (n, t, run.__name__, peak, sum(charged))
 
 
 def test_rows_match_product_catches_a_fault_that_vanishes_at_t_one(monkeypatch):
