@@ -5,7 +5,7 @@ rational generating-function fitting, all in exact arithmetic."""
 from .catalog import CATALOG_NAMES, MULTI_INDEX_ALPHAS, closed_form
 from .checks import SCAN_CHECKS, VERIFY_CHECKS, CheckReport, run_check
 from .errors import InvariantError, ResourceLimitError
-from .guess import RationalFunc, check_drx_pattern, guess_rational, series_expand
+from .guess import RationalFunc, check_drx_pattern, guess_rational
 from .monoid import (
     MonoidWord,
     free_factorize,
@@ -90,7 +90,6 @@ __all__ = [
     "residue_series",
     "run_check",
     "run_decomposition",
-    "series_expand",
     "sigma_labels",
     "stern_product_spec",
     "tilde_q",

@@ -35,7 +35,6 @@ and classes, and each row a series keeps for its m classes.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import replace
 
 from .config import Meter
@@ -57,33 +56,32 @@ ROW_CLASS_BYTES = 8
 
 # The stream's cost in carry updates: an update takes 1.3 to 1.8 us, the stream
 # about 6.5 ns per coefficient of its partial products, and numpy's import and
-# first call about 95 ms (2 vCPUs, Python 3.11, numpy 2.4).
+# first call about 95 ms (2 vCPUs, Python 3.11, numpy 2.4).  The import is
+# charged even where numpy is loaded already, so that the engine a series runs
+# on depends on the spec, m and n_max alone.
 STREAM_COEFFS_PER_UPDATE = 250
 STREAM_SETUP_UPDATES = 60_000
 
 
 def stream_budget(coefficients: int) -> int:
     """A quarter of the carry updates that take as long as the stream takes
-    on ``coefficients`` partial-product coefficients, so that a series the
-    automaton hands off costs at most about 1.25 times the stream alone.
-    numpy's import is charged only while numpy is not yet loaded."""
-    setup = 0 if "numpy" in sys.modules else STREAM_SETUP_UPDATES
-    return (setup + coefficients // STREAM_COEFFS_PER_UPDATE) // 4
+    on ``coefficients`` partial-product coefficients, numpy's import and
+    first call included, so that a series the automaton hands off costs at
+    most about 1.25 times the stream alone."""
+    return (STREAM_SETUP_UPDATES + coefficients // STREAM_COEFFS_PER_UPDATE) // 4
 
 
 class _Carry:
     def __init__(self, spec: ProductSpec, m: int, budget: int | None):
-        """The automaton of factors 1..spec.n, read from ``spec.factor_terms``."""
+        """The automaton of factors 1..spec.n, read from the spec alone."""
         self.m = m
         self.budget = budget
-        first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
-        self.first = [c % m for c in first]
-        self.degree = [len(first) - 1]  # degree[i]: the degree after factor i
+        self.first = [c % m for c in spec.prefactor_coefficients()]
+        self.degree = [length - 1 for length in spec.partial_lengths()]  # degree[i]: the degree after factor i
         self.factors: list = [None]  # factor i >= 1: (D_i, ((e, a_e mod m), ...)), D_i = 0 for a factor 1
         for terms in map(spec.factor_terms, range(1, spec.n + 1)):
             base = terms[-1][1] if terms else 0
             self.factors.append((base, ((0, 1),) + tuple((e, c % m) for c, e in terms if c % m)))
-            self.degree.append(self.degree[-1] + base)
         self.tables: list[dict] = [{None: {0: 1}} for _ in self.factors]  # None: no carry left, class 0
         self.meter = Meter("carry automaton")  # estimated bytes of the tables and the pending level
         self.work = 0  # carry updates, prefactor reads and class merges

@@ -4,6 +4,8 @@
 ``CATALOG_NAMES``; each builds an exact ``RationalFunc``.  Parameterized
 families take ``k``/``t``/``alpha``/``m``/``a``/``i``/``b`` keywords.  ``t``
 may be an int or the string "sym" for a symbolic weight (TPoly coefficients).
+A name that is one member of a family (J3, J4..J7, thm1t, H31k2) is built by
+that family's builder; thm1 and v2m1, the paper's headline forms, stay literal.
 """
 
 from __future__ import annotations
@@ -33,17 +35,6 @@ def _maybe_specialize(num: dict, den: dict, t) -> RationalFunc:
 
 def _expand(*factors) -> list[int]:
     return reduce(convolve, factors, [1])
-
-
-def _sq_sum_weighted(t) -> RationalFunc:
-    num = {0: 1, 2: -(_tp(0, 1, 0, 1))}              # 1 - (t + t^3) x^2
-    den = {
-        0: 1,
-        1: -(_tp(1, 0, 1)),                          # -(1 + t^2) x
-        2: -(_tp(0, 1, 0, 1)),                       # -t(1 + t^2) x^2
-        3: _tp(0, 1, 0, 0, 0, 1),                    # t(1 + t^4) x^3
-    }
-    return _maybe_specialize(num, den, t)
 
 
 def _sq_sum_kbonacci(k: int, t) -> RationalFunc:
@@ -161,7 +152,7 @@ def _rank_gf(i: int, b: int) -> RationalFunc:
 _FORMS = {
     "thm1": lambda p: RationalFunc([1, 0, -2], [1, -2, -2, 2]),
     "stern-u2": lambda p: RationalFunc([1, -2], [1, -5, 2]),
-    "thm1t": lambda p: _sq_sum_weighted(p.get("t", "sym")),
+    "thm1t": lambda p: _sq_sum_kbonacci(2, p.get("t", "sym")),
     "vk2n": lambda p: _sq_sum_kbonacci(int(p["k"]), p.get("t", "sym")),
     "conj-v3k": lambda p: _cube_sum_kbonacci(int(p["k"]), p.get("t", "sym")),
     "conj-v3k-fitted": lambda p: _cube_sum_kbonacci_fitted(int(p["k"]), p.get("t", "sym")),
@@ -170,11 +161,11 @@ _FORMS = {
         [1, -4, -5, 24, 4, -34, 2, 10, -4],
         [1, -7, 1, 47, -32, -84, 50, 34, -18],
     ),
-    "J3": lambda p: RationalFunc([1, 0, -4], [1, -2, -4, 2]),
-    "J4": lambda p: RationalFunc([1, 0, -7, 0, -2], [1, -2, -7, 0, -2, 2]),
-    "J5": lambda p: RationalFunc([1, 0, -11, 0, -20], [1, -2, -11, -8, -20, 10]),
-    "J6": lambda p: RationalFunc([1, 0, -17, 0, -88, 0, -4], [1, -2, -17, -28, -88, 26, -4, 4]),
-    "J7": lambda p: RationalFunc([1, 0, -26, 0, -311, 0, -84], [1, -2, -26, -74, -311, 34, -84, 42]),
+    "J3": lambda p: _cube_sum_kbonacci(2, 1),
+    "J4": lambda p: _power_sum_kbonacci_unit(4, 2),
+    "J5": lambda p: _power_sum_kbonacci_unit(5, 2),
+    "J6": lambda p: _power_sum_kbonacci_unit(6, 2),
+    "J7": lambda p: _power_sum_kbonacci_unit(7, 2),
     "Jalpha": lambda p: RationalFunc(*_MULTI_INDEX_DATA[tuple(int(v) for v in p["alpha"])]),
     "J4k": lambda p: _power_sum_kbonacci_unit(4, int(p["k"])),
     "J5k": lambda p: _power_sum_kbonacci_unit(5, int(p["k"])),
@@ -182,7 +173,7 @@ _FORMS = {
     "J7k": lambda p: _power_sum_kbonacci_unit(7, int(p["k"])),
     "H": lambda p: RationalFunc(*_CONGRUENCE_DATA[(int(p["m"]), int(p["a"]))]),
     "Hk21": lambda p: _congruence_kbonacci_21(int(p["k"])),
-    "H31k2": lambda p: RationalFunc([1, -2, 4, -6, 8, -10, 8, -6], [1, -4, 8, -12, 16, -20, 19, -12, 4]),
+    "H31k2": lambda p: RationalFunc(*_CONGRUENCE_DATA[(3, 1)]),
     "H31k3": lambda p: RationalFunc(
         [1, -2, 0, 4, -6, 0, 8, -10, 0, 8, -6],
         [1, -4, 4, 4, -12, 8, 8, -20, 11, 8, -12, 4],

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .catalog import closed_form
 from .errors import InvariantError
-from .guess import RationalFunc, check_drx_pattern, guess_rational, series_expand
+from .guess import RationalFunc, check_drx_pattern, guess_rational
 from .monoid import (
     closed_form_census_series,
     generator_census_series,
@@ -93,7 +93,7 @@ def kbonacci_power_sums(k: int, rs: tuple[int, ...], n_max: int) -> dict[int, li
 def _fit_failure(data: list, cf: RationalFunc, den_max: int, holdout: int) -> dict | None:
     """Failure details unless ``data`` is the series of the catalog form
     ``cf`` and ``guess_rational`` recovers that form from it; else None."""
-    expected = series_expand(cf, len(data))
+    expected = cf.series(len(data))
     if data != expected:
         return {"mismatch": _first_mismatch(data, expected)}
     fitted = guess_rational(data, den_max=den_max, holdout=holdout)
@@ -124,7 +124,7 @@ def check_stern_u2(nmax: int = 18, den_max: int = 5, holdout: int = 6):
 def check_thm1t(nmax: int = 14):
     t = TPoly.t()
     data = corr_series(fibonacci_product_spec(0, t=t), CorrSpec((2,)), nmax)
-    expected = series_expand(closed_form("thm1t", t="sym"), nmax + 1)
+    expected = closed_form("thm1t", t="sym").series(nmax + 1)
     if data != expected:
         return "fail", {"mismatch": _first_mismatch(data, expected)}
     return "pass", {"terms": nmax + 1, "symbolic": True}
@@ -134,7 +134,7 @@ def check_vk2n(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
     t = TPoly.t()
     for k in ks:
         data = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax)
-        expected = series_expand(closed_form("vk2n", k=k, t="sym"), nmax + 1)
+        expected = closed_form("vk2n", k=k, t="sym").series(nmax + 1)
         if data != expected:
             return "fail", {"k": k, "mismatch": _first_mismatch(data, expected)}
     if not closed_form("vk2n", k=2, t=1).same_function(closed_form("thm1")):
@@ -147,7 +147,7 @@ def check_transfer(ks: tuple[int, ...] = (2, 3, 4, 5), nmax: int = 16):
     for k in ks:
         census = transfer_series(k, t, nmax)
         product = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((2,)), nmax)
-        closed = series_expand(closed_form("vk2n", k=k, t="sym"), nmax + 1)
+        closed = closed_form("vk2n", k=k, t="sym").series(nmax + 1)
         if census != product or census != closed:
             return "fail", {
                 "k": k,
@@ -283,7 +283,7 @@ def check_phi_rgf(pairs=((2, 2), (2, 3), (3, 2), (3, 3)), nmax: int = 14):
     details = {}
     for i, b in pairs:
         grown = frontier_grow(i, b, nmax)
-        expected_q = series_expand(closed_form("phi", i=i, b=b), nmax + 1)
+        expected_q = closed_form("phi", i=i, b=b).series(nmax + 1)
         if grown["q"] != expected_q:
             return "fail", {"pair": [i, b], "q": grown["q"], "want": expected_q}
         details[f"{i},{b}"] = {"q": grown["q"][: min(8, nmax + 1)], "r": grown["r"][:6]}
@@ -343,7 +343,7 @@ def check_freegen(ks: tuple[int, ...] = (2, 3), nmax: int = 12):
             return "fail", {"k": k, "generator": generator.to_json_obj(), "reason": reason}
         # the elements of length n are the pairs of rows of equal weight
         elements = corr_series(kbonacci_product_spec(k, 0), CorrSpec((2,)), nmax)
-        expected = series_expand(closed_form("vk2n", k=k, t=1), nmax + 1)
+        expected = closed_form("vk2n", k=k, t=1).series(nmax + 1)
         # as many generator sequences as elements make the injection a bijection
         sequences = transfer_series(k, 1, nmax)
         for n, count in enumerate(elements):
@@ -371,7 +371,7 @@ def check_zhao(nmax: int = 25):
     for n, (s2, s4) in enumerate(zip(v2, v4)):
         if s2 != s4:
             return "fail", {"n": n, "coefficients": "outside {0,+-1}"}
-    want = series_expand(closed_form("v2m1"), nmax + 1)
+    want = closed_form("v2m1").series(nmax + 1)
     if v2 != want:
         return "fail", {"v2": _first_mismatch(v2, want)}
     return "pass", {"nmax": nmax, "value_set": [-1, 1]}
@@ -441,13 +441,13 @@ def scan_conj_v3k(ks: tuple[int, ...] = (2, 3, 4), terms: int = 28, sym_depth: i
     t = TPoly.t()
     for k in ks:
         data = kbonacci_power_sums(k, (3,), terms)[3]
-        expected = series_expand(closed_form("conj-v3k", k=k, t=1), terms + 1)
+        expected = closed_form("conj-v3k", k=k, t=1).series(terms + 1)
         if data != expected:
             return "fail", {"k": k, "t": 1, "mismatch": _first_mismatch(data, expected)}
         sd = min(sym_depth, 12 if k <= 3 else 10)
         sym = corr_series(kbonacci_product_spec(k, 0, t=t), CorrSpec((3,)), sd)
-        printed = series_expand(closed_form("conj-v3k", k=k, t="sym"), sd + 1)
-        fitted = series_expand(closed_form("conj-v3k-fitted", k=k, t="sym"), sd + 1)
+        printed = closed_form("conj-v3k", k=k, t="sym").series(sd + 1)
+        fitted = closed_form("conj-v3k-fitted", k=k, t="sym").series(sd + 1)
         printed_miss = None if sym == printed else _first_mismatch(sym, printed)
         if sym != fitted:
             return "fail", {"k": k, "t": "sym", "mismatch": _first_mismatch(sym, fitted)}
@@ -472,7 +472,7 @@ def scan_conj_jrkx(ks: tuple[int, ...] = (2, 3, 4), rs: tuple[int, ...] = (4, 5,
     for k in ks:
         series = kbonacci_power_sums(k, tuple(rs), terms)
         for r in rs:
-            expected = series_expand(closed_form(f"J{r}k", k=k), terms + 1)
+            expected = closed_form(f"J{r}k", k=k).series(terms + 1)
             if series[r] != expected:
                 return "fail", {"k": k, "r": r, "mismatch": _first_mismatch(series[r], expected)}
         evidence[k] = {"rs": list(rs), "depth": terms}
@@ -508,8 +508,8 @@ def scan_conj_h_k(ks: tuple[int, ...] = (2, 3, 4), depth: int = 22, depth31: int
         counts = residue_series(kbonacci_product_spec(k, 0), 2, depth)
         data = [row[1] for row in counts]
         cf = closed_form("Hk21", k=k)
-        if data != series_expand(cf, depth + 1):
-            return "fail", {"k": k, "m": 2, "a": 1, "mismatch": _first_mismatch(data, series_expand(cf, depth + 1))}
+        if data != cf.series(depth + 1):
+            return "fail", {"k": k, "m": 2, "a": 1, "mismatch": _first_mismatch(data, cf.series(depth + 1))}
         fitted = guess_rational(data, den_max=k + 3, holdout=6)
         if fitted is None:
             return "inconclusive", {"k": k, "fit": None}
@@ -522,8 +522,8 @@ def scan_conj_h_k(ks: tuple[int, ...] = (2, 3, 4), depth: int = 22, depth31: int
         counts = residue_series(kbonacci_product_spec(k, 0), 3, dep)
         data = [row[1] for row in counts]
         cf = closed_form(name)
-        if data != series_expand(cf, dep + 1):
-            return "fail", {"k": k, "m": 3, "a": 1, "mismatch": _first_mismatch(data, series_expand(cf, dep + 1))}
+        if data != cf.series(dep + 1):
+            return "fail", {"k": k, "m": 3, "a": 1, "mismatch": _first_mismatch(data, cf.series(dep + 1))}
         fitted = guess_rational(data, den_max=12, holdout=6)
         if fitted is None:
             return "inconclusive", {"k": k, "m": 3, "fit": None}
@@ -539,8 +539,8 @@ def scan_conj_hpn(depth: int = 36, den_max: int = 10, holdout: int = 6):
     wspec = ProductSpec(exponent_seq=kbonacci(2), n=0, h=3, a=(0, 1, 1), offset=0)
     data = corr_series(wspec, CorrSpec((2,)), depth)
     cf = closed_form("w-example")
-    if data != series_expand(cf, depth + 1):
-        return "fail", {"instance": "w", "mismatch": _first_mismatch(data, series_expand(cf, depth + 1))}
+    if data != cf.series(depth + 1):
+        return "fail", {"instance": "w", "mismatch": _first_mismatch(data, cf.series(depth + 1))}
     fitted = guess_rational(data, den_max=den_max, holdout=holdout)
     if fitted is None:
         return "inconclusive", {"instance": "w", "fit": None}

@@ -212,11 +212,6 @@ def guess_rational(seq, den_max: int, num_extra: int = 0, holdout: int = 6):
     return RationalFunc([Fraction(c, scale) for c in num], [Fraction(c, lead) for c in den])
 
 
-def series_expand(rf: RationalFunc, n_terms: int) -> list:
-    """Exact power-series coefficients of a rational function."""
-    return rf.series(n_terms)
-
-
 def check_drx_pattern(fits: list[tuple[int, RationalFunc]], r: int) -> dict:
     """Structural check of the k-uniform denominator pattern on fitted forms.
 

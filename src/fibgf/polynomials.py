@@ -266,9 +266,6 @@ class CoeffPoly:
         vals = [c if isinstance(c, int) else c.evaluate(t_value) for c in self._list]
         return CoeffPoly(vals, base=self.base)
 
-    def has_symbolic_coeffs(self) -> bool:
-        return any(isinstance(c, TPoly) and c for c in self._list)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffPoly):
             return NotImplemented
@@ -328,9 +325,13 @@ class ProductSpec:
             by_exp[e] = by_exp.get(e, 0) + aj
         return [(c, e) for e, c in sorted(by_exp.items()) if c]
 
+    def prefactor_coefficients(self) -> list:
+        """P's coefficients of x^0..x^degree: [1] with no prefactor, [] for P = 0."""
+        return [1] if self.prefactor is None else self.prefactor.dense_coefficients()
+
     def partial_lengths(self):
-        """Yield the dense length of partial i = 0..n: each factor adds its top exponent."""
-        length = 1 if self.prefactor is None else max(self.prefactor.degree, 0) + 1
+        """Yield the dense length of partial i = 0..n (1 at i = 0 for P = 0): each factor adds its top exponent."""
+        length = max(len(self.prefactor_coefficients()), 1)
         yield length
         for i in range(1, self.n + 1):
             terms = self.factor_terms(i)
@@ -422,7 +423,7 @@ def partial_products(spec: ProductSpec):
     meter = Meter("dense product")
     for i in range(spec.n + 1):
         meter.charge(coeff_bytes * (lengths[i + 1] - (lengths[i - 1] if i else 0)), i)
-    acc = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
+    acc = spec.prefactor_coefficients()
     yield _partial(acc)
     for i in range(1, spec.n + 1):
         acc = _multiply_dense(acc, spec.factor_terms(i))

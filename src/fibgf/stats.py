@@ -5,8 +5,10 @@ on an expanded product; window cells beyond the degree are exact zeros.
 Each series runs one engine: ``corr_series`` the difference walk in
 ``walk``, one value per factor count, and ``residue_series`` the carry
 automaton in ``carry``, which hands a series whose carries blow up to the
-numpy stream in ``stream``.  The tests keep the expanded partial products
-as the small-depth oracle of all three.
+numpy stream in ``stream``.  Which engine a series runs on depends on the
+spec, m and n_max alone, never on what the process has imported.  The
+tests keep the expanded partial products as the small-depth oracle of all
+three.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import compress
 
 from . import carry, stream
 from .errors import ResourceLimitError
-from .polynomials import CoeffPoly, ProductSpec
+from .polynomials import CoeffPoly, ProductSpec, TPoly
 from .walk import corr_walk_series
 
 @dataclass(frozen=True)
@@ -70,9 +72,10 @@ def corr_series(spec: ProductSpec, alpha: CorrSpec, n_max: int) -> list:
 def residue_series(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
     """Per n in 0..n_max, the counts [h(n, a) for a in 0..m-1] for the product.
 
-    Needs integer coefficients.  The mod-m carry automaton may spend a
-    quarter of the time the numpy stream would take on the series
-    (``carry.stream_budget``), or, when the stream would not fit the
+    Needs integer coefficients (a prefactor coefficient that is a nonzero
+    TPoly is symbolic).  The mod-m carry automaton may spend a quarter of
+    the time the numpy stream would take on the series, numpy's import
+    included (``carry.stream_budget``), or, when the stream would not fit the
     RGF_MAX_MEM_MB cap, on the deepest series it fits; both engines charge
     what they hold, returned rows included, to that cap.  Past its budget or
     the cap, the automaton hands the series to the stream if the stream
@@ -81,7 +84,7 @@ def residue_series(spec: ProductSpec, m: int, n_max: int) -> list[list[int]]:
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    symbolic_prefactor = spec.prefactor is not None and spec.prefactor.has_symbolic_coeffs()
+    symbolic_prefactor = any(isinstance(c, TPoly) and c for c in spec.prefactor_coefficients())
     if symbolic_prefactor or not all(isinstance(aj, int) for aj in spec.a):
         raise ValueError("residue counts need integer coefficients; specialize t first")
     plan = stream.stream_plan(spec, m, n_max)

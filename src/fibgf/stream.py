@@ -15,6 +15,7 @@ first use, so that sizing a series and ``import fibgf`` stay numpy-free.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 from .config import PYOBJ_BYTES_PER_COEFF, Meter, max_mem_bytes
@@ -26,8 +27,7 @@ CHUNK = 1 << 16
 class StreamPlan(NamedTuple):
     """The stream's sizes for one series, as ``stream_plan`` works them out."""
 
-    # factors 1..n_max as (a mod m, e), one per exponent of factor_terms:
-    # those set a factor's degree, even where a vanishes mod m
+    # factors 1..n_max as (a mod m, e), one per exponent of factor_terms
     factors: list[list[tuple[int, int]]]
     lengths: list[int]  # of the partial products for n = 0..n_max
     itemsize: int  # bytes per entry
@@ -50,9 +50,7 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     if itemsize is None:
         raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
     factors = [[(c % m, e) for c, e in spec.factor_terms(i)] for i in range(1, n_max + 1)]
-    lengths = [1 if spec.prefactor is None else spec.prefactor.degree + 1]
-    for terms in factors:
-        lengths.append(lengths[-1] + (terms[-1][1] if terms else 0))
+    lengths = list(replace(spec, n=n_max).partial_lengths())
     # a block's product, then bincount's intp copy of it (a scaled source, while it lives, is no
     # wider), and no source copies; a factor's and a block's int64 counts
     temporaries = CHUNK * (itemsize + 8) + 16 * m
@@ -79,7 +77,7 @@ def residue_series_fast(spec: ProductSpec, m: int, n_max: int) -> list[list[int]
     factors, lengths, itemsize, footprint, limit = stream_plan(spec, m, n_max)
     if limit is not None:
         Meter("residue stream").charge(footprint[limit], limit)
-    first = [1] if spec.prefactor is None else spec.prefactor.dense_coefficients()
+    first = spec.prefactor_coefficients()
     if not first:
         return [[0] * m for _ in range(n_max + 1)]
     arr = np.zeros(lengths[-1], dtype=f"u{itemsize}")

@@ -71,6 +71,7 @@ level walk, which is cheap there.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import factorial
 from operator import add, mul, sub
 from sys import getsizeof
@@ -161,7 +162,7 @@ def complete(tables: list[dict], start, n: int, expand, leaf, fold):
 
 class _Rows:
     """What both walks share: the row groups of an alpha whose first offset
-    is 0, the prefactor leaf and the meter of the RGF_MAX_MEM_MB cap."""
+    is 0, the slack, the prefactor leaf and the meter of the RGF_MAX_MEM_MB cap."""
 
     def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
         self.spec = spec
@@ -169,8 +170,10 @@ class _Rows:
         active = [j for j, a in enumerate(alpha) if a]
         self.sizes = [alpha[j] for j in active]
         self.offsets = [j for j in active for _ in range(alpha[j])]
-        self.prefactor = {0: 1} if spec.prefactor is None else dict(spec.prefactor.items())
+        self.prefactor = {e: c for e, c in enumerate(spec.prefactor_coefficients()) if c}
         self.ends = (min(self.prefactor), max(self.prefactor)) if self.prefactor else (0, 0)
+        # S_i, the slack with factors 1..i unread: the prefactor's spread plus their top exponents
+        self.slack = [length - 1 - self.ends[0] for length in replace(spec, n=n_max).partial_lengths()]
         self.meter = Meter("difference walk")  # estimated bytes kept
 
     def _leaf(self, vals):
@@ -200,16 +203,10 @@ class _LevelWalk(_Rows):
     def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
         super().__init__(spec, alpha, n_max)
         self.start = tuple(self.offsets[-1] - j for j in self.offsets)
-        self.factors: list = [None]  # factor i >= 1: its terms with the 1, as (weight, exponent)
-        self.slack = [self.ends[1] - self.ends[0]]
+        # factor i >= 1: its terms with the 1, as (weight, exponent)
+        self.factors: list = [None] + [[(1, 0)] + spec.factor_terms(i) for i in range(1, n_max + 1)]
         self.spreads: dict[tuple, list] = {}
-        self.tables: list[dict[tuple, object]] = [{}]
-
-    def _add_factor(self) -> None:
-        terms = [(1, 0)] + self.spec.factor_terms(len(self.factors))
-        self.factors.append(terms)
-        self.slack.append(self.slack[-1] + terms[-1][1])
-        self.tables.append({})
+        self.tables: list[dict[tuple, object]] = [{} for _ in range(n_max + 1)]
 
     def _spread_run(self, i: int, m: int) -> list[tuple]:
         """The ways m equal rows read factor i: (added exponents, ascending; weight)."""
@@ -263,8 +260,6 @@ class _LevelWalk(_Rows):
 
     def value(self, n: int):
         """v(n): the completion weight of the start state with n factors unread."""
-        while len(self.factors) <= n:
-            self._add_factor()
         if self.start[0] > self.slack[n]:  # the start state's spread
             return 0
         return complete(self.tables, self.start, n, self._successors, self._charged_leaf, self._fold)
@@ -299,20 +294,8 @@ class _BasisWalk(_Rows):
                 vec = vectors[j - anchor] + (0,)
                 merged[vec] = merged.get(vec, 0) + aj
         self.terms = [(vec, w) for vec, w in merged.items() if w]
-        # g_1, g_2, ...: as far as the bases and the terms of factor n_max reach
-        exps = [seq.term(spec.offset + anchor + i) for i in range(1, n_max + max(d, spec.h - anchor) + 1)]
+        exps = [seq.term(spec.offset + anchor + i) for i in range(1, n_max + d + 1)]  # g_1, ..., g_{n_max + d}
         self.basis = [tuple(exps[i : i + d]) for i in range(n_max + 1)]
-        self.bounds = [self.ends[1] - self.ends[0]]  # S_i: the slack with factors 1..i unread
-        for i in range(1, n_max + 1):
-            # factor i's largest exponent once equal exponents are summed, as in ``spec.factor_terms``
-            by_exp: dict[int, object] = {}
-            for s, (e, aj) in enumerate(zip(exps[i - 1 :], spec.a[anchor:])):
-                if aj:
-                    if e < 1:
-                        index = i + spec.offset + anchor + s
-                        raise ValueError(f"factor {i}: exponent {e} at index {index} must be >= 1")
-                    by_exp[e] = by_exp.get(e, 0) + aj
-            self.bounds.append(self.bounds[-1] + max((e for e, c in by_exp.items() if c), default=0))
         self.start = tuple((0,) * d + (-j,) for j in self.offsets)
         self.masks: dict[tuple, int] = {}
         self.alive: dict[tuple, int] = {}
@@ -323,7 +306,7 @@ class _BasisWalk(_Rows):
         mask = self.masks.get(g)
         if mask is None:
             mask, const = 0, g[-1]
-            for i, (row, bound) in enumerate(zip(self.basis, self.bounds)):
+            for i, (row, bound) in enumerate(zip(self.basis, self.slack)):
                 if abs(sum(map(mul, g, row)) + const) <= bound:
                     mask |= 1 << i
             self.masks[g] = mask
@@ -466,9 +449,8 @@ def _low_terms(spec: ProductSpec, alpha: tuple[int, ...], n_max: int) -> list:
     lead = active[0]
     if not lead:
         return [0] * (n_max + 1)
-    prefactor = spec.prefactor
     width = active[-1]
-    low = [1] + [0] * (width - 1) if prefactor is None else [prefactor.coeff(k) for k in range(width)]
+    low = (spec.prefactor_coefficients() + [0] * width)[:width]
     out = []
     for n in range(n_max + 1):
         if n:

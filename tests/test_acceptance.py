@@ -11,7 +11,7 @@ import time
 
 from fibgf.catalog import MULTI_INDEX_ALPHAS, closed_form
 from fibgf.checks import kbonacci_power_sums, run_check
-from fibgf.guess import guess_rational, series_expand
+from fibgf.guess import guess_rational
 from fibgf.polynomials import ProductSpec, fibonacci_product_spec
 from fibgf.poset import (
     frontier_poset,
@@ -97,7 +97,7 @@ def test_criterion_06_free_generation():
     assert rep.status == "pass", rep.details
     counts = rep.details["counts"]
     for k in (2, 3):
-        assert counts[k] == series_expand(closed_form("vk2n", k=k, t=1), 13)
+        assert counts[k] == closed_form("vk2n", k=k, t=1).series(13)
 
 
 @criterion(7, "empirical single- and multi-index tables", 120)
@@ -106,7 +106,7 @@ def test_criterion_07_empirical_tables():
     fitted_forms = {}
     for r in (3, 4, 5, 6, 7):
         cf = closed_form(f"J{r}")
-        assert series[r] == series_expand(cf, 29), r
+        assert series[r] == cf.series(29), r
         fitted = guess_rational(series[r], den_max=8, holdout=6)
         assert fitted is not None and fitted.integer_pair() == cf.integer_pair(), r
         assert check_even_part(fitted), r
@@ -114,7 +114,7 @@ def test_criterion_07_empirical_tables():
     for alpha in MULTI_INDEX_ALPHAS:
         data = corr_series(fibonacci_product_spec(0), CorrSpec(alpha), 22)
         cf = closed_form("Jalpha", alpha=alpha)
-        assert data == series_expand(cf, 23), alpha
+        assert data == cf.series(23), alpha
         fitted = guess_rational(data, den_max=8, holdout=6)
         assert fitted is not None and fitted.integer_pair() == cf.integer_pair(), alpha
 
@@ -147,7 +147,7 @@ def test_criterion_10_congruence_tables():
         for a in range(m):
             data = [row[a] for row in counts]
             cf = closed_form("H", m=m, a=a)
-            assert data == series_expand(cf, 37), (m, a)
+            assert data == cf.series(37), (m, a)
             fitted = guess_rational(data, den_max=14, holdout=6)
             assert fitted is not None and fitted.same_function(cf), (m, a)
         if m == 3:

@@ -12,7 +12,6 @@ from fibgf.guess import (
     _strip,
     check_drx_pattern,
     guess_rational,
-    series_expand,
 )
 from fibgf.monoid import generator_census_series
 from fibgf.polynomials import (
@@ -45,10 +44,10 @@ def catalan(n):
 
 
 def test_series_expand_examples():
-    assert series_expand(closed_form("thm1"), 6) == [1, 2, 4, 10, 24, 60]
-    assert series_expand(RationalFunc([1], [1, -1]), 3) == [1, 1, 1]
+    assert closed_form("thm1").series(6) == [1, 2, 4, 10, 24, 60]
+    assert RationalFunc([1], [1, -1]).series(3) == [1, 1, 1]
     with pytest.raises(ValueError):
-        series_expand(RationalFunc([1], [0, 1]), 3)
+        RationalFunc([1], [0, 1]).series(3)
 
 
 def _dense_series(rf: RationalFunc, n_terms: int) -> list:
@@ -134,7 +133,7 @@ def test_guess_insufficient_terms():
 def test_guess_zero_sequence():
     got = guess_rational([0] * 12, den_max=2, holdout=4)
     assert got is not None
-    assert series_expand(got, 5) == [0, 0, 0, 0, 0]
+    assert got.series(5) == [0, 0, 0, 0, 0]
 
 
 def test_guess_caps_denominator_search_by_data():
@@ -156,7 +155,7 @@ def test_guess_roundtrip_random_rationals():
             if not any(num):
                 num = [1]
             rf = RationalFunc(num, den)
-            seq = series_expand(rf, 2 * (d + 1) + 8 + num_extra)
+            seq = rf.series(2 * (d + 1) + 8 + num_extra)
             got = guess_rational(seq, den_max=d + 1, num_extra=num_extra, holdout=6)
             assert got is not None, (num_extra, rf)
             assert got.same_function(rf), (num_extra, rf)
@@ -167,7 +166,7 @@ def test_guess_recovers_degree_40_denominator():
     den = [1] + [rng.randint(-3, 3) for _ in range(39)] + [rng.choice((-2, -1, 1, 2))]
     num = [rng.randint(-3, 3) for _ in range(40)]
     rf = RationalFunc(num, den)
-    got = guess_rational(series_expand(rf, 100), 45)
+    got = guess_rational(rf.series(100), 45)
     assert got is not None and got.same_function(rf)
 
 
@@ -228,7 +227,7 @@ def fit_inputs(draw):
     num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=d + 3))
     num[0] = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
     n_terms = draw(st.integers(2 * d + 4, 30))
-    seq = series_expand(RationalFunc(num, den), n_terms)
+    seq = RationalFunc(num, den).series(n_terms)
     for _ in range(draw(st.integers(0, 2))):
         seq[draw(st.integers(0, n_terms - 1))] += draw(st.integers(-5, 5))
     num_extra = draw(st.integers(0, 3))
@@ -247,7 +246,7 @@ def test_guess_fit_reproduces_every_term_and_is_reduced(args):
     if got is None:
         return
     assert got.den[0] == 1 and got.den_degree <= den_max
-    assert series_expand(got, len(seq)) == seq
+    assert got.series(len(seq)) == seq
     assert _euclid_gcd_degree(got.num, got.den) <= 0
 
 
@@ -330,7 +329,7 @@ def test_criterion_17_control_fits_order_81():
     data = corr_series(ProductSpec(exponent_seq=seq, n=0, h=1, a=(1,), offset=2), CorrSpec((2,)), 200)
     got = guess_rational(data, den_max=100, holdout=6)
     assert got is not None and got.den_degree == 81
-    assert series_expand(got, len(data)) == data
+    assert got.series(len(data)) == data
 
 
 def test_even_part():
@@ -379,11 +378,11 @@ def test_rational_func_json_roundtrip():
 
 
 def test_catalog_theorem_entries_match_pipelines():
-    assert series_expand(closed_form("stern-u2"), 15) == corr_series(stern_product_spec(0), CorrSpec((2,)), 14)
+    assert closed_form("stern-u2").series(15) == corr_series(stern_product_spec(0), CorrSpec((2,)), 14)
     for k in (2, 3):
         for tval in (1, -1, 2):
             data = corr_series(kbonacci_product_spec(k, 0, t=tval), CorrSpec((2,)), 10)
-            assert series_expand(closed_form("vk2n", k=k, t=tval), 11) == data
+            assert closed_form("vk2n", k=k, t=tval).series(11) == data
 
 
 # the parameters each catalog family documents; a name not listed takes none
@@ -421,10 +420,31 @@ def test_catalog_names_build_with_their_parameters():
         closed_form("J8")
 
 
+def test_catalog_names_built_from_families_keep_their_forms():
+    # J3, J4..J7, thm1t and H31k2 are built from their families; these are
+    # the literal forms the catalog listed for them
+    assert closed_form("J3").integer_pair() == ((1, 0, -4), (1, -2, -4, 2))
+    assert closed_form("J4").integer_pair() == ((1, 0, -7, 0, -2), (1, -2, -7, 0, -2, 2))
+    assert closed_form("J5").integer_pair() == ((1, 0, -11, 0, -20), (1, -2, -11, -8, -20, 10))
+    assert closed_form("J6").integer_pair() == ((1, 0, -17, 0, -88, 0, -4), (1, -2, -17, -28, -88, 26, -4, 4))
+    assert closed_form("J7").integer_pair() == ((1, 0, -26, 0, -311, 0, -84), (1, -2, -26, -74, -311, 34, -84, 42))
+    assert closed_form("H31k2").integer_pair() == (
+        (1, -2, 4, -6, 8, -10, 8, -6),
+        (1, -4, 8, -12, 16, -20, 19, -12, 4),
+    )
+    # thm1t is symbolic in t: pinned at t = 1 and t = 2, and by its JSON
+    assert closed_form("thm1t", t=1).integer_pair() == ((1, 0, -2), (1, -2, -2, 2))
+    assert closed_form("thm1t", t=2).integer_pair() == ((1, 0, -10), (1, -5, -10, 34))
+    assert closed_form("thm1t").to_json_dict() == {
+        "num": ["1", "0", ["0", "-1", "0", "-1"]],
+        "den": ["1", ["-1", "0", "-1"], ["0", "-1", "0", "-1"], ["0", "1", "0", "0", "0", "1"]],
+    }
+
+
 def test_catalog_phi_forms():
     assert closed_form("phi", i=2, b=3).integer_pair() == ((1,), (1, -2, 0, 1))
-    assert series_expand(closed_form("phi", i=2, b=2), 6) == [1, 2, 3, 4, 5, 6]
-    assert series_expand(closed_form("phi", i=3, b=2), 5) == [1, 3, 7, 15, 31]
+    assert closed_form("phi", i=2, b=2).series(6) == [1, 2, 3, 4, 5, 6]
+    assert closed_form("phi", i=3, b=2).series(5) == [1, 3, 7, 15, 31]
 
 
 def test_vk2n_reduces_to_cubic_at_unit_weight():
@@ -443,7 +463,7 @@ def test_catalog_identities_across_families():
 
 def test_fraction_coefficients_accepted():
     rf = RationalFunc([Fraction(1, 2)], [1, Fraction(-1, 2)])
-    assert series_expand(rf, 3) == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    assert rf.series(3) == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
     assert rf.integer_pair() == ((1,), (2, -1))
 
 
@@ -451,4 +471,4 @@ def test_multi_index_catalog_consistency():
     # every stored multi-index alpha has a form that expands to its data
     for alpha in MULTI_INDEX_ALPHAS:
         data = corr_series(fibonacci_product_spec(0), CorrSpec(alpha), 16)
-        assert series_expand(closed_form("Jalpha", alpha=alpha), 17) == data, alpha
+        assert closed_form("Jalpha", alpha=alpha).series(17) == data, alpha

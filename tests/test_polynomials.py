@@ -312,6 +312,20 @@ def test_prefactor_and_offset():
     assert list(spec.partial_lengths()) == [len(q.dense_coefficients()) for q in partial_products(spec)] == [2, 3, 5]
 
 
+def test_prefactor_coefficients():
+    # the one reading of the prefactor every engine takes: none is 1, a zero
+    # CoeffPoly is P = 0 (partial 0 still one entry long), a TPoly one is dense from x^0
+    spec = fibonacci_product_spec(3)
+    assert spec.prefactor_coefficients() == [1]
+    zero = replace(spec, prefactor=CoeffPoly([0]))
+    assert zero.prefactor_coefficients() == []
+    assert list(zero.partial_lengths()) == list(spec.partial_lengths()) == [1, 2, 4, 7]
+    t = TPoly.t()
+    symbolic = replace(spec, prefactor=CoeffPoly([0, t, 0, 2]))
+    assert symbolic.prefactor_coefficients() == [0, t, 0, 2]
+    assert list(symbolic.partial_lengths()) == [4, 5, 7, 10]
+
+
 def test_golden_series_examples():
     g1 = golden_series(1)
     assert g1.coefficient_sequence() == [1, 1]

@@ -11,7 +11,6 @@ import fibgf.checks
 import fibgf.walk
 from fibgf.catalog import closed_form
 from fibgf.errors import ResourceLimitError
-from fibgf.guess import series_expand
 from fibgf.polynomials import (
     CoeffPoly,
     ProductSpec,
@@ -285,7 +284,7 @@ def _unpruned_series(spec, alpha, n_max):
         def __init__(self, *args):
             super().__init__(*args)
             # a slack no pair difference reaches: every state is alive at every level
-            self.bounds = [1 << 64] * len(self.bounds)
+            self.slack = [1 << 64] * len(self.slack)
 
     return _walk_series(Unpruned, spec, alpha, n_max)
 
@@ -305,13 +304,14 @@ def test_basis_pruning_drops_no_tuple(spec, alpha, n_max):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(spec=st.one_of(specs(), pisot_specs(), window_specs()), n_max=st.integers(0, 12))
 def test_basis_walk_bounds_match_factor_terms(spec, n_max):
-    # the slack bounds read each factor's largest exponent from the exponents
-    # the walk lists; factor_terms sums equal exponents and drops zero sums
+    # both walks read one slack, from each factor's largest exponent once
+    # factor_terms sums equal exponents and drops zero sums
     walk = _BasisWalk(spec, (2,), n_max)
     want = [walk.ends[1] - walk.ends[0]]
     for i in range(1, n_max + 1):
         want.append(want[-1] + max((e for _, e in spec.factor_terms(i)), default=0))
-    assert walk.bounds == want
+    assert walk.slack == want
+    assert _LevelWalk(spec, (2,), n_max).slack == want
 
 
 def test_basis_walk_rejects_exponents_below_one():
@@ -320,6 +320,16 @@ def test_basis_walk_rejects_exponents_below_one():
         spec = ProductSpec(exponent_seq=RecurrentSeq((1, 1), init), n=0)
         with pytest.raises(ValueError, match=message):
             _BasisWalk(spec, (2,), 6)
+
+
+def test_level_walk_rejects_exponents_below_one():
+    # f_{i+1} = f_{i-1} is not Brauer, so only the level walk runs; from (0, 1)
+    # factor 1 reads exponent 0, at any depth that reaches it
+    spec = ProductSpec(exponent_seq=RecurrentSeq((0, 1), (0, 1)), n=0)
+    assert not basis_walk_applies(spec)
+    for n_max in (1, 6):
+        with pytest.raises(ValueError, match="factor 1: exponent 0 at index 1 must be >= 1"):
+            corr_series(spec, CorrSpec((2,)), n_max)
 
 
 def test_basis_walk_cap_names_limiting_n(monkeypatch):
@@ -382,7 +392,7 @@ def test_basis_states_are_charged_by_size():
 def test_deep_square_sums_match_closed_forms():
     # far beyond what a dense product reaches: v_2^(k)(n) to n = 120
     for k in (2, 3, 4):
-        want = series_expand(closed_form("vk2n", k=k, t=1), 121)
+        want = closed_form("vk2n", k=k, t=1).series(121)
         assert corr_series(kbonacci_product_spec(k, 0), CorrSpec((2,)), 120) == want
 
 
