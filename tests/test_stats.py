@@ -362,9 +362,8 @@ def test_stream_budget_is_the_same_with_numpy_loaded():
 
 
 def test_kbonacci_residues_never_call_stream():
-    # numpy's import is always charged to the stream, so every preset stays on
-    # the automaton: in a fresh interpreter with numpy unloaded, as the command
-    # line runs, and with numpy loaded, as the benchmark worker runs the scans
+    # in a fresh interpreter, as the command line runs, numpy's import is
+    # charged to the stream and every preset stays on the automaton
     code = (
         "import sys\n"
         "from unittest.mock import patch\n"
@@ -380,16 +379,28 @@ def test_kbonacci_residues_never_call_stream():
         "sys.exit('numpy' in sys.modules)\n"
     )
     assert _fresh_python(code) == 0
+
+
+def test_kbonacci_residues_hand_off_with_numpy_loaded():
+    # in one process that has numpy loaded, as the benchmark worker runs the
+    # scans, the budget still charges numpy's import, so no preset hands off:
+    # the series that went to the stream when the budget read sys.modules
+    # (every n = 12 row and k = 2, n = 22) now come from the automaton
     import numpy  # noqa: F401
 
-    fail = AssertionError("the stream was called")
-    with patch.object(fibgf.stream, "residue_series_fast", side_effect=fail):
-        for k in (2, 3, 4):
-            for m in (2, 3):
-                for n_max in (12, 22, 30):
-                    rows = residue_series(kbonacci_product_spec(k, 0), m, n_max)
-                    if n_max == 12 or (k, n_max) == (2, 22):
-                        assert rows == pure_residue_series(kbonacci_product_spec(k, 0), m, n_max), (k, m, n_max)
+    fast = fibgf.stream.residue_series_fast
+    rows, handed_off = {}, []
+    for k in (2, 3, 4):
+        for m in (2, 3):
+            for n_max in (12, 22, 30):
+                with patch.object(fibgf.stream, "residue_series_fast", side_effect=fast) as spy:
+                    rows[k, m, n_max] = residue_series(kbonacci_product_spec(k, 0), m, n_max)
+                if spy.called:
+                    handed_off.append((k, m, n_max))
+    assert handed_off == []
+    for k, m, n_max in rows:
+        if n_max == 12 or (k, n_max) == (2, 22):
+            assert rows[k, m, n_max] == pure_residue_series(kbonacci_product_spec(k, 0), m, n_max), (k, m, n_max)
 
 
 def test_kbonacci_residues_leave_numpy_unloaded():
