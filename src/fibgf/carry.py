@@ -77,9 +77,10 @@ class _Carry:
         self.m = m
         self.budget = budget
         self.first = [c % m for c in spec.prefactor_coefficients()]
-        self.degree = [length - 1 for length in spec.partial_lengths()]  # degree[i]: the degree after factor i
+        listed = list(spec.factors())
+        self.degree = [length - 1 for _, length in listed]  # degree[i]: the degree after factor i
         self.factors: list = [None]  # factor i >= 1: (D_i, ((e, a_e mod m), ...)), D_i = 0 for a factor 1
-        for terms in map(spec.factor_terms, range(1, spec.n + 1)):
+        for terms, _ in listed[1:]:
             base = terms[-1][1] if terms else 0
             self.factors.append((base, ((0, 1),) + tuple((e, c % m) for c, e in terms if c % m)))
         self.tables: list[dict] = [{None: {0: 1}} for _ in self.factors]  # None: no carry left, class 0

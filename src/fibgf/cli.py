@@ -3,6 +3,14 @@
 Every subcommand is a thin adapter over the library; outputs are JSON (and
 plain triangle/DOT text where noted).  Exit codes: 0 ok/pass, 1 check
 failed, 2 usage error, 3 no rational fit found, 4 resource cap hit.
+
+``verify all`` runs its checks on every usable CPU: it writes one byte per
+check index into a claim pipe, forks one worker per usable CPU past the
+first, and runs one claim loop in every process.  Workers send their
+reports back pickled, each over its own pipe; a check whose worker dies
+reports ``error`` with the worker's exit status.  The reports are printed
+in name order once all have run, and each ``elapsed_ms`` is the check's own
+run inside the process that ran it.
 """
 
 from __future__ import annotations
@@ -10,6 +18,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -156,18 +165,116 @@ def _run_or_error(name: str) -> CheckReport:
         return CheckReport(check=name, params={}, status="error", details=details, elapsed_ms=elapsed)
 
 
+def _claim_checks(claims: int, names: list[str], send) -> None:
+    """The loop of every process of ``verify all``: claim one check index,
+    one byte, from the pipe ``claims`` until it is empty, run that check and
+    ``send`` its report."""
+    while claim := os.read(claims, 1):
+        send(_run_or_error(names[claim[0]]))
+
+
+def _worker(claims: int, names: list[str], sink: int, inherited: list[int]) -> None:
+    """The body of a forked process of ``verify all``: it closes the pipe
+    ends of ``inherited``, runs the claim loop and writes each report to
+    ``sink``, pickled after its 8-byte length."""
+    import pickle
+
+    for fd in inherited:
+        os.close(fd)
+    with os.fdopen(sink, "wb") as out:
+
+        def send(rep: CheckReport) -> None:
+            blob = pickle.dumps(rep)
+            out.write(len(blob).to_bytes(8, "big") + blob)
+            out.flush()  # whole, before a later check can end the process
+
+        _claim_checks(claims, names, send)
+
+
+def _read_reports(stream: int) -> list[CheckReport]:
+    """The reports a worker wrote to its result pipe, read to EOF; one cut
+    short by the worker's end is dropped."""
+    import pickle
+
+    reports = []
+    with os.fdopen(stream, "rb") as src:
+        while size := int.from_bytes(src.read(8), "big"):
+            blob = src.read(size)
+            if len(blob) < size:
+                break
+            reports.append(pickle.loads(blob))
+    return reports
+
+
+def _lost_report(name: str, died: list[int]) -> CheckReport:
+    """The ``error`` report of a check claimed by a worker that sent no report
+    for it: one of the workers with the nonzero exit codes ``died``."""
+    ends = [f"was killed by signal {-code}" if code < 0 else f"exited with status {code}" for code in died]
+    details = {"error": "the worker running this check " + " or ".join(ends)}
+    return CheckReport(check=name, params={}, status="error", details=details)
+
+
+def _verify_all(as_json: bool) -> int:
+    """Run every check, in this process and in one forked worker per further
+    usable CPU, all claiming checks from one pipe; print the reports in name
+    order once all have run."""
+    names = sorted(VERIFY_CHECKS)
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(names))))  # one byte per check: the registry holds fewer than 256
+    os.close(fill)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    streams: dict[int, int] = {}  # worker pid -> read end of its result pipe, until read
+    pids: list[int] = []
+    reports: list[CheckReport] = []
+    try:
+        for _ in range(min(usable, len(names)) - 1):
+            stream, sink = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the ones forked so far claim every check
+                os.close(stream)
+                os.close(sink)
+                break
+            if pid == 0:  # the worker leaves only here, so no exception, atexit hook or stdout buffer escapes it
+                status = 1
+                try:
+                    _worker(claims, names, sink, [stream, *streams.values()])
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(sink)
+            pids.append(pid)
+            streams[pid] = stream
+        _claim_checks(claims, names, reports.append)
+        for pid in pids:
+            reports += _read_reports(streams.pop(pid))
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for fd in [claims, *streams.values()]:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    by_name = {rep.check: rep for rep in reports}
+    died = [code for code in map(os.waitstatus_to_exitcode, statuses) if code]
+    failed = False
+    for name in names:
+        rep = by_name.get(name) or _lost_report(name, died)
+        _emit_report(rep, as_json)
+        failed = failed or rep.status in ("fail", "error")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
 def cmd_verify(args) -> int:
     if NUMPY_CHECKS.intersection(VERIFY_CHECKS if args.name == "all" else [args.name]):
         import numpy  # noqa: F401  (loaded here, so that no check's elapsed_ms carries its import)
     if args.name == "all":
         if args.nmax is not None:
             raise ValueError("verify all takes no --nmax; every check runs at its own defaults")
-        failed = False
-        for name in sorted(VERIFY_CHECKS):
-            rep = _run_or_error(name)
-            _emit_report(rep, args.json)
-            failed = failed or rep.status in ("fail", "error")
-        return EXIT_CHECK_FAILED if failed else EXIT_OK
+        return _verify_all(args.json)
     if args.name not in VERIFY_CHECKS:
         raise KeyError(f"unknown check {args.name!r}; known: {', '.join(sorted(VERIFY_CHECKS))}")
     if args.nmax is not None and args.nmax < 0:

@@ -329,13 +329,20 @@ class ProductSpec:
         """P's coefficients of x^0..x^degree: [1] with no prefactor, [] for P = 0."""
         return [1] if self.prefactor is None else self.prefactor.dense_coefficients()
 
-    def partial_lengths(self):
-        """Yield the dense length of partial i = 0..n (1 at i = 0 for P = 0): each factor adds its top exponent."""
+    def factors(self):
+        """Yield (terms, length) for i = 0..n: the ``factor_terms`` of factor
+        i ([] at i = 0, the prefactor alone) and the dense length of partial
+        i (1 at i = 0 for P = 0); each factor adds its top exponent."""
         length = max(len(self.prefactor_coefficients()), 1)
-        yield length
+        yield [], length
         for i in range(1, self.n + 1):
             terms = self.factor_terms(i)
             length += terms[-1][1] if terms else 0
+            yield terms, length
+
+    def partial_lengths(self):
+        """Yield the dense length of partial i = 0..n, as ``factors`` does."""
+        for _, length in self.factors():
             yield length
 
     def degree_bound(self) -> int:
@@ -419,14 +426,15 @@ def partial_products(spec: ProductSpec):
     """
     small = all(isinstance(aj, int) and -1 <= aj <= 1 for aj in spec.a)
     coeff_bytes = PYOBJ_BYTES_PER_COEFF if small else PYOBJ_BYTES_PER_BIG_COEFF
-    lengths = [0, *spec.partial_lengths()]
+    factors = list(spec.factors())
+    lengths = [0] + [length for _, length in factors]
     meter = Meter("dense product")
     for i in range(spec.n + 1):
         meter.charge(coeff_bytes * (lengths[i + 1] - (lengths[i - 1] if i else 0)), i)
     acc = spec.prefactor_coefficients()
     yield _partial(acc)
-    for i in range(1, spec.n + 1):
-        acc = _multiply_dense(acc, spec.factor_terms(i))
+    for terms, _ in factors[1:]:
+        acc = _multiply_dense(acc, terms)
         yield _partial(acc)
 
 

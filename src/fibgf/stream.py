@@ -49,8 +49,9 @@ def stream_plan(spec: ProductSpec, m: int, n_max: int) -> StreamPlan:
     itemsize = next((size for size in (1, 2, 4, 8) if bound < 1 << (8 * size)), None)
     if itemsize is None:
         raise ValueError(f"residue sums mod {m} reach {bound}, past uint64")
-    factors = [[(c % m, e) for c, e in spec.factor_terms(i)] for i in range(1, n_max + 1)]
-    lengths = list(replace(spec, n=n_max).partial_lengths())
+    listed = list(replace(spec, n=n_max).factors())
+    factors = [[(c % m, e) for c, e in terms] for terms, _ in listed[1:]]
+    lengths = [length for _, length in listed]
     # a block's product, then bincount's intp copy of it (a scaled source, while it lives, is no
     # wider), and no source copies; a factor's and a block's int64 counts
     temporaries = CHUNK * (itemsize + 8) + 16 * m

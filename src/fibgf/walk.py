@@ -162,7 +162,8 @@ def complete(tables: list[dict], start, n: int, expand, leaf, fold):
 
 class _Rows:
     """What both walks share: the row groups of an alpha whose first offset
-    is 0, the slack, the prefactor leaf and the meter of the RGF_MAX_MEM_MB cap."""
+    is 0, the slack and the factors (from one pass over the spec), the
+    prefactor leaf and the meter of the RGF_MAX_MEM_MB cap."""
 
     def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
         self.spec = spec
@@ -172,8 +173,11 @@ class _Rows:
         self.offsets = [j for j in active for _ in range(alpha[j])]
         self.prefactor = {e: c for e, c in enumerate(spec.prefactor_coefficients()) if c}
         self.ends = (min(self.prefactor), max(self.prefactor)) if self.prefactor else (0, 0)
+        listed = list(replace(spec, n=n_max).factors())
         # S_i, the slack with factors 1..i unread: the prefactor's spread plus their top exponents
-        self.slack = [length - 1 - self.ends[0] for length in replace(spec, n=n_max).partial_lengths()]
+        self.slack = [length - 1 - self.ends[0] for _, length in listed]
+        # factor i: its terms with the 1, as (weight, exponent)
+        self.factors = [[(1, 0)] + terms for terms, _ in listed]
         self.meter = Meter("difference walk")  # estimated bytes kept
 
     def _leaf(self, vals):
@@ -203,8 +207,6 @@ class _LevelWalk(_Rows):
     def __init__(self, spec: ProductSpec, alpha: tuple[int, ...], n_max: int):
         super().__init__(spec, alpha, n_max)
         self.start = tuple(self.offsets[-1] - j for j in self.offsets)
-        # factor i >= 1: its terms with the 1, as (weight, exponent)
-        self.factors: list = [None] + [[(1, 0)] + spec.factor_terms(i) for i in range(1, n_max + 1)]
         self.spreads: dict[tuple, list] = {}
         self.tables: list[dict[tuple, object]] = [{} for _ in range(n_max + 1)]
 

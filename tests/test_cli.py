@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import select
 import subprocess
 import sys
 from dataclasses import replace
@@ -151,10 +153,149 @@ def test_verify_all_runs_checks_in_sorted_order(monkeypatch, capsys):
     assert reports[1]["details"] == {"error": "ResourceLimitError: over the cap"}
 
 
-def _run_python(code: str) -> int:
+@pytest.fixture
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _use_registry(monkeypatch, registry: dict) -> None:
+    monkeypatch.setattr(fibgf.checks, "VERIFY_CHECKS", registry)
+    monkeypatch.setattr(fibgf.cli, "VERIFY_CHECKS", registry)
+
+
+def _hold_parent(monkeypatch, gate: int) -> None:
+    """The process that runs ``verify all`` claims no check before a byte
+    arrives on ``gate``, so every check claimed until then runs in a worker."""
+    parent, claim_checks = os.getpid(), fibgf.cli._claim_checks
+
+    def held(claims, names, send):
+        if os.getpid() == parent:
+            assert select.select([gate], [], [], 60)[0], "no worker released the parent"
+            os.read(gate, 1)
+        claim_checks(claims, names, send)
+
+    monkeypatch.setattr(fibgf.cli, "_claim_checks", held)
+
+
+def _without_elapsed(out: str, as_json: bool) -> list:
+    if as_json:
+        return [{**json.loads(line), "elapsed_ms": None} for line in out.splitlines()]
+    return [re.sub(r"\(\d+ ms\)$", "(? ms)", line) for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_verify_all_prints_the_same_on_one_cpu_and_on_three(as_json, monkeypatch, capsys, no_child_left):
+    gate, release = os.pipe()
+
+    def big():
+        # past any pipe buffer, so a worker's report crosses in many writes
+        os.write(release, b"x")
+        return "pass", {"blob": "0123456789abcdef" * (1 << 16)}
+
+    registry = {f"pass-{i}": (lambda i=i: ("pass", {"i": i})) for i in range(5)}
+    registry.update({"big": big, "fails": lambda: ("fail", {"why": "by design"}), "raises": lambda: 1 // 0})
+    _use_registry(monkeypatch, registry)
+    argv = ["verify", "all"] + ["--json"] * as_json
+    printed = {}
+    try:
+        for cpus in (1, 3):
+            _use_cpus(monkeypatch, cpus)
+            if cpus == 3:
+                _hold_parent(monkeypatch, gate)  # so "big" runs in a worker
+            code, out, err = run_cli(capsys, *argv)
+            assert err == ""
+            printed[cpus] = code, _without_elapsed(out, as_json)
+            if cpus == 1:
+                assert os.read(gate, 1) == b"x"  # the byte that "big" sent
+    finally:
+        os.close(gate)
+        os.close(release)
+    assert printed[1] == printed[3]
+    code, lines = printed[1]
+    assert code == 1
+    assert len(lines) == len(registry)
+    if as_json:
+        assert [(r["check"], r["status"]) for r in lines][:3] == [("big", "pass"), ("fails", "fail"), ("pass-0", "pass")]
+        assert len(lines[0]["details"]["blob"]) == 1 << 20
+        assert lines[-1]["details"] == {"error": "ZeroDivisionError: integer division or modulo by zero"}
+
+
+def test_verify_all_on_one_cpu_forks_nothing(monkeypatch, capsys, no_child_left):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    _use_registry(monkeypatch, {"a": lambda: ("pass", {}), "b": lambda: ("fail", {})})
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert _without_elapsed(out, False) == ["a: pass (? ms)", "b: fail (? ms)"]
+
+
+def test_a_worker_that_dies_leaves_an_error_report(monkeypatch, capsys, no_child_left):
+    gate, release = os.pipe()
+
+    def dies():
+        os.write(release, b"x")
+        os._exit(7)
+
+    registry = {f"pass-{i}": lambda: ("pass", {}) for i in range(6)}
+    registry["dies"] = dies
+    _use_registry(monkeypatch, registry)
+    _use_cpus(monkeypatch, 3)
+    _hold_parent(monkeypatch, gate)  # so "dies" runs in a worker
+    try:
+        code, out, _ = run_cli(capsys, "verify", "all", "--json")
+    finally:
+        os.close(gate)
+        os.close(release)
+    assert code == 1
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [(r["check"], r["status"]) for r in reports] == [("dies", "error")] + [
+        (f"pass-{i}", "pass") for i in range(6)
+    ]
+    assert reports[0]["details"] == {"error": "the worker running this check exited with status 7"}
+
+
+def test_verify_all_on_one_cpu_prints_the_recorded_reports(monkeypatch, no_child_left):
+    from test_reports import REPORTS, run_reports
+
+    _use_cpus(monkeypatch, 1)
+    recorded = json.loads(REPORTS.read_text(encoding="utf-8"))
+    assert run_reports(("verify", "all")) == recorded["verify all"]
+
+
+def _python_env() -> dict:
+    """This environment, with the tested ``fibgf`` first on PYTHONPATH."""
     src = str(Path(fibgf.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_verify_all_closes_every_pipe_end():
+    # -X dev reports an unclosed file as a ResourceWarning, made an error here.
+    # On Python >= 3.12 a fork after numpy has started its BLAS thread warns
+    # (a DeprecationWarning, which -X dev shows): the workers call no BLAS routine.
+    argv = ["-X", "dev", "-W", "error::ResourceWarning", "-W", "ignore:This process:DeprecationWarning"]
+    done = subprocess.run(
+        [sys.executable, *argv, "-m", "fibgf.cli", "verify", "all", "--json"],
+        env=_python_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert len(done.stdout.splitlines()) == len(fibgf.checks.VERIFY_CHECKS) == 21
+
+
+def _run_python(code: str) -> int:
+    return subprocess.run([sys.executable, "-c", code], env=_python_env()).returncode
 
 
 def _numpy_loaded_at_first_check(name: str) -> int:
